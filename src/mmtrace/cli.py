@@ -28,21 +28,7 @@ from .regularity import (
 
 
 def _cmd_generate(args) -> int:
-    cfg_text = open(args.spec).read()
-    kv = {}
-    for raw in cfg_text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
-    pieces = [mio._parse_piece(p) for p in kv["pieces"].split(";") if p.strip()]
-    spec = GeneratorSpec(
-        kind=kv["kind"],
-        h=mio._parse_real(kv["h"]),
-        pieces=pieces,
-        c_res=mio._parse_real(kv.get("c_res", "1")),
-        name=kv.get("name", kv["kind"]),
-    )
+    spec = mio.load_generator_spec(args.spec)
     space, piecewise = generate(spec)
     os.makedirs(args.out, exist_ok=True)
     mio.save_space(space, os.path.join(args.out, "space.mmspace"))
@@ -187,10 +173,7 @@ def main(argv=None) -> int:
     except ResolutionError as exc:
         print(f"resolution error: {exc}", file=sys.stderr)
         return 3
-    except IoError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
+    except (IoError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
     except MMTraceError as exc:

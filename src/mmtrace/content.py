@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameter, MissingMetadata, ResolutionError
-from .space import _EPS, Ball, FiniteMetricMeasureSpace
+from .space import Ball, FiniteMetricMeasureSpace, dyadic_radii
 
 EXACT_CANDIDATE_LIMIT = 24
 
@@ -56,16 +56,11 @@ class CoverSolution:
 def _candidate_pool(space, target: np.ndarray, theta: float, delta: float):
     """Dyadic-radius balls centered at target points, with member sets
     restricted to the target and their cover weights."""
-    radii = []
     top = min(delta * (1 - 1e-9), 4.0 * max(space.diameter, space.scale_floor))
-    k = math.floor(-math.log2(space.scale_floor))
-    while 2.0 ** (-k) <= top:
-        if 2.0 ** (-k) >= space.scale_floor - _EPS:
-            radii.append(2.0 ** (-k))
-        k -= 1
+    # powers of two in [scale_floor, top], from the largest one <= top
+    radii = sorted(dyadic_radii(2.0 ** (math.frexp(top)[1] - 1), space.scale_floor))
     if not radii and space.scale_floor < delta:
         radii = [space.scale_floor]
-    radii = sorted(radii)
     balls, covers, weights = [], [], []
     tpos = {int(i): p for p, i in enumerate(target)}
     for c in target:
@@ -192,13 +187,8 @@ def hausdorff_measure(
     target = np.unique(np.asarray(target, dtype=int))
     if target.size == 0:
         return MeasureTrace(0.0, [], [], True)
-    deltas, values = [], []
-    delta = 1.0
-    while delta >= 2.0 * space.scale_floor - _EPS:
-        sol = hausdorff_content(space, ContentQuery(target, theta, delta, method))
-        deltas.append(delta)
-        values.append(sol.value)
-        delta /= 2.0
+    deltas = dyadic_radii(1.0, 2.0 * space.scale_floor)
+    values = [hausdorff_content(space, ContentQuery(target, theta, d, method)).value for d in deltas]
     if not values:
         raise ResolutionError("no delta scale above 2*scale_floor")
     stabilized = True

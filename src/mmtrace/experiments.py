@@ -20,10 +20,12 @@ from .errors import InsufficientData, IoError, ParameterError
 from .functionals import (
     FunctionalReport,
     SampleFunction,
+    besov_norm,
+    besov_norm_alt,
     bn_functional,
     bsn_functional,
     gluing,
-    sharp_mu_s1,
+    sharp_norm_s1,
     trace_norm_difficult,
     trace_norm_simple,
 )
@@ -145,8 +147,6 @@ def evaluate_functional(
     cfg: ExperimentConfig,
 ) -> FunctionalReport:
     """Dispatch a requested functional by name (see _parse_functional)."""
-    from .functionals import besov_norm, besov_norm_alt
-
     base, arg = _parse_functional(name)
     p = cfg.p
     if base in ("besov", "besov_alt"):
@@ -162,11 +162,7 @@ def evaluate_functional(
     if base == "bsn":
         return bsn_functional(space, seq, f, p, cfg.c)
     if base == "sharp":
-        vals = sharp_mu_s1(space, piecewise, f)
-        s1 = piecewise.pieces[0]
-        on_s1 = np.isin(piecewise.union_ids, s1.ids, assume_unique=True)
-        mu1 = space.weights[s1.ids]
-        value = float(np.sum(mu1 * vals[on_s1] ** p) ** (1.0 / p))
+        value = sharp_norm_s1(space, piecewise, f, p)
         return FunctionalReport("sharp", value, {"sharp": value}, {"p": p})
     if base == "trace_simple":
         return trace_norm_simple(space, piecewise, f, p, l=int(arg) if arg else 1)
@@ -244,21 +240,14 @@ def dirichlet_upper_bound_probe(
         lip[x] = float(np.max(np.abs(vals[members] - vals[x]) / d))
     energy = float(np.sum(space.weights * lip**p))
     denom = float(np.sum(space.weights * np.abs(vals) ** p) ** (1.0 / p)) + energy ** (1.0 / p)
+    # the homogeneous parts of trace_norm_simple / trace_norm_difficult
     if piecewise.pieces[0].theta > 0:
-        rep = trace_norm_simple(space, piecewise, vals, p, l=l)
-        hom = sum(v for k, v in rep.parts.items() if k.startswith("gl"))
-        from .functionals import besov_norm
-
-        for pc in piecewise.pieces:
-            hom += besov_norm(space, pc, vals, 1.0 - pc.theta / p, p).parts["seminorm"]
+        hom, thin = gluing(space, piecewise, vals, p, which=l).value, piecewise.pieces
     else:
-        rep = trace_norm_difficult(space, piecewise, vals, p)
-        from .functionals import besov_norm
-
-        hom = rep.parts["sharp_s1"] + rep.parts["gl3"]
-        hom += besov_norm(
-            space, piecewise.pieces[1], vals, 1.0 - piecewise.pieces[1].theta / p, p
-        ).parts["seminorm"]
+        hom = sharp_norm_s1(space, piecewise, vals, p) + gluing(space, piecewise, vals, p, which=3).value
+        thin = piecewise.pieces[1:]
+    for pc in thin:
+        hom += besov_norm(space, pc, vals, 1.0 - pc.theta / p, p).parts["seminorm"]
     return hom / denom
 
 

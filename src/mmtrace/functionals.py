@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import SubsetNeighbors
+from ._neighbors import centred_means, pair_abs_diffs, row_deviations, row_sums, subset_neighbors
 from .errors import (
     InvalidFamily,
     InvalidPair,
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .measures import MeasureSequence, default_k_max, weighted_stats
 from .regularity import PiecewiseSet, SubsetPiece, porosity_scan
-from .space import _EPS, Ball, k_of_r, separated_net
+from .space import _EPS, Ball, dyadic_radii, k_of_r, separated_net
 
 
 @dataclass
@@ -86,55 +86,14 @@ class NiceFamily:
 # ----------------------------------------------------------------------
 
 
-def _piece_nbrs(space, piece: SubsetPiece) -> SubsetNeighbors:
-    """Neighbor structure of a piece, cached on the piece per space."""
-    store = getattr(piece, "_nbrs_store", None)
-    if store is None:
-        store = {}
-        object.__setattr__(piece, "_nbrs_store", store)
-    key = id(space)
-    if key not in store:
-        store[key] = SubsetNeighbors(space, piece.ids)
-    return store[key]
-
-
-def _sorted_ball_cache(lists, vals, wts):
-    """For each point: member values sorted with padded weight prefix sums."""
-    out = []
-    for members in lists:
-        g = vals[members]
-        u = wts[members]
-        order = np.argsort(g, kind="stable")
-        g, u = g[order], u[order]
-        cw = np.concatenate(([0.0], np.cumsum(u)))
-        cwg = np.concatenate(([0.0], np.cumsum(u * g)))
-        out.append((g, cw, cwg))
-    return out
-
-
-def _abs_diff_against_sorted(sorted_entry, gb: np.ndarray, vb: np.ndarray) -> float:
-    """sum_{a,b} u_a v_b |g_a - g_b| given one side pre-sorted."""
-    g, cw, cwg = sorted_entry
-    w_tot, s_tot = cw[-1], cwg[-1]
-    idx = np.searchsorted(g, gb, side="right")
-    w_le, s_le = cw[idx], cwg[idx]
-    per_b = gb * w_le - s_le + (s_tot - s_le) - gb * (w_tot - w_le)
-    return float(np.sum(vb * per_b))
-
-
 def averaging_single(space, piece: SubsetPiece, f, k: int) -> np.ndarray:
     """Ball averages of f over the piece at scale 2^-k, one per piece point.
 
     Averages are computed relative to the center value, so constants pass
     through exactly."""
-    r = 2.0 ** (-int(k))
     vals = _values(f)[piece.ids]
-    lists = _piece_nbrs(space, piece).self_lists(r)
-    out = np.empty(piece.ids.size)
-    for pos, members in enumerate(lists):
-        w = piece.weights[members]
-        out[pos] = vals[pos] + float(np.sum(w * (vals[members] - vals[pos])) / np.sum(w))
-    return out
+    balls = subset_neighbors(space, piece.ids).self_lists(2.0 ** (-int(k)))
+    return vals + centred_means(balls, piece.weights, vals, lambda d: d)
 
 
 def averaging_double(space, piece_i: SubsetPiece, piece_j: SubsetPiece, f, k: int, y: int, z: int) -> float:
@@ -143,8 +102,8 @@ def averaging_double(space, piece_i: SubsetPiece, piece_j: SubsetPiece, f, k: in
     if space.distance(int(y), int(z)) > r * (1 + _EPS) + _EPS:
         raise InvalidPair(f"d({y},{z}) exceeds 2^-{k}")
     vals = _values(f)
-    mi = _piece_nbrs(space, piece_i).members_of(int(y), r)
-    mj = _piece_nbrs(space, piece_j).members_of(int(z), r)
+    mi = subset_neighbors(space, piece_i.ids).members_of(int(y), r)
+    mj = subset_neighbors(space, piece_j.ids).members_of(int(z), r)
     wi, wj = piece_i.weights[mi], piece_j.weights[mj]
     gi, gj = vals[piece_i.ids[mi]], vals[piece_j.ids[mj]]
     num = float(np.sum(wi[:, None] * wj[None, :] * np.abs(gi[:, None] - gj[None, :])))
@@ -178,8 +137,9 @@ def weight_w_alt(space, k: int, y, z) -> float:
 # ----------------------------------------------------------------------
 
 
-def besov_norm(space, piece: SubsetPiece, f, s: float, p: float, k_max: Optional[int] = None) -> FunctionalReport:
-    """Besov norm of smoothness s: L_p part plus the deviation scale sum."""
+def _besov(space, piece: SubsetPiece, f, s: float, p: float, k_max, name: str, inner) -> FunctionalReport:
+    """L_p part plus sum_{k>=1} 2^(k s p) sum_x h_x I_k(x), where
+    ``inner(balls, h, vals)`` gives I_k from the piece's 2^-k balls."""
     if not (0 < s < 1):
         raise ParameterError(f"s must lie in (0, 1), got {s}")
     if k_max is None:
@@ -187,20 +147,16 @@ def besov_norm(space, piece: SubsetPiece, f, s: float, p: float, k_max: Optional
     vals = _values(f)[piece.ids]
     h = piece.weights
     lp = float(np.sum(h * np.abs(vals) ** p) ** (1.0 / p))
-    nbrs = _piece_nbrs(space, piece)
+    nbrs = subset_neighbors(space, piece.ids)
     semi_p = 0.0
     last = 0.0
     for k in range(1, k_max + 1):
-        lists = nbrs.self_lists(2.0 ** (-k))
-        term = 0.0
-        for pos, members in enumerate(lists):
-            e = weighted_stats(vals[members], h[members]).best_dev
-            term += h[pos] * e**p
+        term = float(np.sum(h * inner(nbrs.self_lists(2.0 ** (-k)), h, vals)))
         last = 2.0 ** (k * s * p) * term
         semi_p += last
     semi = semi_p ** (1.0 / p)
     return FunctionalReport(
-        name="besov",
+        name=name,
         value=lp + semi,
         parts={"lp": lp, "seminorm": semi},
         params={"s": s, "p": p, "theta": piece.theta, "k_max": k_max},
@@ -208,34 +164,19 @@ def besov_norm(space, piece: SubsetPiece, f, s: float, p: float, k_max: Optional
     )
 
 
+def besov_norm(space, piece: SubsetPiece, f, s: float, p: float, k_max: Optional[int] = None) -> FunctionalReport:
+    """Besov norm of smoothness s: L_p part plus the deviation scale sum."""
+    return _besov(
+        space, piece, f, s, p, k_max, "besov",
+        lambda balls, h, vals: row_deviations(balls, h, vals) ** p,
+    )
+
+
 def besov_norm_alt(space, piece: SubsetPiece, f, s: float, p: float, k_max: Optional[int] = None) -> FunctionalReport:
     """Alternative Besov form with the double-average inner term."""
-    if not (0 < s < 1):
-        raise ParameterError(f"s must lie in (0, 1), got {s}")
-    if k_max is None:
-        k_max = default_k_max(space)
-    vals = _values(f)[piece.ids]
-    h = piece.weights
-    lp = float(np.sum(h * np.abs(vals) ** p) ** (1.0 / p))
-    nbrs = _piece_nbrs(space, piece)
-    semi_p = 0.0
-    last = 0.0
-    for k in range(1, k_max + 1):
-        lists = nbrs.self_lists(2.0 ** (-k))
-        term = 0.0
-        for pos, members in enumerate(lists):
-            w = h[members]
-            inner = float(np.sum(w * np.abs(vals[members] - vals[pos]) ** p) / np.sum(w))
-            term += h[pos] * inner
-        last = 2.0 ** (k * s * p) * term
-        semi_p += last
-    semi = semi_p ** (1.0 / p)
-    return FunctionalReport(
-        name="besov_alt",
-        value=lp + semi,
-        parts={"lp": lp, "seminorm": semi},
-        params={"s": s, "p": p, "theta": piece.theta, "k_max": k_max},
-        truncation_tail=last ** (1.0 / p),
+    return _besov(
+        space, piece, f, s, p, k_max, "besov_alt",
+        lambda balls, h, vals: centred_means(balls, h, vals, lambda d: np.abs(d) ** p),
     )
 
 
@@ -254,15 +195,14 @@ class GluingConfig:
         self.piecewise = piecewise
         self.p = float(p)
         self.k_max = int(k_max)
-        self.nbrs = [_piece_nbrs(space, pc) for pc in piecewise.pieces]
+        self.nbrs = [subset_neighbors(space, pc.ids) for pc in piecewise.pieces]
         self._pairs: dict = {}
 
     def sigma_pairs(self, i: int, j: int, k: int):
         """Position pairs (piece i, piece j) at distance <= 2^-k."""
         key = (i, j, k)
         if key not in self._pairs:
-            ia, ib = self.nbrs[i].cross_pairs(self.nbrs[j], 2.0 ** (-k))
-            self._pairs[key] = (ia, ib)
+            self._pairs[key] = self.nbrs[i].cross_pairs(self.nbrs[j], 2.0 ** (-k))
         return self._pairs[key]
 
     def s_set_mask(self, i: int, j: int, k: int) -> np.ndarray:
@@ -305,29 +245,14 @@ def gluing(
         r = 2.0 ** (-k)
         mu_r = space.masses_at_radius(r)
         if which == 2:
-            avg = []
-            for i, pc in enumerate(pieces):
-                lists = cfg.nbrs[i].self_lists(r)
-                a = np.empty(pc.ids.size)
-                vi = piece_vals[i]
-                for pos, members in enumerate(lists):
-                    w = pc.weights[members]
-                    # centered form: constants pass through exactly
-                    a[pos] = vi[pos] + float(np.sum(w * (vi[members] - vi[pos])) / np.sum(w))
-                avg.append(a)
+            avg = [averaging_single(space, pc, vals, k) for pc in pieces]
         if which == 3:
             # shift by a reference value: |g - g'| is shift-invariant and
             # constants then cancel exactly in the prefix sums
             ref = float(vals[pieces[0].ids[0]])
             shifted = [pv - ref for pv in piece_vals]
-            sorted_caches = [
-                _sorted_ball_cache(cfg.nbrs[i].self_lists(r), shifted[i], pieces[i].weights)
-                for i in range(piecewise.N)
-            ]
-            mass_caches = [
-                np.array([float(np.sum(pieces[i].weights[m])) for m in cfg.nbrs[i].self_lists(r)])
-                for i in range(piecewise.N)
-            ]
+            balls = [nb.self_lists(r) for nb in cfg.nbrs]
+            masses = [row_sums(b, pc.weights) for b, pc in zip(balls, pieces)]
         k_term = 0.0
         for i in range(piecewise.N):
             for j in range(i + 1, piecewise.N):
@@ -342,14 +267,11 @@ def gluing(
                 elif which == 2:
                     term = np.abs(avg[i][ia] - avg[j][ib]) ** p
                 else:
-                    term = np.empty(ia.size)
-                    lists_j = cfg.nbrs[j].self_lists(r)
-                    for t in range(ia.size):
-                        a, b = ia[t], ib[t]
-                        gb = shifted[j][lists_j[b]]
-                        vb = pieces[j].weights[lists_j[b]]
-                        num = _abs_diff_against_sorted(sorted_caches[i][a], gb, vb)
-                        term[t] = (num / (mass_caches[i][a] * mass_caches[j][b])) ** p
+                    num = pair_abs_diffs(
+                        balls[i], pieces[i].weights, shifted[i],
+                        balls[j], pieces[j].weights, shifted[j], ia, ib,
+                    )
+                    term = (num / (masses[i][ia] * masses[j][ib])) ** p
                 scale = 2.0 ** (k * (p - pieces[i].theta - pieces[j].theta))
                 # the ordered (i, j) + (j, i) sum is twice the i < j sum
                 k_term += 2.0 * scale * float(np.sum(hh * w_pair * term))
@@ -437,13 +359,8 @@ def bn_functional(
     for k in range(1, k_max + 1):
         mask = report.porous_points_per_scale[k - 1]
         mk = seq.weights_per_k[k]
-        r = 2.0 ** (-k)
-        lists = seq.neighbors.self_lists(r)
-        term = 0.0
-        for pos in np.flatnonzero(mask):
-            e = weighted_stats(f_on_s[lists[pos]], mk[lists[pos]]).best_dev
-            term += mk[pos] * e**p
-        last = 2.0 ** (k * (p - seq.theta)) * term
+        e = row_deviations(seq.neighbors.self_lists(2.0 ** (-k)), mk, f_on_s)
+        last = 2.0 ** (k * (p - seq.theta)) * float(np.sum(mk[mask] * e[mask] ** p))
         scale_p += last
     scale_sum = scale_p ** (1.0 / p)
     theta1 = piecewise.pieces[0].theta
@@ -681,22 +598,25 @@ def sharp_mu_s1(space, piecewise: PiecewiseSet, f, r_top: float = 2.0) -> np.nda
     if abs(piecewise.pieces[0].theta) > 1e-12:
         raise ParameterError("sharp maximal function needs theta_1 = 0")
     s1 = piecewise.pieces[0]
-    nbrs1 = _piece_nbrs(space, s1)
+    nbrs1 = subset_neighbors(space, s1.ids)
     mu1 = space.weights[nbrs1.ids]
     vals = _values(f)[nbrs1.ids]
     S = piecewise.union_ids
     out = np.zeros(S.size)
-    radii = []
-    r = float(r_top)
-    while r >= space.scale_floor - _EPS:
-        radii.append(r)
-        r /= 2.0
-    for rr in radii:
+    for rr in dyadic_radii(r_top, space.scale_floor):
         for pos, x in enumerate(S):
             ball = nbrs1.members_of(int(x), rr)
             e = weighted_stats(vals[ball], mu1[ball]).best_dev
             out[pos] = max(out[pos], e)
     return out
+
+
+def sharp_norm_s1(space, piecewise: PiecewiseSet, f, p: float) -> float:
+    """L_p(mu) norm of ``sharp_mu_s1`` over the codimension-zero piece."""
+    s1 = piecewise.pieces[0]
+    on_s1 = np.isin(piecewise.union_ids, s1.ids, assume_unique=True)
+    sharp = sharp_mu_s1(space, piecewise, f)[on_s1]
+    return float(np.sum(space.weights[s1.ids] * sharp**p) ** (1.0 / p))
 
 
 def combinatorial_expand(space, piecewise: PiecewiseSet, ball: Ball, c: float):
@@ -792,9 +712,7 @@ def trace_norm_difficult(
     mu1 = space.weights[s1.ids]
     vals = _values(f)
     lp_s1 = float(np.sum(mu1 * np.abs(vals[s1.ids]) ** p) ** (1.0 / p))
-    sharp_all = sharp_mu_s1(space, piecewise, f)
-    on_s1 = np.isin(piecewise.union_ids, s1.ids, assume_unique=True)
-    sharp_s1 = float(np.sum(mu1 * sharp_all[on_s1] ** p) ** (1.0 / p))
+    sharp_s1 = sharp_norm_s1(space, piecewise, f, p)
     bes = besov_norm(space, piecewise.pieces[1], f, 1.0 - th2 / p, p, k_max=k_max)
     gl = gluing(space, piecewise, f, p, which=3, k_max=k_max)
     parts = {

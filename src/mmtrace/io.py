@@ -61,37 +61,38 @@ def _parse_header(line: str) -> dict:
     return fields
 
 
+def _point_rows(lines: list, n: int, width: int) -> np.ndarray:
+    """``<id> <width reals>`` lines as an (n, width) array ordered by id;
+    the ids must be exactly 0..n-1."""
+    toks = [ln.split() for ln in lines]
+    if len(toks) != n or any(len(t) != width + 1 for t in toks):
+        raise IoError(f"expected {n} point lines of an id and {width} values, got {len(toks)} lines")
+    ids = np.array([int(t[0]) for t in toks], dtype=int)
+    if not np.array_equal(np.sort(ids), np.arange(n)):
+        raise IoError(f"point ids must be exactly 0..{n - 1}, each once")
+    rows = np.empty((n, width))
+    rows[ids] = [[float(v) for v in t[1:]] for t in toks]
+    return rows
+
+
 def load_space(path: str, c_res: float = 1.0) -> FiniteMetricMeasureSpace:
-    try:
-        with open(path) as fh:
-            lines = [ln for ln in (l.strip() for l in fh) if ln]
-    except OSError as exc:
-        raise IoError(f"cannot read space from {path}: {exc}") from exc
+    lines = [ln for ln in (l.strip() for l in _read_text(path, "space").splitlines()) if ln]
     if not lines:
         raise IoError(f"{path} is empty")
     head = _parse_header(lines[0])
     try:
         if head["magic"] == "mmspace v1":
             n, dim, h = int(head["n"]), int(head["dim"]), float(head["h"])
-            coords = np.empty((n, dim))
-            weights = np.empty(n)
-            if len(lines) - 1 != n:
-                raise IoError(f"expected {n} point lines, got {len(lines) - 1}")
-            for ln in lines[1:]:
-                toks = ln.split()
-                i = int(toks[0])
-                coords[i] = [float(t) for t in toks[1 : 1 + dim]]
-                weights[i] = float(toks[1 + dim])
-            return FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=h, c_res=c_res)
+            rows = _point_rows(lines[1:], n, dim + 1)
+            return FiniteMetricMeasureSpace(weights=rows[:, dim], coords=rows[:, :dim], resolution=h, c_res=c_res)
         if head["magic"] == "mmspace-matrix v1":
             n, h = int(head["n"]), float(head["h"])
-            weights = np.empty(n)
-            for ln in lines[1 : n + 1]:
-                toks = ln.split()
-                weights[int(toks[0])] = float(toks[1])
+            weights = _point_rows(lines[1 : n + 1], n, 1)[:, 0]
+            block = [[float(t) for t in ln.split()] for ln in lines[n + 1 :]]
+            if [len(row) for row in block] != list(range(1, n)):
+                raise IoError(f"distance block must have {n - 1} rows of lengths 1..{n - 1}")
             mat = np.zeros((n, n))
-            for i, ln in enumerate(lines[n + 1 :], start=1):
-                row = [float(t) for t in ln.split()]
+            for i, row in enumerate(block, start=1):
                 mat[i, :i] = row
                 mat[:i, i] = row
             return FiniteMetricMeasureSpace(weights=weights, dist_matrix=mat, resolution=h, c_res=c_res)
@@ -123,9 +124,8 @@ def save_pieces(piecewise: PiecewiseSet, path: str):
 
 def load_pieces(path: str) -> PiecewiseSet:
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        payload = json.loads(_read_text(path, "pieces"))
+    except json.JSONDecodeError as exc:
         raise IoError(f"cannot read pieces from {path}: {exc}") from exc
     pieces = []
     for entry in payload["pieces"]:
@@ -172,9 +172,10 @@ def load_function(path: str, n: int) -> np.ndarray:
 def _parse_real(tok: str) -> float:
     tok = tok.strip()
     m = re.fullmatch(r"(-?\d+(?:\.\d+)?)\s*/\s*(\d+(?:\.\d+)?)", tok)
-    if m:
-        return float(m.group(1)) / float(m.group(2))
-    return float(tok)
+    try:
+        return float(m.group(1)) / float(m.group(2)) if m else float(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"not a real number: {tok!r}") from exc
 
 
 def _parse_piece(text: str) -> PieceSpec:
@@ -204,12 +205,8 @@ def _parse_piece(text: str) -> PieceSpec:
     return PieceSpec(shape=shape, theta=theta, placement=placement)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the key = value experiment-config format.
-
-    Keys: name, kind, h, c_res, resolutions, pieces (';'-separated),
-    functions, functionals, p, theta, c, sigma, seeds.
-    """
+def _parse_keys(text: str, required: list) -> dict:
+    """``key = value`` lines (``#`` starts a comment) with the required keys."""
     kv = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -219,21 +216,39 @@ def parse_config(text: str) -> ExperimentConfig:
         if not eq:
             raise InvalidParameter(f"config line is not key = value: {raw!r}")
         kv[key.strip()] = val.strip()
-    required = ["kind", "pieces", "resolutions", "functionals", "functions"]
     missing = [k for k in required if k not in kv]
     if missing:
         raise InvalidParameter(f"config missing keys: {missing}")
-    pieces = [_parse_piece(part) for part in kv["pieces"].split(";") if part.strip()]
-    resolutions = [_parse_real(t) for t in kv["resolutions"].split()]
-    gen = GeneratorSpec(
+    return kv
+
+
+def _generator(kv: dict, h: float) -> GeneratorSpec:
+    return GeneratorSpec(
         kind=kv["kind"],
-        h=resolutions[0],
-        pieces=pieces,
+        h=h,
+        pieces=[_parse_piece(part) for part in kv["pieces"].split(";") if part.strip()],
         c_res=_parse_real(kv.get("c_res", "1")),
         name=kv.get("name", kv["kind"]),
     )
+
+
+def parse_generator_spec(text: str) -> GeneratorSpec:
+    """Parse a generator spec: the keys kind, h, pieces (';'-separated),
+    and optionally c_res and name, in the experiment-config format."""
+    kv = _parse_keys(text, ["kind", "h", "pieces"])
+    return _generator(kv, _parse_real(kv["h"]))
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse the key = value experiment-config format.
+
+    Keys: name, kind, h, c_res, resolutions, pieces (';'-separated),
+    functions, functionals, p, theta, c, sigma, seeds.
+    """
+    kv = _parse_keys(text, ["kind", "pieces", "resolutions", "functionals", "functions"])
+    resolutions = [_parse_real(t) for t in kv["resolutions"].split()]
     return ExperimentConfig(
-        generator=gen,
+        generator=_generator(kv, resolutions[0]),
         resolutions=resolutions,
         functionals=kv["functionals"].split(),
         functions=kv["functions"].split(),
@@ -245,9 +260,17 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path) as fh:
-            return parse_config(fh.read())
+            return fh.read()
     except OSError as exc:
-        raise IoError(f"cannot read config from {path}: {exc}") from exc
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def load_generator_spec(path: str) -> GeneratorSpec:
+    return parse_generator_spec(_read_text(path, "generator spec"))
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config(_read_text(path, "config"))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import SubsetNeighbors
+from ._neighbors import SubsetNeighbors, row_deviations, row_sums, subset_neighbors
 from .errors import ParameterError, ResolutionError
 from .regularity import PiecewiseSet
 from .space import _EPS, FiniteMetricMeasureSpace
@@ -79,7 +79,6 @@ class MeasureSequence:
     weights_per_k: np.ndarray      # (k_max+1, |S|)
     density_per_k: np.ndarray      # w_k = m_k / m_0, same shape
     _dense: dict = field(default_factory=dict, repr=False)
-    _nbrs: Optional[SubsetNeighbors] = field(default=None, repr=False)
 
     def dense(self, k: int) -> np.ndarray:
         """m_k as a dense vector over all space points."""
@@ -92,9 +91,7 @@ class MeasureSequence:
 
     @property
     def neighbors(self) -> SubsetNeighbors:
-        if self._nbrs is None:
-            self._nbrs = SubsetNeighbors(self.space, self.support_ids)
-        return self._nbrs
+        return subset_neighbors(self.space, self.support_ids)
 
     def mass_on(self, k: int, positions: np.ndarray) -> float:
         return float(np.sum(self.weights_per_k[int(k)][positions]))
@@ -202,19 +199,16 @@ def verify_regular_sequence(
     nbrs = seq.neighbors
     m1 = bool(np.all(seq.weights_per_k > 0))
 
-    # scale grid: radii 2^-j, j = 0..k_max; neighbor lists shared across k
+    # scale grid: radii 2^-j, j = 0..k_max; ball masses m_k(B_j) per (k, j)
     radii = [2.0 ** (-j) for j in range(k_max + 1)]
-    lists = {j: nbrs.self_lists(radii[j]) for j in range(k_max + 1)}
-    mu_at = {j: space.masses_at_radius(radii[j])[S] for j in range(k_max + 1)}
+    mk_ball = {(k, j): row_sums(nbrs.self_lists(r), seq.weights_per_k[k])
+               for k in range(k_max + 1) for j, r in enumerate(radii)}
 
     C1 = 0.0
     C2 = math.inf
     for k in range(k_max + 1):
-        mk = seq.weights_per_k[k]
-        for j in range(k_max + 1):
-            r = radii[j]
-            mk_ball = np.array([float(np.sum(mk[ix])) for ix in lists[j]])
-            ratios = mk_ball * r**theta / mu_at[j]
+        for j, r in enumerate(radii):
+            ratios = mk_ball[k, j] * r**theta / space.masses_at_radius(r)[S]
             if j >= k:      # r <= eps^k: upper-bound regime
                 C1 = max(C1, float(np.max(ratios)))
             if j <= k:      # r >= eps^k: lower-bound regime
@@ -230,31 +224,21 @@ def verify_regular_sequence(
 
     m5 = {}
     if test_sets:
-        r = radii[k_max]
         mk = seq.weights_per_k[k_max]
+        balls = nbrs.self_lists(radii[k_max])
         for name, ids in test_sets.items():
-            ids = np.asarray(ids, dtype=int)
-            in_e = np.isin(S, ids)
-            worst = math.inf
-            for pos in np.flatnonzero(in_e):
-                ball = lists[k_max][pos]
-                total = float(np.sum(mk[ball]))
-                part = float(np.sum(mk[ball[in_e[ball]]]))
-                worst = min(worst, part / total if total > 0 else 0.0)
-            m5[name] = worst
+            in_e = np.isin(S, np.asarray(ids, dtype=int))
+            part = row_sums(balls, np.where(in_e, mk, 0.0))[in_e]
+            total = mk_ball[k_max, k_max][in_e]
+            shares = np.divide(part, total, out=np.zeros(part.size), where=total > 0)
+            m5[name] = float(np.min(shares)) if shares.size else math.inf
 
     doubling = {}
     for c in c_grid:
         worst = 0.0
         for k in range(k_max + 1):
-            mk = seq.weights_per_k[k]
-            r = eps**k
-            big = nbrs.self_lists(c * r)
-            base = nbrs.self_lists(r)
-            for pos in range(S.size):
-                denom = float(np.sum(mk[base[pos]]))
-                if denom > 0:
-                    worst = max(worst, float(np.sum(mk[big[pos]])) / denom)
+            big, base = row_sums(nbrs.self_lists(c * eps**k), seq.weights_per_k[k]), mk_ball[k, k]
+            worst = max(worst, float(np.max(np.divide(big, base, out=np.zeros(S.size), where=base > 0))))
         doubling[float(c)] = worst
 
     passes = {
@@ -342,11 +326,7 @@ def lp_tail_check(seq: MeasureSequence, f: np.ndarray, L: int, p: float) -> floa
         return 0.0
     total = 0.0
     for k in range(L + 1):
-        r = seq.epsilon**k
-        lists = seq.neighbors.self_lists(r)
         mk = seq.weights_per_k[k]
-        for pos in range(seq.support_ids.size):
-            ball = lists[pos]
-            e = weighted_stats(f_s[ball], mk[ball]).best_dev
-            total += mk[pos] * e**p
+        e = row_deviations(seq.neighbors.self_lists(seq.epsilon**k), mk, f_s)
+        total += float(np.sum(mk * e**p))
     return total / denom

@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._neighbors import row_sums, subset_neighbors
 from .content import ContentQuery, hausdorff_content
 from .errors import EmptySet, InvalidGrid, InvalidParameter
-from .space import _EPS, FiniteMetricMeasureSpace
+from .space import _EPS, FiniteMetricMeasureSpace, dyadic_radii
 
 
 @dataclass
@@ -97,14 +98,7 @@ class PorosityReport:
 
 def default_r_grid(space: FiniteMetricMeasureSpace, top: float = 1.0) -> list:
     """Dyadic scales from ``top`` down to 4*scale_floor."""
-    grid = []
-    r = float(top)
-    while r >= 4.0 * space.scale_floor - _EPS:
-        grid.append(r)
-        r /= 2.0
-    if not grid:
-        grid = [float(top)]
-    return grid
+    return dyadic_radii(top, 4.0 * space.scale_floor) or [float(top)]
 
 
 def check_adr(
@@ -125,19 +119,12 @@ def check_adr(
     r_grid = list(r_grid)
     if not r_grid:
         raise InvalidGrid("r_grid must be nonempty")
-    from ._neighbors import SubsetNeighbors
-
-    nbrs = SubsetNeighbors(space, piece.ids)
+    nbrs = subset_neighbors(space, piece.ids)
     lo, hi = np.inf, 0.0
-    theta = piece.theta
     for r in r_grid:
-        masses = space.masses_at_radius(r)[piece.ids]
-        lists = nbrs.self_lists(r)
-        for pos in range(piece.ids.size):
-            hs = float(np.sum(piece.weights[lists[pos]]))
-            ratio = hs * r**theta / masses[pos]
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
+        ratios = row_sums(nbrs.self_lists(r), piece.weights) * r**piece.theta / space.masses_at_radius(r)[piece.ids]
+        lo = min(lo, float(np.min(ratios)))
+        hi = max(hi, float(np.max(ratios)))
     ok = bool(np.isfinite(hi) and lo > 0)
     if ok and max_ratio is not None:
         ok = bool(hi / lo <= max_ratio)

@@ -121,6 +121,9 @@ class FiniteMetricMeasureSpace:
                     (float(v), cKDTree(self.coords[self.weights == v])) for v in distinct
                 ]
         self._mass_cache: dict[float, np.ndarray] = {}
+        # shared ball layer per subset (``_neighbors.subset_neighbors``),
+        # keyed by the bytes of the sorted subset ids
+        self._neighbors: dict[bytes, object] = {}
         self._diameter: Optional[float] = None
         if validate:
             self._validate()
@@ -220,8 +223,7 @@ class FiniteMetricMeasureSpace:
             query = self.coords[self.check_id(center)] if vec is None else vec
             # pad the closed-ball boundary against float round-off
             idx = self._tree.query_ball_point(query, radius * (1 + _EPS) + _EPS)
-            out = np.sort(np.asarray(idx, dtype=int))
-            return out
+            return np.sort(np.asarray(idx, dtype=int))
         dists = self.distances_from(center)
         return np.flatnonzero(dists <= radius * (1 + _EPS) + _EPS)
 
@@ -252,24 +254,6 @@ class FiniteMetricMeasureSpace:
             masses = within @ self.weights
         self._mass_cache[key] = masses
         return masses
-
-    def pairs_within(self, ids_a: np.ndarray, ids_b: np.ndarray, radius: float):
-        """Index pairs (into ids_a, ids_b) at distance <= radius."""
-        r = radius * (1 + _EPS) + _EPS
-        if self._tree is not None:
-            ta = cKDTree(self.coords[ids_a])
-            tb = cKDTree(self.coords[ids_b])
-            lists = ta.query_ball_tree(tb, r)
-            ia, ib = [], []
-            for a, lst in enumerate(lists):
-                for b in sorted(lst):
-                    ia.append(a)
-                    ib.append(b)
-            return np.asarray(ia, dtype=int), np.asarray(ib, dtype=int)
-        sub = self.dist_matrix[np.ix_(ids_a, ids_b)]
-        ia, ib = np.nonzero(sub <= r)
-        order = np.lexsort((ib, ia))
-        return ia[order], ib[order]
 
 
 # -- operations ----------------------------------------------------------
@@ -391,10 +375,18 @@ def doubling_constant(space: FiniteMetricMeasureSpace, R: float):
     return best, arg
 
 
-def _dyadic_down(top: float, floor: float) -> list:
+def dyadic_radii(top: float, floor: float) -> list:
+    """top, top/2, top/4, ... down to the last radius >= floor - _EPS.
+
+    Halving is exact in binary floating point, so every radius is
+    top * 2^-j exactly.  A floor below 2 * _EPS stops at floor/2 instead.
+    """
+    if not (floor > 0):
+        raise InvalidScale(f"radius floor must be positive, got {floor}")
+    stop = max(floor - _EPS, 0.5 * floor)
     radii = []
     r = float(top)
-    while r >= floor - _EPS:
+    while r >= stop:
         radii.append(r)
         r /= 2.0
     return radii
@@ -418,7 +410,7 @@ def decay_exponents(
     noise dominates below a few mesh cells.  The fit constants are taken
     over the unrestricted pair set, where they absorb boundary factors.
     """
-    radii = _dyadic_down(R, space.scale_floor)
+    radii = dyadic_radii(R, space.scale_floor)
     lo = min_pair_radius_factor * space.scale_floor
     usable = [r for r in radii if r >= lo - _EPS]
     if len(usable) < 2:

@@ -102,6 +102,14 @@ class TestExitCodes:
         cfg.write_text(EXP_CONFIG.replace("c = 6", "c = 2"))
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_generate_spec_without_pieces_is_2(self, tmp_path):
+        spec = tmp_path / "gen.cfg"
+        spec.write_text("kind = grid2d\nh = 1/8\n")
+        assert main(["generate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+
+    def test_generate_missing_spec_is_4(self, tmp_path):
+        assert main(["generate", "--spec", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == 4
+
     def test_io_error_is_4(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "missing"), "--format", "csv"]) == 4
 

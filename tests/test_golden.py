@@ -1,0 +1,95 @@
+"""Golden values of every functional and verifier on the canonical h = 1/8
+instances, pinned at rtol 1e-10 against ``tests/golden/h8.json``.
+
+Refactors that reorder floating-point sums move values in the last few
+digits; anything beyond 1e-10 relative is a behaviour change.  The file was
+recorded before the ball-layer refactor; re-record only for an intended
+change of definition::
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mmtrace as mt
+from mmtrace.experiments import ExperimentConfig, evaluate_functional
+
+GOLDEN = Path(__file__).parent / "golden" / "h8.json"
+P, C, SIGMA = 2.5, 6.0, 0.01
+FUNCTIONS = ("hoelder:0.6", "random", "step")
+FUNCTIONALS = {
+    "simple": ["besov:1", "besov:2", "besov_alt:1", "besov_alt:2", "gl1", "gl2", "gl3",
+               "bn", "bsn", "trace_simple:1", "trace_simple:3"],
+    "difficult": ["besov:2", "besov_alt:2", "gl1", "gl2", "gl3", "bn", "bsn", "sharp",
+                  "trace_difficult"],
+}
+SPECS = {"simple": mt.simple_case_spec, "difficult": mt.difficult_case_spec}
+
+
+def compute() -> dict:
+    """Every pinned quantity, keyed ``instance|what|...``."""
+    out = {}
+    for inst, spec_fn in SPECS.items():
+        space, pw = mt.generate(spec_fn(1 / 8), verify=False)
+        grid = mt.default_r_grid(space)
+        for i, pc in enumerate(pw.pieces):
+            k1, k2, _ = mt.check_adr(space, pc, grid)
+            out[f"{inst}|adr|{i + 1}|kappa1"] = k1
+            out[f"{inst}|adr|{i + 1}|kappa2"] = k2
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=P)
+        sets = {f"piece{i + 1}": pc.ids for i, pc in enumerate(pw.pieces)}
+        cert = mt.verify_regular_sequence(space, seq, test_sets=sets)
+        for name in ("C1", "C2", "C3"):
+            out[f"{inst}|cert|{name}"] = getattr(cert, name)
+        for c, v in cert.doubling_at_scale.items():
+            out[f"{inst}|cert|doubling|{c}"] = v
+        for name, v in cert.M5_samples.items():
+            out[f"{inst}|cert|M5|{name}"] = v
+        cfg = ExperimentConfig(
+            generator=spec_fn(1 / 8), resolutions=[1 / 8], functionals=FUNCTIONALS[inst],
+            functions=list(FUNCTIONS), p=P, c=C, sigma=SIGMA,
+        )
+        for fam in FUNCTIONS:
+            f = mt.make_sample_function(space, pw, fam, seed=0)
+            for L in (0, seq.k_max):
+                out[f"{inst}|{fam}|lp_tail|{L}"] = mt.lp_tail_check(seq, f.values, L, P)
+            for name in FUNCTIONALS[inst]:
+                rep = evaluate_functional(name, space, pw, seq, f, cfg)
+                out[f"{inst}|{fam}|{name}|value"] = rep.value
+                out[f"{inst}|{fam}|{name}|tail"] = rep.truncation_tail
+                for part, v in rep.parts.items():
+                    out[f"{inst}|{fam}|{name}|{part}"] = v
+    return {k: float(v) for k, v in out.items()}
+
+
+@pytest.fixture(scope="module")
+def computed():
+    return compute()
+
+
+def test_golden_keys_match(computed):
+    assert sorted(computed) == sorted(json.loads(GOLDEN.read_text()))
+
+
+def test_golden_values(computed):
+    golden = json.loads(GOLDEN.read_text())
+    bad = {
+        k: (computed[k], v)
+        for k, v in golden.items()
+        if k in computed and not math.isclose(computed[k], v, rel_tol=1e-10, abs_tol=0.0)
+    }
+    assert not bad, f"{len(bad)} of {len(golden)} golden values moved: {bad}"
+    assert all(np.isfinite(list(golden.values())))
+
+
+if __name__ == "__main__":
+    if "--record" in sys.argv[1:]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(compute(), sort_keys=True, indent=1) + "\n")
+        print(f"wrote {GOLDEN}")

@@ -37,6 +37,25 @@ class TestSpaceFiles:
         with pytest.raises(IoError):
             mio.load_space(str(p))
 
+    @pytest.mark.parametrize("ids", [(0, 1, 1), (0, -1, 2), (0, 1, 3)], ids=["duplicate", "negative", "out_of_range"])
+    def test_bad_point_ids(self, tmp_path, ids):
+        p = tmp_path / "bad.mmspace"
+        p.write_text("mmspace v1; n=3; dim=1; h=0.5\n" + "".join(f"{i} {i / 2} 0.5\n" for i in ids))
+        with pytest.raises(IoError, match="point ids"):
+            mio.load_space(str(p))
+        m = tmp_path / "bad_matrix.mmspace"
+        m.write_text("mmspace-matrix v1; n=3; h=0.5\n" + "".join(f"{i} 0.5\n" for i in ids) + "0.5\n1.0 0.5\n")
+        with pytest.raises(IoError, match="point ids"):
+            mio.load_space(str(m))
+
+    @pytest.mark.parametrize("block", ["0.5\n", "0.5\n1.0\n", "0.5\n1.0 0.5\n1.0 1.0 1.0\n"],
+                             ids=["truncated", "short_row", "extra_row"])
+    def test_bad_matrix_block(self, tmp_path, block):
+        p = tmp_path / "bad.mmspace"
+        p.write_text("mmspace-matrix v1; n=3; h=0.5\n0 0.5\n1 0.5\n2 0.5\n" + block)
+        with pytest.raises(IoError, match="distance block"):
+            mio.load_space(str(p))
+
 
 class TestPiecesFiles:
     def test_roundtrip(self, tmp_path):
@@ -85,6 +104,15 @@ class TestConfigText:
     def test_missing_key(self):
         with pytest.raises(InvalidParameter):
             mio.parse_config("kind = grid2d")
+
+    def test_generator_spec(self):
+        spec = mio.parse_generator_spec("kind = grid2d\nh = 1/8\npieces = segment theta=1 axis=1 anchor=1/2")
+        assert spec.h == 0.125 and spec.name == "grid2d"
+        assert spec.pieces[0].placement["anchor"] == (0.5,)
+        with pytest.raises(InvalidParameter):
+            mio.parse_generator_spec("kind = grid2d\nh = 1/8")
+        with pytest.raises(InvalidParameter):
+            mio.parse_generator_spec("kind = grid2d\nh = 1/x\npieces = segment theta=1")
 
     def test_bad_line(self):
         with pytest.raises(InvalidParameter):

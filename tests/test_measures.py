@@ -75,7 +75,7 @@ class TestVerify:
 
         weights = seq.weights_per_k.copy()
         weights[2, 7] = 0.0
-        broken = replace(seq, weights_per_k=weights, _dense={}, _nbrs=None)
+        broken = replace(seq, weights_per_k=weights, _dense={})
         cert = mt.verify_regular_sequence(space, broken)
         assert not cert.passes["M1"]
 

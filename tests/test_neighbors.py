@@ -1,0 +1,138 @@
+"""Property tests of the ball layer (CSR sweeps and per-row kernels) against
+``weighted_stats`` and the naive-loop oracles."""
+
+import weakref
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mmtrace as mt
+from mmtrace import _neighbors as nb
+from oracles import oball, oE, omass
+
+TOL = 1e-12
+PROPS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def instances(draw):
+    """A cloud on a coarse lattice (so many distances tie and land exactly
+    on a closed-ball boundary), a subset (possibly one point), weights,
+    values with ties, a radius taken from the pairwise distances or drawn
+    freely, and a pair budget (tiny budgets split rows across blocks)."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 24))
+    coords = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=dim, max_size=dim),
+                                    min_size=n, max_size=n)), dtype=float) / 4.0
+    weights = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    values = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 3.0]) | st.floats(-5, 5),
+                                    min_size=n, max_size=n)))
+    subset = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    dists = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
+    radius = draw(st.sampled_from(sorted(set(dists.ravel()) - {0.0}) or [0.5]) | st.floats(0.01, 2.0))
+    budget = draw(st.sampled_from([1, 3, 7, nb.PAIR_BLOCK]))
+    return coords, weights, values, subset, float(radius), budget
+
+
+def _space(coords, weights, matrix):
+    if matrix:
+        dist = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
+        return mt.FiniteMetricMeasureSpace(weights=weights, dist_matrix=dist, validate=False)
+    return mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, validate=False)
+
+
+def _oracle_rows(coords, subset, radius):
+    in_sub = {int(i): p for p, i in enumerate(subset)}
+    return [[in_sub[i] for i in oball(coords, x, radius) if i in in_sub] for x in subset]
+
+
+@PROPS
+@given(instances(), st.booleans())
+def test_self_lists_and_row_kernels(inst, matrix):
+    coords, weights, values, subset, radius, budget = inst
+    space = _space(coords, weights, matrix)
+    nbrs = nb.subset_neighbors(space, subset)
+    indptr, indices = nbrs.self_lists(radius)
+    rows = _oracle_rows(coords, subset, radius)
+    assert indices.dtype == np.int32 and indptr[-1] == indices.size
+    assert [list(indices[indptr[a]:indptr[a + 1]]) for a in range(subset.size)] == rows
+
+    w, g = weights[subset], values[subset]
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        blocks = list(nb._blocks(indptr))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == subset.size
+        assert all(hi == lo + 1 or indptr[hi] - indptr[lo] <= budget for lo, hi in blocks)
+        mass = nb.row_sums((indptr, indices), w)
+        dev = nb.row_deviations((indptr, indices), w, g)
+        avg = g + nb.centred_means((indptr, indices), w, g, lambda d: d)
+    sub_w = np.zeros(space.n)
+    sub_w[subset] = weights[subset]
+    for a, row in enumerate(rows):
+        assert abs(mass[a] - omass(coords, sub_w, subset[a], radius)) <= TOL * mass[a]
+        ref = mt.weighted_stats(g[row], w[row])
+        assert abs(dev[a] - ref.best_dev) <= TOL * max(1.0, ref.best_dev)
+        assert abs(dev[a] - oE(g[row], w[row])) <= TOL * max(1.0, ref.best_dev)
+        assert abs(avg[a] - ref.mean) <= TOL * max(1.0, abs(ref.mean))
+
+
+@PROPS
+@given(instances(), st.data(), st.booleans())
+def test_cross_pairs_and_pair_abs_diffs(inst, data, matrix):
+    coords, weights, values, subset_a, radius, budget = inst
+    n = coords.shape[0]
+    subset_b = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    space = _space(coords, weights, matrix)
+    na, nbb = nb.subset_neighbors(space, subset_a), nb.subset_neighbors(space, subset_b)
+    ia, ib = na.cross_pairs(nbb, radius)
+    want = [(a, b) for a, x in enumerate(subset_a) for b, y in enumerate(subset_b)
+            if y in oball(coords, x, radius)]
+    assert list(zip(ia.tolist(), ib.tolist())) == want
+
+    rows_a = _oracle_rows(coords, subset_a, radius)
+    b_sub = {int(i): p for p, i in enumerate(subset_b)}
+    rows_b = [[b_sub[i] for i in oball(coords, y, radius) if i in b_sub] for y in subset_b]
+    wa, ga, wb, gb = weights[subset_a], values[subset_a], weights[subset_b], values[subset_b]
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        got = nb.pair_abs_diffs(na.self_lists(radius), wa, ga, nbb.self_lists(radius), wb, gb, ia, ib)
+    for t, (a, b) in enumerate(want):
+        ref = sum(wa[x] * wb[y] * abs(ga[x] - gb[y]) for x in rows_a[a] for y in rows_b[b])
+        assert abs(got[t] - ref) <= TOL * max(1.0, ref)
+
+
+def test_long_row_split_from_its_block():
+    """A row longer than the pair budget is reduced as a block of its own."""
+    coords = np.linspace(0, 1, 40).reshape(-1, 1)
+    space = mt.FiniteMetricMeasureSpace(weights=np.full(40, 1 / 40), coords=coords)
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=40)
+    balls = nb.subset_neighbors(space, np.arange(40)).self_lists(2.0)
+    assert np.all(np.diff(balls[0]) == 40)
+    want = mt.weighted_stats(g, space.weights).best_dev
+    with mock.patch.object(nb, "PAIR_BLOCK", 16):
+        assert list(nb._blocks(balls[0]))[:2] == [(0, 1), (1, 2)]
+        dev = nb.row_deviations(balls, space.weights, g)
+    np.testing.assert_allclose(dev, want, rtol=TOL)
+
+
+def test_empty_rows_reduce_to_zero():
+    """np.add.reduceat gives the next element for an empty row."""
+    csr = (np.array([0, 2, 2, 4, 4]), np.array([0, 1, 1, 2], dtype=np.int32))
+    np.testing.assert_array_equal(nb.row_sums(csr, np.array([1.0, 2.0, 4.0])), [3.0, 0.0, 6.0, 0.0])
+
+
+def test_subset_neighbors_cached_per_space_and_ids(grid1d_11):
+    a = nb.subset_neighbors(grid1d_11, [3, 1, 2])
+    assert nb.subset_neighbors(grid1d_11, np.array([1, 2, 3])) is a
+    assert nb.subset_neighbors(grid1d_11, [1, 2]) is not a
+    other = mt.FiniteMetricMeasureSpace(weights=grid1d_11.weights, coords=grid1d_11.coords)
+    assert nb.subset_neighbors(other, [1, 2, 3]) is not a
+
+
+def test_cache_does_not_keep_the_space_alive():
+    space = mt.FiniteMetricMeasureSpace(weights=np.ones(3), coords=np.arange(3.0).reshape(-1, 1))
+    nb.subset_neighbors(space, [0, 2]).self_lists(1.0)
+    ref = weakref.ref(space)
+    del space
+    assert ref() is None
