@@ -49,6 +49,28 @@ class SubsetNeighbors:
         d = self.space.distances_from(center)[self.ids]
         return np.flatnonzero(d <= r)
 
+    def counts_of(self, centres, radius: float) -> np.ndarray:
+        """Per space point id in centres: the number of subset points within radius."""
+        if self._tree is None:
+            return np.count_nonzero(self.space.dist_matrix[np.ix_(centres, self.ids)] <= _pad(radius), axis=1)
+        return self._tree.query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
+
+    def rows_of(self, centres, radius: float):
+        """Uncached CSR rows of the radius-balls around the space point ids
+        in centres, restricted to the subset, in blocks of about PAIR_BLOCK
+        pairs: yields ``(lo, hi, (indptr, indices))`` for centres[lo:hi]."""
+        centres = np.asarray(centres, dtype=int)
+        n, r = self.ids.size, _pad(radius)
+        for lo, hi in _blocks(np.concatenate(([0], np.cumsum(self.counts_of(centres, radius))))):
+            if self._tree is None:
+                keys = np.flatnonzero(self.space.dist_matrix[np.ix_(centres[lo:hi], self.ids)] <= r)
+            else:
+                block = cKDTree(self.space.coords[centres[lo:hi]])
+                found = block.sparse_distance_matrix(self._tree, r, output_type="ndarray")
+                keys = np.sort(found["i"] * n + found["j"])
+            indptr = np.searchsorted(keys, np.arange(hi - lo + 1, dtype=np.int64) * n)
+            yield lo, hi, (indptr, (keys % n).astype(np.int32))
+
     def self_lists(self, radius: float) -> tuple:
         """CSR ``(indptr, indices)`` of the radius-balls around every subset
         point, restricted to the subset; cached per radius."""
@@ -170,7 +192,8 @@ def row_deviations(csr, w: np.ndarray, g: np.ndarray) -> np.ndarray:
         cum = np.cumsum(ww)
         in_row = cum - np.repeat(np.concatenate(([0.0], cum))[starts], lengths)
         below = _row_reduce(in_row < np.repeat(mass / 2.0, lengths), starts, lengths)
-        median = v[starts + np.minimum(below.astype(np.int64), lengths - 1)]
+        # an empty row (a centre off the subset) reads the appended 0
+        median = np.append(v, 0.0)[starts + np.minimum(below.astype(np.int64), lengths - 1)]
         dev = _row_reduce(ww * np.abs(v - np.repeat(median, lengths)), starts, lengths)
         np.divide(dev, mass, out=out[lo:hi], where=mass > 0)
     return out

@@ -44,8 +44,7 @@ def _pieces_path(args) -> str:
 
 
 def _cmd_verify(args) -> int:
-    space = mio.load_space(args.space, c_res=args.c_res)
-    piecewise = mio.load_pieces(_pieces_path(args))
+    space, piecewise = mio.load_instance(args.space, _pieces_path(args), c_res=args.c_res)
     grid = default_r_grid(space)
     out = {}
     if args.what == "adr":
@@ -72,8 +71,7 @@ def _cmd_verify(args) -> int:
 def _cmd_norms(args) -> int:
     from .experiments import ExperimentConfig, evaluate_functional
 
-    space = mio.load_space(args.space, c_res=args.c_res)
-    piecewise = mio.load_pieces(_pieces_path(args))
+    space, piecewise = mio.load_instance(args.space, _pieces_path(args), c_res=args.c_res)
     values = mio.load_function(args.f, space.n)
     f = SampleFunction(values=values, domain=piecewise)
     seq = build_measure_sequence(space, piecewise, piecewise.theta_S, p=args.p)

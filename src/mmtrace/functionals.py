@@ -115,8 +115,8 @@ def weight_w(space, k: int, y, z) -> float:
     r = 2.0 ** (-int(k))
     if r < space.scale_floor - _EPS:
         raise ResolutionError(f"2^-{k} below scale_floor")
-    my = space.ball_mass(y, r) if not isinstance(y, (int, np.integer)) else space.masses_at_radius(r)[int(y)]
-    mz = space.ball_mass(z, r) if not isinstance(z, (int, np.integer)) else space.masses_at_radius(r)[int(z)]
+    my = space.ball_mass(y, r) if not isinstance(y, (int, np.integer)) else space.masses_at_radius(r, [y])[0]
+    mz = space.ball_mass(z, r) if not isinstance(z, (int, np.integer)) else space.masses_at_radius(r, [z])[0]
     if my <= 0 or mz <= 0:
         raise ZeroMass("weight undefined on a zero-mass ball")
     return 1.0 / math.sqrt(my * mz)
@@ -125,8 +125,7 @@ def weight_w(space, k: int, y, z) -> float:
 def weight_w_alt(space, k: int, y, z) -> float:
     """Arithmetic-mean variant of the pair weight."""
     r = 2.0 ** (-int(k))
-    my = space.masses_at_radius(r)[int(y)]
-    mz = space.masses_at_radius(r)[int(z)]
+    my, mz = space.masses_at_radius(r, [int(y), int(z)])
     if my <= 0 or mz <= 0:
         raise ZeroMass("weight undefined on a zero-mass ball")
     return 0.5 * (1.0 / my + 1.0 / mz)
@@ -243,7 +242,7 @@ def gluing(
 
     for k in range(1, k_max + 1):
         r = 2.0 ** (-k)
-        mu_r = space.masses_at_radius(r)
+        mu_r = [space.masses_at_radius(r, pc.ids) for pc in pieces]
         if which == 2:
             avg = [averaging_single(space, pc, vals, k) for pc in pieces]
         if which == 3:
@@ -259,11 +258,10 @@ def gluing(
                 ia, ib = cfg.sigma_pairs(i, j, k)
                 if ia.size == 0:
                     continue
-                yi, zj = pieces[i].ids[ia], pieces[j].ids[ib]
-                w_pair = 1.0 / np.sqrt(mu_r[yi] * mu_r[zj])
+                w_pair = 1.0 / np.sqrt(mu_r[i][ia] * mu_r[j][ib])
                 hh = pieces[i].weights[ia] * pieces[j].weights[ib]
                 if which == 1:
-                    term = np.abs(vals[yi] - vals[zj]) ** p
+                    term = np.abs(piece_vals[i][ia] - piece_vals[j][ib]) ** p
                 elif which == 2:
                     term = np.abs(avg[i][ia] - avg[j][ib]) ** p
                 else:
@@ -308,16 +306,10 @@ def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarra
     f_on_s = _values(f)[seq.support_ids]
     out = np.zeros(ids.size)
     for j in range(seq.k_max + 1):
-        r = 2.0 ** (-j)
-        inv_r = 2.0**j
-        mk = seq.weights_per_k[min(j, seq.k_max)]
-        for pos, x in enumerate(ids):
-            probe = seq.neighbors.members_of(int(x), r)
-            if probe.size == 0:
-                continue
-            ball = seq.neighbors.members_of(int(x), 2.0 * r)
-            e = weighted_stats(f_on_s[ball], mk[ball]).best_dev
-            out[pos] = max(out[pos], inv_r * e)
+        probe = seq.neighbors.counts_of(ids, 2.0 ** (-j)) > 0
+        for lo, hi, balls in seq.neighbors.rows_of(ids, 2.0 ** (1 - j)):
+            e = 2.0**j * row_deviations(balls, seq.weights_per_k[j], f_on_s)
+            np.maximum(out[lo:hi], np.where(probe[lo:hi], e, 0.0), out=out[lo:hi])
     return out
 
 
@@ -597,17 +589,13 @@ def sharp_mu_s1(space, piecewise: PiecewiseSet, f, r_top: float = 2.0) -> np.nda
     over dyadic radii in (0, r_top], one value per point of S."""
     if abs(piecewise.pieces[0].theta) > 1e-12:
         raise ParameterError("sharp maximal function needs theta_1 = 0")
-    s1 = piecewise.pieces[0]
-    nbrs1 = subset_neighbors(space, s1.ids)
+    nbrs1 = subset_neighbors(space, piecewise.pieces[0].ids)
     mu1 = space.weights[nbrs1.ids]
     vals = _values(f)[nbrs1.ids]
-    S = piecewise.union_ids
-    out = np.zeros(S.size)
+    out = np.zeros(piecewise.union_ids.size)
     for rr in dyadic_radii(r_top, space.scale_floor):
-        for pos, x in enumerate(S):
-            ball = nbrs1.members_of(int(x), rr)
-            e = weighted_stats(vals[ball], mu1[ball]).best_dev
-            out[pos] = max(out[pos], e)
+        for lo, hi, balls in nbrs1.rows_of(piecewise.union_ids, rr):
+            np.maximum(out[lo:hi], row_deviations(balls, mu1, vals), out=out[lo:hi])
     return out
 
 

@@ -124,21 +124,31 @@ def save_pieces(piecewise: PiecewiseSet, path: str):
 
 def load_pieces(path: str) -> PiecewiseSet:
     try:
-        payload = json.loads(_read_text(path, "pieces"))
-    except json.JSONDecodeError as exc:
-        raise IoError(f"cannot read pieces from {path}: {exc}") from exc
-    pieces = []
-    for entry in payload["pieces"]:
-        pc = SubsetPiece(
-            ids=np.asarray(entry["ids"], dtype=int),
-            theta=float(entry["theta"]),
-            weights=np.asarray(entry["weights"], dtype=float),
-            label=entry.get("label", ""),
-        )
-        if entry.get("adr_constants"):
-            pc.adr_constants = tuple(entry["adr_constants"])
-        pieces.append(pc)
+        pieces = []
+        for entry in json.loads(_read_text(path, "pieces"))["pieces"]:
+            if min(entry["ids"], default=0) < 0:
+                raise ValueError(f"negative point id {min(entry['ids'])}")
+            pc = SubsetPiece(
+                ids=np.asarray(entry["ids"], dtype=int),
+                theta=float(entry["theta"]),
+                weights=np.asarray(entry["weights"], dtype=float),
+                label=entry.get("label", ""),
+            )
+            if entry.get("adr_constants"):
+                pc.adr_constants = tuple(entry["adr_constants"])
+            pieces.append(pc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoError(f"cannot read pieces from {path}: {exc!r}") from exc
     return compose_piecewise(pieces)
+
+
+def load_instance(space_path: str, pieces_path: str, c_res: float = 1.0):
+    """``(space, piecewise)`` from a space file and a pieces file whose ids name its points."""
+    space = load_space(space_path, c_res=c_res)
+    piecewise = load_pieces(pieces_path)
+    if piecewise.union_ids[-1] >= space.n:
+        raise IoError(f"{pieces_path}: point id {piecewise.union_ids[-1]} out of range for {space.n} points")
+    return space, piecewise
 
 
 def save_function(values: np.ndarray, ids, path: str):
@@ -160,6 +170,8 @@ def load_function(path: str, n: int) -> np.ndarray:
                 if not ln or ln.startswith("#"):
                     continue
                 toks = ln.split()
+                if int(toks[0]) < 0:
+                    raise IndexError(f"negative point id {toks[0]}")
                 out[int(toks[0])] = float(toks[1])
     except (OSError, ValueError, IndexError) as exc:
         raise IoError(f"cannot read function from {path}: {exc}") from exc
@@ -178,6 +190,13 @@ def _parse_real(tok: str) -> float:
         raise InvalidParameter(f"not a real number: {tok!r}") from exc
 
 
+def _parse_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise InvalidParameter(f"not an integer: {tok!r}") from exc
+
+
 def _parse_piece(text: str) -> PieceSpec:
     toks = text.split()
     if not toks:
@@ -190,14 +209,14 @@ def _parse_piece(text: str) -> PieceSpec:
         if key == "theta":
             theta = _parse_real(val)
         elif key in ("axis",):
-            placement[key] = int(val)
+            placement[key] = _parse_int(val)
         elif key in ("offset", "lo", "hi", "cut"):
             placement[key] = _parse_real(val)
         elif key == "anchor":
             placement["anchor"] = tuple(_parse_real(v) for v in val.split(","))
         elif key == "halfspace":
             axis, cut, side = val.split(",")
-            placement["halfspace"] = (int(axis), _parse_real(cut), side)
+            placement["halfspace"] = (_parse_int(axis), _parse_real(cut), side)
         else:
             raise InvalidParameter(f"unknown piece key {key!r}")
     if theta is None:
@@ -206,7 +225,7 @@ def _parse_piece(text: str) -> PieceSpec:
 
 
 def _parse_keys(text: str, required: list) -> dict:
-    """``key = value`` lines (``#`` starts a comment) with the required keys."""
+    """``key = value`` lines (``#`` starts a comment) with the required keys set."""
     kv = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -216,9 +235,9 @@ def _parse_keys(text: str, required: list) -> dict:
         if not eq:
             raise InvalidParameter(f"config line is not key = value: {raw!r}")
         kv[key.strip()] = val.strip()
-    missing = [k for k in required if k not in kv]
+    missing = [k for k in required if not kv.get(k)]
     if missing:
-        raise InvalidParameter(f"config missing keys: {missing}")
+        raise InvalidParameter(f"config keys missing or empty: {missing}")
     return kv
 
 
@@ -256,7 +275,7 @@ def parse_config(text: str) -> ExperimentConfig:
         theta=_parse_real(kv["theta"]) if "theta" in kv else None,
         c=_parse_real(kv.get("c", "6")),
         sigma=_parse_real(kv.get("sigma", "0.01")),
-        seeds=[int(t) for t in kv.get("seeds", "0").split()],
+        seeds=[_parse_int(t) for t in kv.get("seeds", "0").split()],
     )
 
 

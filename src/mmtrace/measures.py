@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,7 +90,7 @@ class MeasureSequence:
             self._dense[k] = out
         return self._dense[k]
 
-    @property
+    @cached_property
     def neighbors(self) -> SubsetNeighbors:
         return subset_neighbors(self.space, self.support_ids)
 
@@ -208,7 +209,7 @@ def verify_regular_sequence(
     C2 = math.inf
     for k in range(k_max + 1):
         for j, r in enumerate(radii):
-            ratios = mk_ball[k, j] * r**theta / space.masses_at_radius(r)[S]
+            ratios = mk_ball[k, j] * r**theta / space.masses_at_radius(r, S)
             if j >= k:      # r <= eps^k: upper-bound regime
                 C1 = max(C1, float(np.max(ratios)))
             if j <= k:      # r >= eps^k: lower-bound regime

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from ._neighbors import row_sums, subset_neighbors
+from ._neighbors import _pad, row_sums, subset_neighbors
 from .content import ContentQuery, hausdorff_content
 from .errors import EmptySet, InvalidGrid, InvalidParameter
 from .space import _EPS, FiniteMetricMeasureSpace, dyadic_radii
@@ -122,7 +123,7 @@ def check_adr(
     nbrs = subset_neighbors(space, piece.ids)
     lo, hi = np.inf, 0.0
     for r in r_grid:
-        ratios = row_sums(nbrs.self_lists(r), piece.weights) * r**piece.theta / space.masses_at_radius(r)[piece.ids]
+        ratios = row_sums(nbrs.self_lists(r), piece.weights) * r**piece.theta / space.masses_at_radius(r, piece.ids)
         lo = min(lo, float(np.min(ratios)))
         hi = max(hi, float(np.max(ratios)))
     ok = bool(np.isfinite(hi) and lo > 0)
@@ -146,12 +147,12 @@ def check_lcr(
     subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
     lam = np.inf
     for r in r_grid:
-        masses = space.masses_at_radius(r)
-        for x in subset_ids:
+        masses = space.masses_at_radius(r, subset_ids)
+        for x, mass in zip(subset_ids, masses):
             members = space.members(int(x), r)
             local = members[np.isin(members, subset_ids, assume_unique=True)]
             sol = hausdorff_content(space, ContentQuery(local, theta, r, "greedy"))
-            lam = min(lam, sol.value * r**theta / masses[int(x)])
+            lam = min(lam, sol.value * r**theta / mass)
     return float(lam)
 
 
@@ -166,6 +167,8 @@ def porosity_scan(
 
     Hole emptiness is tested with the hole radius reduced by one mesh
     cell, which keeps boundary sampling from producing false negatives.
+    So x passes when B_((1-sigma)r)(x) holds a point farther than that from
+    the subset: one nearest-point query per scale to those far points.
     """
     if not (0 < sigma <= 1):
         raise InvalidParameter(f"sigma must lie in (0, 1], got {sigma}")
@@ -173,30 +176,26 @@ def porosity_scan(
     if not r_grid:
         raise InvalidGrid("r_grid must be nonempty")
     subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
-    # distance from every space point to the subset
-    d_to_s = _distance_to_subset(space, subset_ids)
+    holes = [max(sigma * r - space.resolution, 0.0) + _EPS for r in r_grid]
+    # distance from every space point to the subset; past twice the largest
+    # hole radius it may read inf, which compares the same
+    if space.coords is None:
+        d_to_s = np.min(space.dist_matrix[:, subset_ids], axis=1)
+    else:
+        d_to_s = cKDTree(space.coords[subset_ids]).query(space.coords, distance_upper_bound=2.0 * max(holes))[0]
     masks = []
-    for r in r_grid:
-        rho_eff = max(sigma * r - space.resolution, 0.0)
-        reach = (1.0 - sigma) * r
-        mask = np.zeros(subset_ids.size, dtype=bool)
-        for pos, x in enumerate(subset_ids):
-            nearby = space.members(int(x), reach)
-            if nearby.size:
-                mask[pos] = bool(np.max(d_to_s[nearby]) > rho_eff + _EPS)
+    for r, hole in zip(r_grid, holes):
+        far = np.flatnonzero(d_to_s > hole)
+        reach = _pad((1.0 - sigma) * r)
+        if space.coords is None:
+            mask = np.any(space.dist_matrix[np.ix_(subset_ids, far)] <= reach, axis=1)
+        else:
+            # a tree for one query: a quick build beats a balanced one
+            far_tree = cKDTree(space.coords[far], balanced_tree=False, compact_nodes=False)
+            mask = far_tree.query(space.coords[subset_ids])[0] <= reach
         masks.append(mask)
     is_porous = bool(all(m.all() for m in masks))
     return PorosityReport(sigma=float(sigma), r_grid=r_grid, porous_points_per_scale=masks, is_porous=is_porous)
-
-
-def _distance_to_subset(space, subset_ids: np.ndarray) -> np.ndarray:
-    if space.coords is not None:
-        from scipy.spatial import cKDTree
-
-        sub_tree = cKDTree(space.coords[subset_ids])
-        d, _ = sub_tree.query(space.coords, k=1)
-        return d
-    return np.min(space.dist_matrix[:, subset_ids], axis=1)
 
 
 def compose_piecewise(pieces: Sequence[SubsetPiece]) -> PiecewiseSet:

@@ -231,29 +231,32 @@ class FiniteMetricMeasureSpace:
         m = self.members(center, radius)
         return float(np.sum(self.weights[m]))
 
-    def masses_at_radius(self, radius: float) -> np.ndarray:
-        """mu(B_radius(x)) for every point x; cached per radius."""
+    def masses_at_radius(self, radius: float, ids=None) -> np.ndarray:
+        """mu(B_radius(x)) for every point x, or for the point ids given; the
+        one cache entry per radius (NaN where not yet asked for) is filled
+        only at the centres a call misses."""
         key = float(radius)
-        got = self._mass_cache.get(key)
-        if got is not None:
-            return got
-        r = radius * (1 + _EPS) + _EPS
-        if self._tree is not None and self._uniform_weight is not None:
-            # counting is order-free, so parallel workers stay deterministic
-            counts = self._tree.query_ball_point(self.coords, r, return_length=True, workers=-1)
-            masses = counts.astype(float) * self._uniform_weight
-        elif self._weight_classes is not None:
-            masses = np.zeros(self.n)
-            for value, tree in self._weight_classes:
-                masses += value * tree.query_ball_point(self.coords, r, return_length=True, workers=-1)
-        elif self._tree is not None:
-            lists = self._tree.query_ball_point(self.coords, r)
-            masses = np.array([float(np.sum(self.weights[np.asarray(ix, dtype=int)])) for ix in lists])
-        else:
-            within = self.dist_matrix <= r
-            masses = within @ self.weights
-        self._mass_cache[key] = masses
-        return masses
+        if key not in self._mass_cache:
+            self._mass_cache[key] = np.full(self.n, np.nan)
+        masses = self._mass_cache[key]
+        centres = self.ids if ids is None else np.asarray(ids, dtype=int)
+        todo = np.unique(centres[np.isnan(masses[centres])])
+        if todo.size:
+            masses[todo] = self._count_masses(todo, radius * (1 + _EPS) + _EPS)
+        return masses if ids is None else masses[centres]
+
+    def _count_masses(self, centres: np.ndarray, r: float) -> np.ndarray:
+        if self._tree is None:
+            # a row-wise sum: a BLAS matrix product rounds a row differently
+            # depending on how many rows one call holds
+            return np.where(self.dist_matrix[centres] <= r, self.weights, 0.0).sum(axis=1)
+        q = self.coords[centres]
+        # counting is order-free, so parallel workers stay deterministic
+        if self._uniform_weight is not None:
+            return self._tree.query_ball_point(q, r, return_length=True, workers=-1) * self._uniform_weight
+        if self._weight_classes is not None:
+            return sum(v * tree.query_ball_point(q, r, return_length=True, workers=-1) for v, tree in self._weight_classes)
+        return np.array([float(np.sum(self.weights[np.asarray(ix, dtype=int)])) for ix in self._tree.query_ball_point(q, r)])
 
 
 # -- operations ----------------------------------------------------------
@@ -417,11 +420,9 @@ def decay_exponents(
         usable = radii
     if len(usable) < 2:
         raise InsufficientData("need at least two radii for decay fitting")
-    if space.n <= max_centers:
-        centers = np.arange(space.n)
-    else:
-        centers = np.unique(np.linspace(0, space.n - 1, max_centers).astype(int))
-    masses = {r: space.masses_at_radius(r)[centers] for r in usable}
+    # every id when n <= max_centers, since the samples are then less than 1 apart
+    centers = np.unique(np.linspace(0, space.n - 1, max_centers).astype(int))
+    masses = {r: space.masses_at_radius(r, centers) for r in usable}
 
     slopes = []
     t_all, m_all = [], []

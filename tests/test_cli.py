@@ -129,6 +129,22 @@ class TestExitCodes:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("line", ["resolutions =", "seeds = x"])
+    def test_bad_config_list_is_2(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(EXP_CONFIG + line + "\n")
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("ids", [[0, 100000], [0, -3]])
+    def test_piece_ids_outside_the_space_are_4(self, instance_dir, tmp_path, ids):
+        pieces = tmp_path / "pieces.json"
+        pieces.write_text(json.dumps({"pieces": [{"ids": ids, "theta": 1.0, "weights": [1.0, 1.0]}]}))
+        f = tmp_path / "f.txt"
+        f.write_text("0 1.0\n")
+        space = str(instance_dir / "space.mmspace")
+        assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
+        assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
+
     def test_missing_space_file_is_4(self, tmp_path):
         rc = main([
             "verify", "--space", str(tmp_path / "nope.mmspace"),

@@ -68,6 +68,30 @@ class TestPiecesFiles:
         np.testing.assert_allclose(loaded.pieces[1].weights, pw.pieces[1].weights)
         assert loaded.pieces[0].adr_constants is not None
 
+    @pytest.mark.parametrize("payload", [
+        '{"pieces": [{"ids": [0, -3], "theta": 1, "weights": [1, 1]}]}',
+        '{"theta_S": 1}',
+        '[]',
+        '{"pieces": [{"ids": ["a"], "theta": 1, "weights": [1]}]}',
+    ])
+    def test_malformed(self, tmp_path, payload):
+        path = tmp_path / "pieces.json"
+        path.write_text(payload)
+        with pytest.raises(IoError):
+            mio.load_pieces(str(path))
+
+    def test_ids_checked_against_the_space(self, tmp_path, grid1d_11):
+        mio.save_space(grid1d_11, str(tmp_path / "s.mmspace"))
+        for ids, ok in (([0, 10], True), ([0, 11], False)):
+            piece = mt.SubsetPiece(ids=ids, theta=0.5, weights=[1.0, 1.0])
+            mio.save_pieces(mt.compose_piecewise([piece]), str(tmp_path / "pieces.json"))
+            if ok:
+                space, pw = mio.load_instance(str(tmp_path / "s.mmspace"), str(tmp_path / "pieces.json"))
+                assert space.n == 11 and list(pw.union_ids) == ids
+            else:
+                with pytest.raises(IoError, match="out of range"):
+                    mio.load_instance(str(tmp_path / "s.mmspace"), str(tmp_path / "pieces.json"))
+
 
 class TestFunctionFiles:
     def test_roundtrip(self, tmp_path, grid1d_11):
@@ -83,6 +107,13 @@ class TestFunctionFiles:
         loaded = mio.load_function(str(path), 4)
         assert loaded[0] == 1.5 and loaded[2] == -0.25
         assert np.isnan(loaded[1]) and np.isnan(loaded[3])
+
+    @pytest.mark.parametrize("line", ["-1 5.0", "4 5.0", "x 5.0", "2"])
+    def test_bad_line(self, tmp_path, line):
+        path = tmp_path / "f.txt"
+        path.write_text(f"0 1.5\n{line}\n")
+        with pytest.raises(IoError):
+            mio.load_function(str(path), 4)
 
 
 class TestConfigText:
@@ -117,6 +148,12 @@ class TestConfigText:
     def test_bad_line(self):
         with pytest.raises(InvalidParameter):
             mio.parse_config("kind grid2d")
+
+    @pytest.mark.parametrize("extra", ["resolutions =", "seeds = x", "seeds = 1.5"])
+    def test_bad_list_value(self, extra):
+        text = "kind = grid1d\npieces = segment theta=0.5 axis=0\nresolutions = 1/8\nfunctions = constant\nfunctionals = bn\n"
+        with pytest.raises(InvalidParameter):
+            mio.parse_config(text + extra)
 
     def test_comments_ignored(self):
         cfg = mio.parse_config(

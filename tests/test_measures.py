@@ -50,6 +50,21 @@ class TestBuild:
             mt.build_measure_sequence(space, pw, theta=2.6, p=2.5)
 
 
+    def test_neighbors_resolved_once(self):
+        from unittest import mock
+
+        from mmtrace import measures
+
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        seq = mt.build_measure_sequence(space, pw, theta=2.0, p=2.5)
+        with mock.patch.object(measures, "subset_neighbors", wraps=measures.subset_neighbors) as spy:
+            first = seq.neighbors
+            assert all(seq.neighbors is first for _ in range(3))
+            seq.ball_mass(1, int(seq.support_ids[0]), 0.25)
+        assert spy.call_count == 1
+        np.testing.assert_array_equal(first.ids, seq.support_ids)
+
+
 class TestVerify:
     def test_single_adr_piece_passes(self):
         space, pw0 = mt.generate(mt.simple_case_spec(1 / 8), verify=False)

@@ -1,4 +1,5 @@
-"""Property tests of the ball layer (CSR sweeps and per-row kernels) against
+"""Property tests of the ball layer (CSR sweeps, per-row kernels and the
+maximal functions and porosity scan built on them) against
 ``weighted_stats`` and the naive-loop oracles."""
 
 import weakref
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import mmtrace as mt
 from mmtrace import _neighbors as nb
-from oracles import oball, oE, omass
+from oracles import oball, oE, omass, oporous_mask, osharp, osharp_mu_s1
 
 TOL = 1e-12
 PROPS = settings(max_examples=60, deadline=None)
@@ -36,11 +37,11 @@ def instances(draw):
     return coords, weights, values, subset, float(radius), budget
 
 
-def _space(coords, weights, matrix):
+def _space(coords, weights, matrix, resolution=1.0):
     if matrix:
         dist = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
-        return mt.FiniteMetricMeasureSpace(weights=weights, dist_matrix=dist, validate=False)
-    return mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, validate=False)
+        return mt.FiniteMetricMeasureSpace(weights=weights, dist_matrix=dist, resolution=resolution, validate=False)
+    return mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=resolution, validate=False)
 
 
 def _oracle_rows(coords, subset, radius):
@@ -101,6 +102,80 @@ def test_cross_pairs_and_pair_abs_diffs(inst, data, matrix):
         assert abs(got[t] - ref) <= TOL * max(1.0, ref)
 
 
+def _some_ids(data, n):
+    """Point ids in any order, with repeats, on or off the subset."""
+    return np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30)))
+
+
+@PROPS
+@given(instances(), st.data(), st.booleans())
+def test_rows_of_around_any_centres(inst, data, matrix):
+    coords, weights, values, subset, radius, budget = inst
+    centres = _some_ids(data, coords.shape[0])
+    space = _space(coords, weights, matrix)
+    nbrs = nb.subset_neighbors(space, subset)
+    in_sub = {int(i): p for p, i in enumerate(subset)}
+    want = [[in_sub[i] for i in oball(coords, x, radius) if i in in_sub] for x in centres]
+    np.testing.assert_array_equal(nbrs.counts_of(centres, radius), [len(row) for row in want])
+    w, g = weights[subset], values[subset]
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        blocks = list(nbrs.rows_of(centres, radius))
+        dev = np.concatenate([nb.row_deviations(csr, w, g) for _, _, csr in blocks])
+    assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]] and blocks[-1][1] == centres.size
+    assert all(hi == lo + 1 or csr[0][-1] <= budget for lo, hi, csr in blocks)
+    rows = [list(ind[ptr[a]:ptr[a + 1]]) for _, _, (ptr, ind) in blocks for a in range(ptr.size - 1)]
+    assert rows == want
+    for a, row in enumerate(want):
+        ref = oE(g[row], w[row])
+        assert abs(dev[a] - ref) <= TOL * max(1.0, ref)
+
+
+@PROPS
+@given(instances(), st.data(), st.booleans())
+def test_calderon_maximal_matches_oracle(inst, data, matrix):
+    """Scales 2^-j for j = 0..2, so doubled radii 2, 1, 1/2 land on lattice
+    distances; evaluation points may lie off S."""
+    coords, weights, values, subset, _, budget = inst
+    eval_ids = _some_ids(data, coords.shape[0])
+    space = _space(coords, weights, matrix, resolution=0.25)
+    piece = mt.SubsetPiece(ids=subset, theta=0.5, weights=weights[subset])
+    seq = mt.build_measure_sequence(space, mt.compose_piecewise([piece]), 1.0)
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        got = mt.calderon_maximal(space, seq, values, eval_ids)
+    mk = [seq.dense(k) for k in range(seq.k_max + 1)]
+    for x, val in zip(eval_ids, got):
+        want = osharp(coords, set(subset.tolist()), mk, values, int(x), seq.k_max)
+        assert abs(val - want) <= TOL * max(1.0, want)
+
+
+@PROPS
+@given(instances(), st.data(), st.booleans())
+def test_sharp_mu_s1_matches_oracle(inst, data, matrix):
+    coords, weights, values, s1, _, budget = inst
+    s2 = np.array(sorted(data.draw(st.sets(st.integers(0, coords.shape[0] - 1), min_size=1))))
+    space = _space(coords, weights, matrix, resolution=0.25)
+    pw = mt.compose_piecewise([
+        mt.SubsetPiece(ids=s1, theta=0.0, weights=weights[s1]),
+        mt.SubsetPiece(ids=s2, theta=1.0, weights=weights[s2]),
+    ])
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        got = mt.sharp_mu_s1(space, pw, values)
+    for x, val in zip(pw.union_ids, got):
+        want = osharp_mu_s1(coords, weights, set(s1.tolist()), values, int(x), space.scale_floor)
+        assert abs(val - want) <= TOL * max(1.0, want)
+
+
+@PROPS
+@given(instances(), st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 1.0), st.booleans())
+def test_porosity_scan_matches_oracle(inst, sigma, matrix):
+    coords, weights, _, subset, radius, _ = inst
+    space = _space(coords, weights, matrix, resolution=0.25)
+    grid = [radius, 1.0, 0.5]
+    rep = mt.porosity_scan(space, subset, sigma, grid)
+    for r, mask in zip(grid, rep.porous_points_per_scale):
+        assert mask.tolist() == oporous_mask(coords, subset.tolist(), sigma, r, 0.25)
+
+
 def test_long_row_split_from_its_block():
     """A row longer than the pair budget is reduced as a block of its own."""
     coords = np.linspace(0, 1, 40).reshape(-1, 1)
@@ -120,6 +195,9 @@ def test_empty_rows_reduce_to_zero():
     """np.add.reduceat gives the next element for an empty row."""
     csr = (np.array([0, 2, 2, 4, 4]), np.array([0, 1, 1, 2], dtype=np.int32))
     np.testing.assert_array_equal(nb.row_sums(csr, np.array([1.0, 2.0, 4.0])), [3.0, 0.0, 6.0, 0.0])
+    np.testing.assert_array_equal(nb.row_deviations(csr, np.ones(3), np.array([0.0, 1.0, 5.0])), [0.5, 0.0, 2.0, 0.0])
+    only_empty = (np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int32))
+    np.testing.assert_array_equal(nb.row_deviations(only_empty, np.ones(3), np.zeros(3)), [0.0, 0.0])
 
 
 def test_subset_neighbors_cached_per_space_and_ids(grid1d_11):

@@ -175,3 +175,70 @@ class TestMatrixMetric:
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(mt.ParameterError):
             mt.FiniteMetricMeasureSpace(weights=[1, 1], dist_matrix=mat, resolution=0.5)
+
+
+class TestMassesAtCentres:
+    """masses_at_radius(r, ids) counts only the centres asked for, into one
+    cache entry per radius, and gives the whole-cloud values bit for bit."""
+
+    LATTICE = np.stack(np.meshgrid(*[np.arange(9) / 8.0] * 3, indexing="ij"), -1).reshape(-1, 3)
+    RADII = (0.3, 0.5, 1.0)   # 0.5 and 1.0 fall exactly on lattice distances
+
+    @classmethod
+    def _space(cls, branch):
+        rng = np.random.default_rng(11)
+        n = cls.LATTICE.shape[0]
+        if branch == "matrix":
+            coords = cls.LATTICE[::4]
+            dist = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
+            return mt.FiniteMetricMeasureSpace(weights=rng.uniform(0.5, 1.5, len(coords)), dist_matrix=dist)
+        weights = {
+            "uniform": np.full(n, 1 / n),
+            "classes": rng.choice([0.5, 1.0, 2.0], size=n) / n,
+            "general": rng.uniform(0.5, 1.5, n) / n,
+        }[branch]
+        return mt.FiniteMetricMeasureSpace(weights=weights, coords=cls.LATTICE)
+
+    @pytest.mark.parametrize("branch", ["uniform", "classes", "general", "matrix"])
+    def test_equal_to_whole_cloud(self, branch):
+        whole = self._space(branch)
+        space = self._space(branch)
+        assert (space._uniform_weight is not None) == (branch == "uniform")
+        assert (space._weight_classes is not None) == (branch == "classes")
+        rng = np.random.default_rng(5)
+        ref = {r: whole.masses_at_radius(r).copy() for r in self.RADII}
+        asked = {r: set() for r in self.RADII}
+        # interleaved radii, shuffled chunks with repeated ids
+        for chunk in np.array_split(rng.permutation(space.n), 4):
+            for r in self.RADII[::-1] if chunk.size % 2 else self.RADII:
+                ids = np.concatenate([chunk, chunk[:3], chunk[::-2]])
+                np.testing.assert_array_equal(space.masses_at_radius(r, ids), ref[r][ids])
+                asked[r] |= set(ids.tolist())
+                assert set(np.flatnonzero(~np.isnan(space._mass_cache[r])).tolist()) == asked[r]
+        for r in self.RADII:
+            np.testing.assert_array_equal(space.masses_at_radius(r), ref[r])
+            assert space.masses_at_radius(r, []).size == 0
+        if branch == "matrix":
+            for x in range(space.n):
+                want = sum(space.weights[space.dist_matrix[x] <= 0.5 * (1 + 1e-12) + 1e-12])
+                assert space.masses_at_radius(0.5, [x])[0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("branch", ["uniform", "classes"])
+    def test_counts_match_one_worker(self, branch):
+        from scipy.spatial import cKDTree
+
+        space = self._space(branch)
+        ids = np.arange(0, space.n, 7)
+        for r in self.RADII:
+            r_pad = r * (1 + 1e-12) + 1e-12
+            want = 0.0
+            for value in np.unique(space.weights):
+                tree = cKDTree(space.coords[space.weights == value])
+                want = want + value * tree.query_ball_point(space.coords[ids], r_pad, return_length=True, workers=1)
+            np.testing.assert_array_equal(space.masses_at_radius(r, ids), want)
+
+    def test_generate_counts_only_on_the_support(self):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8))
+        assert space._mass_cache
+        for masses in space._mass_cache.values():
+            assert set(np.flatnonzero(~np.isnan(masses)).tolist()) <= set(pw.union_ids.tolist())
