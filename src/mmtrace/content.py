@@ -10,12 +10,14 @@ doubling-constant factor.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._neighbors import SubsetNeighbors
 from .errors import InvalidParameter, MissingMetadata, ResolutionError
 from .space import Ball, FiniteMetricMeasureSpace, dyadic_radii
 
@@ -53,46 +55,55 @@ class CoverSolution:
         }
 
 
-def _candidate_pool(space, target: np.ndarray, theta: float, delta: float):
-    """Dyadic-radius balls centered at target points, with member sets
-    restricted to the target and their cover weights."""
+def _pool_radii(space, delta: float) -> list:
+    """Dyadic candidate radii in [scale_floor, delta), increasing."""
     top = min(delta * (1 - 1e-9), 4.0 * max(space.diameter, space.scale_floor))
     # powers of two in [scale_floor, top], from the largest one <= top
     radii = sorted(dyadic_radii(2.0 ** (math.frexp(top)[1] - 1), space.scale_floor))
     if not radii and space.scale_floor < delta:
         radii = [space.scale_floor]
+    return radii
+
+
+def _candidate_pool(space, target: np.ndarray, theta: float, delta: float, ball_mass=None):
+    """Dyadic-radius balls centered at the (sorted) target points, with
+    member positions into the target and their cover weights; ``ball_mass``
+    (default ``space.ball_mass``) may be a cached stand-in."""
+    ball_mass = ball_mass or space.ball_mass
+    radii = _pool_radii(space, delta)
+    # a throwaway layer: one-off targets would pile up in space._neighbors
+    nbrs = SubsetNeighbors(space, target)
+    lists = [nbrs.self_lists(r) for r in radii]
     balls, covers, weights = [], [], []
-    tpos = {int(i): p for p, i in enumerate(target)}
-    for c in target:
-        for r in radii:
-            members = space.members(int(c), r)
-            cov = np.array([tpos[int(m)] for m in members if int(m) in tpos], dtype=int)
+    for a, c in enumerate(target):
+        for r, (indptr, indices) in zip(radii, lists):
             balls.append(Ball(int(c), r))
-            covers.append(cov)
-            weights.append(space.ball_mass(int(c), r) / r**theta)
+            covers.append(indices[indptr[a] : indptr[a + 1]])
+            weights.append(ball_mass(int(c), r) / r**theta)
     return balls, covers, weights
 
 
-def _greedy_cover(n_target: int, balls, covers, weights):
+def _greedy_cover(n_target: int, covers, weights):
+    """Lazy greedy (Minoux): a heap of (weight/gain, index, gain).  Scores
+    only rise as coverage grows, so the first top whose gain is current is
+    the first minimizer a full scan in (center, radius) order would take."""
     uncovered = np.ones(n_target, dtype=bool)
+    heap = [(w / cov.size, i, cov.size) for i, (cov, w) in enumerate(zip(covers, weights)) if cov.size]
+    heapq.heapify(heap)
     chosen = []
     total = 0.0
     while uncovered.any():
-        # candidates are in deterministic (center, radius) order; strict <
-        # keeps the first minimizer, so ties break reproducibly
-        best, best_score = -1, math.inf
-        for i, cov in enumerate(covers):
-            gain = int(np.sum(uncovered[cov]))
-            if gain == 0:
-                continue
-            score = weights[i] / gain
-            if score < best_score:
-                best, best_score = i, score
-        if best < 0:
+        if not heap:
             raise InvalidParameter("candidate pool cannot cover the target")
-        chosen.append(best)
-        total += weights[best]
-        uncovered[covers[best]] = False
+        _, i, gain = heapq.heappop(heap)
+        now = int(np.count_nonzero(uncovered[covers[i]]))
+        if now != gain:
+            if now:
+                heapq.heappush(heap, (weights[i] / now, i, now))
+            continue
+        chosen.append(i)
+        total += weights[i]
+        uncovered[covers[i]] = False
     return chosen, total
 
 
@@ -157,7 +168,7 @@ def hausdorff_content(space: FiniteMetricMeasureSpace, query: ContentQuery) -> C
     if method == "exact":
         chosen, value = _exact_cover(target.size, covers, weights)
         return CoverSolution([balls[i] for i in chosen], value, "exact", 0.0)
-    chosen, value = _greedy_cover(target.size, balls, covers, weights)
+    chosen, value = _greedy_cover(target.size, covers, weights)
     gap = None
     if method == "both":
         _, exact_value = _exact_cover(target.size, covers, weights)
@@ -221,10 +232,6 @@ def piece_measure_weights(
         return w
     if mode != "content":
         raise InvalidParameter(f"unknown mode {mode!r}")
-    out = np.empty(target.size)
-    for pos, x in enumerate(target):
-        sol = hausdorff_content(
-            space, ContentQuery(np.array([x]), theta, 2.0 * space.scale_floor, "greedy")
-        )
-        out[pos] = sol.value
-    return out
+    # a singleton's greedy cover is its cheapest candidate ball
+    radii = _pool_radii(space, 2.0 * space.scale_floor)
+    return np.array([min(space.ball_mass(int(x), r) / r**theta for r in radii) for x in target])

@@ -376,26 +376,37 @@ def bn_functional(
 # ----------------------------------------------------------------------
 
 
+def _meets(space, subset_ids, balls, scale: float) -> np.ndarray:
+    """Per ball (centred at a point id): whether its scale-dilation meets
+    the subset, from one count query per radius."""
+    nbrs = subset_neighbors(space, subset_ids)
+    centres = np.array([b.center for b in balls], dtype=int)
+    radii = np.array([b.radius for b in balls])
+    out = np.zeros(len(balls), dtype=bool)
+    for r in np.unique(radii):
+        out[radii == r] = nbrs.counts_of(centres[radii == r], scale * r) > 0
+    return out
+
+
 def validate_nice_family(space, subset_ids, family: NiceFamily):
     """Assert the defining family conditions exactly on the cloud."""
     if family.c < 1:
         raise InvalidFamily("family constant c must be >= 1")
     subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
-    member_sets = []
     for b in family.balls:
         if b.radius > 1.0 + _EPS:
             raise InvalidFamily(f"ball radius {b.radius} exceeds 1")
+    if not _meets(space, subset_ids, family.balls, family.c).all():
+        raise InvalidFamily("a dilated ball misses the subset")
+    if family.kind == "whitney" and _meets(space, subset_ids, family.balls, 1.0).any():
+        raise InvalidFamily("a whitney ball meets the subset")
+    owner = np.full(space.n, -1)
+    for a, b in enumerate(family.balls):
         members = space.members(b.center, b.radius)
-        member_sets.append(set(int(m) for m in members))
-        dilated = space.members(b.center, family.c * b.radius)
-        if not np.any(np.isin(dilated, subset_ids, assume_unique=False)):
-            raise InvalidFamily("a dilated ball misses the subset")
-        if family.kind == "whitney" and np.any(np.isin(members, subset_ids)):
-            raise InvalidFamily("a whitney ball meets the subset")
-    for a in range(len(member_sets)):
-        for b in range(a):
-            if member_sets[a] & member_sets[b]:
-                raise InvalidFamily(f"balls {b} and {a} share cloud points")
+        hit = owner[members]
+        if np.any(hit >= 0):
+            raise InvalidFamily(f"balls {int(hit[hit >= 0].min())} and {a} share cloud points")
+        owner[members] = a
 
 
 def enumerate_or_search_nice_family(
@@ -433,16 +444,11 @@ def enumerate_or_search_nice_family(
             net = separated_net(space, subset_ids, k_of_r(r), maximal=False)
             for x in net.points:
                 candidates.append(Ball(int(x), float(r)))
-    pool = []
-    for b in candidates:
-        if b.radius > 1.0 + _EPS:
-            continue
-        dilated = space.members(b.center, c * b.radius)
-        if not np.any(np.isin(dilated, subset_ids)):
-            continue
-        if kind == "whitney" and np.any(np.isin(space.members(b.center, b.radius), subset_ids)):
-            continue
-        pool.append(b)
+    pool = [b for b in candidates if b.radius <= 1.0 + _EPS]
+    keep = _meets(space, subset_ids, pool, c)
+    if kind == "whitney":
+        keep &= ~_meets(space, subset_ids, pool, 1.0)
+    pool = [b for b, k in zip(pool, keep) if k]
     terms = np.array([term_fn(b) for b in pool])
     member_sets = [space.members(b.center, b.radius) for b in pool]
 
@@ -475,16 +481,17 @@ def enumerate_or_search_nice_family(
 
     order = sorted(
         range(len(pool)),
-        key=lambda i: (-terms[i], int(pool[i].center) if isinstance(pool[i].center, (int, np.integer)) else -1, pool[i].radius),
+        key=lambda i: (-terms[i], int(pool[i].center), pool[i].radius),
     )
-    taken = np.zeros(space.n, dtype=bool)
+    # owner[x]: the chosen ball holding cloud point x, or -1
+    owner = np.full(space.n, -1)
     chosen: list[int] = []
     for i in order:
         if len(chosen) >= budget or terms[i] <= 0:
             break
-        if not np.any(taken[member_sets[i]]):
+        if np.all(owner[member_sets[i]] < 0):
             chosen.append(i)
-            taken[member_sets[i]] = True
+            owner[member_sets[i]] = i
 
     for _ in range(3):
         improved = False
@@ -492,28 +499,29 @@ def enumerate_or_search_nice_family(
         for i in order:
             if i in chosen_set or terms[i] <= 0:
                 continue
-            conflicts = [j for j in chosen if np.intersect1d(member_sets[i], member_sets[j]).size]
+            # conflicts in chosen order, so their terms add as before
+            conflicts = sorted(set(owner[member_sets[i]].tolist()) - {-1}, key=chosen.index)
             if terms[i] > float(np.sum(terms[conflicts])) + _EPS:
                 for j in conflicts:
                     chosen.remove(j)
-                    taken[member_sets[j]] = False
+                    owner[member_sets[j]] = -1
                 if len(chosen) < budget:
                     chosen.append(i)
-                    taken[member_sets[i]] = True
+                    owner[member_sets[i]] = i
                     improved = True
                 else:
                     # budget full after removals: put conflicts back
                     for j in conflicts:
                         chosen.append(j)
-                        taken[member_sets[j]] = True
+                        owner[member_sets[j]] = j
                 chosen_set = set(chosen)
         # refill any freed budget
         for i in order:
             if len(chosen) >= budget:
                 break
-            if i not in chosen_set and terms[i] > 0 and not np.any(taken[member_sets[i]]):
+            if i not in chosen_set and terms[i] > 0 and np.all(owner[member_sets[i]] < 0):
                 chosen.append(i)
-                taken[member_sets[i]] = True
+                owner[member_sets[i]] = i
                 chosen_set.add(i)
                 improved = True
         if not improved:

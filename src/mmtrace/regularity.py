@@ -9,6 +9,7 @@ with a set-cover content; the porosity scan searches for empty holes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -16,8 +17,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._neighbors import _pad, row_sums, subset_neighbors
-from .content import ContentQuery, hausdorff_content
-from .errors import EmptySet, InvalidGrid, InvalidParameter
+from .content import _candidate_pool, _greedy_cover
+from .errors import EmptySet, InvalidGrid, InvalidParameter, ResolutionError
 from .space import _EPS, FiniteMetricMeasureSpace, dyadic_radii
 
 
@@ -140,19 +141,27 @@ def check_lcr(
     r_grid: Sequence[float],
 ) -> float:
     """Lower content regularity constant: min over (x, r) of
-    content(B_r(x) cap S; delta=r) * r^theta / mu(B_r(x))."""
+    content(B_r(x) cap S; delta=r) * r^theta / mu(B_r(x)), each content the
+    greedy cover ``hausdorff_content`` finds; the local covers share one
+    count per candidate ball."""
     r_grid = list(r_grid)
     if not r_grid:
         raise InvalidGrid("r_grid must be nonempty")
+    if theta < 0:
+        raise InvalidParameter("theta must be >= 0")
     subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
+    nbrs = subset_neighbors(space, subset_ids)
+    ball_mass = functools.cache(space.ball_mass)
     lam = np.inf
     for r in r_grid:
-        masses = space.masses_at_radius(r, subset_ids)
-        for x, mass in zip(subset_ids, masses):
-            members = space.members(int(x), r)
-            local = members[np.isin(members, subset_ids, assume_unique=True)]
-            sol = hausdorff_content(space, ContentQuery(local, theta, r, "greedy"))
-            lam = min(lam, sol.value * r**theta / mass)
+        if r <= space.scale_floor:
+            raise ResolutionError(f"delta {r} must exceed scale_floor {space.scale_floor}")
+        indptr, indices = nbrs.self_lists(r)
+        for a, mass in enumerate(space.masses_at_radius(r, subset_ids)):
+            local = subset_ids[indices[indptr[a] : indptr[a + 1]]]
+            _, covers, weights = _candidate_pool(space, local, theta, r, ball_mass)
+            _, value = _greedy_cover(local.size, covers, weights)
+            lam = min(lam, value * r**theta / mass)
     return float(lam)
 
 

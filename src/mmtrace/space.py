@@ -139,17 +139,18 @@ class FiniteMetricMeasureSpace:
                 raise ParameterError("dist_matrix must be n x n")
             if np.any(np.diagonal(m) != 0):
                 raise ParameterError("metric must vanish on the diagonal")
-            rng = np.random.default_rng(0)
-            k = min(self.n, 64)
-            idx = rng.choice(self.n, size=k, replace=False)
-            sub = m[np.ix_(idx, idx)]
-            if np.any(sub < 0):
-                raise ParameterError("metric must be nonnegative")
-            if not np.allclose(sub, sub.T, rtol=0, atol=1e-12):
-                raise ParameterError("metric must be symmetric")
-            off = sub[~np.eye(k, dtype=bool)]
-            if off.size and np.any(off == 0):
-                raise ParameterError("metric must be zero exactly on the diagonal")
+            # every entry, in blocks of rows and square tiles: no n x n temporary
+            step = max(1, (1 << 20) // self.n)
+            for lo in range(0, self.n, step):
+                if np.any(m[lo : lo + step] < 0):
+                    raise ParameterError("metric must be nonnegative")
+                # the diagonal holds one zero per row
+                if np.count_nonzero(m[lo : lo + step] == 0) > m[lo : lo + step].shape[0]:
+                    raise ParameterError("metric must be zero exactly on the diagonal")
+            for lo in range(0, self.n, 256):
+                for c0 in range(lo, self.n, 256):
+                    if not np.all(np.abs(m[lo : lo + 256, c0 : c0 + 256] - m[c0 : c0 + 256, lo : lo + 256].T) <= 1e-12):
+                        raise ParameterError("metric must be symmetric")
 
     # -- basic queries ---------------------------------------------------
 
@@ -310,35 +311,19 @@ def separated_net(
 
 
 def _greedy_net(space, ids: np.ndarray, sep: float) -> list:
-    if space.coords is None or ids.size <= 256:
-        chosen: list[int] = []
-        for i in ids:
-            i = int(i)
-            if all(space.distance(i, c) >= sep * (1 - _EPS) for c in chosen):
-                chosen.append(i)
-        return chosen
-    # hash-grid acceleration: only compare against kept points in the
-    # 3^dim neighborhood of the candidate's cell
-    coords = space.coords[ids]
-    cell = np.floor(coords / sep).astype(np.int64)
-    grid: dict[tuple, list[int]] = {}
+    """One scan in id order: each kept point blocks the later points
+    closer than sep * (1 - _EPS) to it."""
+    blocked = np.zeros(ids.size, dtype=bool)
+    tree = None if space.coords is None else cKDTree(space.coords[ids])
     chosen = []
-    dim = coords.shape[1]
-    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * dim))).T.reshape(-1, dim)
-    for row, i in enumerate(ids):
-        key = tuple(cell[row])
-        ok = True
-        for off in offsets:
-            nb = grid.get(tuple(cell[row] + off))
-            if not nb:
-                continue
-            d = np.linalg.norm(space.coords[nb] - coords[row], axis=1)
-            if np.any(d < sep * (1 - _EPS)):
-                ok = False
-                break
-        if ok:
-            chosen.append(int(i))
-            grid.setdefault(key, []).append(int(i))
+    for a, i in enumerate(ids):
+        if blocked[a]:
+            continue
+        chosen.append(int(i))
+        if tree is None:
+            blocked |= space.dist_matrix[ids, i] < sep * (1 - _EPS)
+        else:
+            blocked[tree.query_ball_point(space.coords[i], math.nextafter(sep * (1 - _EPS), 0))] = True
     return chosen
 
 

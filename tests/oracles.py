@@ -216,3 +216,75 @@ def osharp_mu_s1(coords, weights, s1_ids, fvals, x, scale_floor, r_top=2.0):
         best = max(best, oE([fvals[i] for i in members], [weights[i] for i in members]))
         r /= 2.0
     return best
+
+
+def ogreedy_cover(n_target, covers, weights):
+    """Plain greedy weighted set cover: every pick scans all candidates in
+    order and keeps the first minimizer (strict <) of weight per newly
+    covered element."""
+    uncovered = set(range(n_target))
+    chosen = []
+    while uncovered:
+        best, best_score = -1, math.inf
+        for i, cov in enumerate(covers):
+            gain = len(uncovered & {int(e) for e in cov})
+            if gain and weights[i] / gain < best_score:
+                best, best_score = i, weights[i] / gain
+        chosen.append(best)
+        uncovered -= {int(e) for e in covers[best]}
+    return chosen
+
+
+def ogreedy_net(dist, ids, sep):
+    """Greedy separated net: scan ids in order, keep a point at distance
+    >= sep * (1 - PAD) from every point kept so far."""
+    chosen = []
+    for i in ids:
+        if all(dist(int(i), c) >= sep * (1 - PAD) for c in chosen):
+            chosen.append(int(i))
+    return chosen
+
+
+def osearch_family(member_sets, terms, centers, radii, budget):
+    """Greedy nice-family search with a swap pass, on plain sets: candidates
+    in order of (-term, center, radius); a disjoint ball is added while the
+    budget lasts, a ball beating the summed terms of the chosen balls it
+    meets (in chosen order) replaces them, and freed budget is refilled;
+    at most three rounds.  Returns the sorted chosen indices."""
+    sets = [set(map(int, m)) for m in member_sets]
+    order = sorted(range(len(sets)), key=lambda i: (-terms[i], centers[i], radii[i]))
+    taken, chosen = set(), []
+    for i in order:
+        if len(chosen) >= budget or terms[i] <= 0:
+            break
+        if not sets[i] & taken:
+            chosen.append(i)
+            taken |= sets[i]
+    for _ in range(3):
+        improved = False
+        for i in order:
+            if i in chosen or terms[i] <= 0:
+                continue
+            conflicts = [j for j in chosen if sets[i] & sets[j]]
+            if terms[i] > float(np.sum([terms[j] for j in conflicts])) + PAD:
+                for j in conflicts:
+                    chosen.remove(j)
+                    taken -= sets[j]
+                if len(chosen) < budget:
+                    chosen.append(i)
+                    taken |= sets[i]
+                    improved = True
+                else:
+                    for j in conflicts:
+                        chosen.append(j)
+                        taken |= sets[j]
+        for i in order:
+            if len(chosen) >= budget:
+                break
+            if i not in chosen and terms[i] > 0 and not sets[i] & taken:
+                chosen.append(i)
+                taken |= sets[i]
+                improved = True
+        if not improved:
+            break
+    return sorted(chosen)

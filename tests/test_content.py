@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmtrace as mt
-from mmtrace.content import _candidate_pool, _exact_cover
+from mmtrace.content import _candidate_pool, _exact_cover, _greedy_cover
 from mmtrace.errors import InvalidParameter, MissingMetadata, ResolutionError
+from oracles import oball, ogreedy_cover
+
+PROPS = settings(max_examples=60, deadline=None)
 
 
 def recompute_value(space, sol, theta):
@@ -84,6 +89,68 @@ class TestContent:
             assert sol.value <= (1.0 + math.log(len(balls))) * exact_val + 1e-12
 
 
+@st.composite
+def lattice_queries(draw):
+    """A uniform or two-valued lattice cloud in 1-3 dimensions (so ball
+    weights tie), a target subset, a codimension and a scale."""
+    dim = draw(st.integers(1, 3))
+    side = draw(st.integers(2, {1: 17, 2: 6, 3: 4}[dim]))
+    axes = np.meshgrid(*[np.arange(side) / (side - 1)] * dim, indexing="ij")
+    coords = np.stack([a.ravel() for a in axes], axis=1)
+    n = coords.shape[0]
+    weights = np.full(n, 1.0 / n)
+    if draw(st.booleans()):
+        weights[:: draw(st.integers(2, 5))] *= 2.0
+    space = mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=1.0 / (side - 1))
+    target = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=40))))
+    theta = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    delta = draw(st.sampled_from([0.3, 0.5, 1.0, 2.5])) + space.scale_floor
+    return space, target, theta, delta
+
+
+class TestLazyGreedy:
+    @PROPS
+    @given(lattice_queries())
+    def test_lattice_pools_pick_the_plain_scan(self, query):
+        space, target, theta, delta = query
+        _, covers, weights = _candidate_pool(space, target, theta, delta)
+        chosen, total = _greedy_cover(target.size, covers, weights)
+        assert chosen == ogreedy_cover(target.size, covers, weights)
+        assert total == sum(weights[i] for i in chosen)
+
+    @PROPS
+    @given(st.integers(1, 12), st.data())
+    def test_tied_random_pools_pick_the_plain_scan(self, n_target, data):
+        covers = [np.array([e]) for e in range(n_target)]
+        covers += [np.array(sorted(c)) for c in data.draw(st.lists(
+            st.sets(st.integers(0, n_target - 1), min_size=1), max_size=20))]
+        order = data.draw(st.permutations(range(len(covers))))
+        covers = [covers[i] for i in order]
+        weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+                                     min_size=len(covers), max_size=len(covers)))
+        chosen, _ = _greedy_cover(n_target, covers, weights)
+        assert chosen == ogreedy_cover(n_target, covers, weights)
+
+    @PROPS
+    @given(lattice_queries())
+    def test_pool_members_and_weights(self, query):
+        space, target, theta, delta = query
+        balls, covers, weights = _candidate_pool(space, target, theta, delta)
+        pos = {int(x): a for a, x in enumerate(target)}
+        for b, cov, w in zip(balls, covers, weights):
+            want = [pos[i] for i in oball(space.coords, b.center, b.radius) if i in pos]
+            assert list(cov) == want
+            # bit for bit: cover ties on lattices flip on last-bit changes
+            assert w == space.ball_mass(b.center, b.radius) / b.radius**theta
+
+    def test_face_cover_matches_plain_scan(self):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        face = pw.pieces[0]
+        _, covers, weights = _candidate_pool(space, face.ids, face.theta, 0.25)
+        chosen, _ = _greedy_cover(face.ids.size, covers, weights)
+        assert chosen == ogreedy_cover(face.ids.size, covers, weights)
+
+
 class TestMeasure:
     def test_empty(self, grid1d_11):
         assert mt.hausdorff_measure(grid1d_11, [], 1.0).value == 0.0
@@ -129,6 +196,15 @@ class TestPieceWeights:
             grid1d_11, mt.ContentQuery([4], 0.7, 2 * grid1d_11.scale_floor)
         )
         assert w[0] == pytest.approx(sol.value, rel=1e-12)
+
+    def test_content_equals_singleton_covers(self):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        for pc in pw.pieces:
+            for theta in (0.0, pc.theta, 2.5):
+                w = mt.piece_measure_weights(space, pc.ids, theta, "content")
+                want = [mt.hausdorff_content(space, mt.ContentQuery([x], theta, 2 * space.scale_floor)).value
+                        for x in pc.ids]
+                assert list(w) == want
 
     def test_face_areas_sum_to_one(self):
         space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)

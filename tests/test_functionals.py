@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmtrace as mt
 from conftest import build_tiny_instance
@@ -17,9 +19,11 @@ from oracles import (
     obesov,
     obesov_alt,
     obn,
+    oball,
     obsn_family,
     ogl,
     omass,
+    osearch_family,
     osharp,
     osharp_mu_s1,
     otilde_e,
@@ -338,7 +342,65 @@ class TestBn:
         assert rep.value == pytest.approx(want, rel=1e-12)
 
 
+@st.composite
+def family_pools(draw):
+    """A 1-d or 2-d cloud (lattice or random), a subset, candidate balls at
+    dyadic radii with tied terms, a budget and a family kind."""
+    dim = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        side = draw(st.integers(2, {1: 20, 2: 6}[dim]))
+        axes = np.meshgrid(*[np.arange(side) / 8.0] * dim, indexing="ij")
+        coords = np.stack([a.ravel() for a in axes], axis=1)
+    else:
+        coords = rng.uniform(0, 1, size=(draw(st.integers(2, 30)), dim))
+    n = coords.shape[0]
+    subset = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    cands = [mt.Ball(int(c), float(r)) for c, r in zip(
+        rng.integers(0, n, draw(st.integers(0, 24))), rng.choice([2.0, 1.0, 0.5, 0.25, 0.125], 24))]
+    terms = {(b.center, b.radius): float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0])) for b in cands}
+    return coords, subset, cands, terms, draw(st.integers(1, 8)), draw(st.sampled_from(["nice", "whitney"]))
+
+
 class TestNiceFamilies:
+    @settings(max_examples=80, deadline=None)
+    @given(family_pools(), st.sampled_from([1.0, 2.0, 6.0]))
+    def test_search_equals_the_set_oracle(self, inst, c):
+        coords, subset, cands, terms, budget, kind = inst
+        space = mt.FiniteMetricMeasureSpace(weights=np.ones(len(coords)), coords=coords, resolution=1 / 8)
+        fam = mt.enumerate_or_search_nice_family(
+            space, subset, c, budget, term_fn=lambda b: terms[(b.center, b.radius)], kind=kind, candidates=cands
+        )
+        s_set = set(map(int, subset))
+        pool = [b for b in cands if b.radius <= 1.0 and s_set & set(oball(coords, b.center, c * b.radius))
+                and not (kind == "whitney" and s_set & set(oball(coords, b.center, b.radius)))]
+        want = osearch_family(
+            [oball(coords, b.center, b.radius) for b in pool], [terms[(b.center, b.radius)] for b in pool],
+            [b.center for b in pool], [b.radius for b in pool], budget,
+        )
+        assert [(b.center, b.radius) for b in fam.balls] == [(pool[i].center, pool[i].radius) for i in want]
+        mt.validate_nice_family(space, subset, fam)
+
+    @settings(max_examples=80, deadline=None)
+    @given(family_pools())
+    def test_validation_equals_the_set_oracle(self, inst):
+        coords, subset, cands, _, budget, kind = inst
+        space = mt.FiniteMetricMeasureSpace(weights=np.ones(len(coords)), coords=coords, resolution=1 / 8)
+        fam = mt.NiceFamily(cands[:budget], c=2.0, kind=kind)
+        s_set = set(map(int, subset))
+        sets = [set(oball(coords, b.center, b.radius)) for b in fam.balls]
+        bad = any(b.radius > 1.0 for b in fam.balls) or any(
+            not s_set & set(oball(coords, b.center, 2.0 * b.radius)) for b in fam.balls
+        ) or (kind == "whitney" and any(s & s_set for s in sets))
+        pairs = [(b, a) for a in range(len(sets)) for b in range(a) if sets[a] & sets[b]]
+        if bad or pairs:
+            with pytest.raises(InvalidFamily) as err:
+                mt.validate_nice_family(space, subset, fam)
+            if not bad:
+                assert f"balls {pairs[0][0]} and {pairs[0][1]} share" in str(err.value)
+        else:
+            mt.validate_nice_family(space, subset, fam)
+
     def test_c_below_one_rejected(self, tiny_instance):
         space, pw, _ = tiny_instance
         with pytest.raises(InvalidParameter):
@@ -354,6 +416,12 @@ class TestNiceFamilies:
     def test_overlapping_family_invalid(self, grid1d_11):
         fam = mt.NiceFamily([mt.Ball(3, 0.2), mt.Ball(4, 0.2)], c=2.0)
         with pytest.raises(InvalidFamily):
+            mt.validate_nice_family(grid1d_11, np.arange(11), fam)
+
+    def test_first_overlapping_pair_named(self, grid1d_11):
+        # ball 2 meets balls 0 and 1; ball 3 meets ball 1
+        fam = mt.NiceFamily([mt.Ball(0, 0.1), mt.Ball(3, 0.1), mt.Ball(1, 0.2), mt.Ball(4, 0.1)], c=2.0)
+        with pytest.raises(InvalidFamily, match="balls 0 and 2 share"):
             mt.validate_nice_family(grid1d_11, np.arange(11), fam)
 
     def test_radius_above_one_invalid(self, grid1d_11):

@@ -1,5 +1,8 @@
 """Golden values of every functional and verifier on the canonical h = 1/8
-instances, pinned at rtol 1e-10 against ``tests/golden/h8.json``.
+instances, pinned at rtol 1e-10 against ``tests/golden/h8.json``, and the
+covers and families behind them (lower content regularity constants, one
+greedy face cover, the searched ``bsn`` families) against
+``tests/golden/h8_covers.json``: values at rtol 1e-10, ball lists exactly.
 
 Refactors that reorder floating-point sums move values in the last few
 digits; anything beyond 1e-10 relative is a behaviour change.  The file was
@@ -19,8 +22,10 @@ import pytest
 
 import mmtrace as mt
 from mmtrace.experiments import ExperimentConfig, evaluate_functional
+from mmtrace.functionals import bsn_term
 
 GOLDEN = Path(__file__).parent / "golden" / "h8.json"
+GOLDEN_COVERS = Path(__file__).parent / "golden" / "h8_covers.json"
 P, C, SIGMA = 2.5, 6.0, 0.01
 FUNCTIONS = ("hoelder:0.6", "random", "step")
 FUNCTIONALS = {
@@ -68,9 +73,43 @@ def compute() -> dict:
     return {k: float(v) for k, v in out.items()}
 
 
+def _ball_list(balls) -> list:
+    return [[int(b.center), float(b.radius)] for b in balls]
+
+
+def compute_covers() -> dict:
+    """check_lcr per piece, the face cover at delta = 1/4 and the families
+    ``bsn_functional`` searches, keyed ``instance|what|...``."""
+    out = {}
+    for inst, spec_fn in SPECS.items():
+        space, pw = mt.generate(spec_fn(1 / 8), verify=False)
+        grid = mt.default_r_grid(space)
+        for i, pc in enumerate(pw.pieces):
+            out[f"{inst}|lcr|{i + 1}"] = float(mt.check_lcr(space, pc.ids, pc.theta, grid))
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=P)
+        for fam in FUNCTIONS:
+            f = mt.make_sample_function(space, pw, fam, seed=0)
+            family = mt.enumerate_or_search_nice_family(
+                space, seq.support_ids, C, budget=256,
+                term_fn=lambda b: bsn_term(space, seq, f, P, C, b),
+            )
+            out[f"{inst}|{fam}|bsn_family"] = _ball_list(family.balls)
+    space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+    face = pw.pieces[0]
+    sol = mt.hausdorff_content(space, mt.ContentQuery(face.ids, face.theta, 0.25, "greedy"))
+    out["simple|face_cover|value"] = float(sol.value)
+    out["simple|face_cover|balls"] = _ball_list(sol.balls)
+    return out
+
+
 @pytest.fixture(scope="module")
 def computed():
     return compute()
+
+
+@pytest.fixture(scope="module")
+def computed_covers():
+    return compute_covers()
 
 
 def test_golden_keys_match(computed):
@@ -88,8 +127,19 @@ def test_golden_values(computed):
     assert all(np.isfinite(list(golden.values())))
 
 
+def test_golden_covers(computed_covers):
+    golden = json.loads(GOLDEN_COVERS.read_text())
+    assert sorted(computed_covers) == sorted(golden)
+    for k, v in golden.items():
+        if isinstance(v, list):
+            assert computed_covers[k] == v, f"{k} moved"
+        else:
+            assert math.isclose(computed_covers[k], v, rel_tol=1e-10, abs_tol=0.0), (k, computed_covers[k], v)
+
+
 if __name__ == "__main__":
     if "--record" in sys.argv[1:]:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(compute(), sort_keys=True, indent=1) + "\n")
-        print(f"wrote {GOLDEN}")
+        GOLDEN_COVERS.write_text(json.dumps(compute_covers(), sort_keys=True, indent=1) + "\n")
+        print(f"wrote {GOLDEN} and {GOLDEN_COVERS}")

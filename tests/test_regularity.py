@@ -4,7 +4,20 @@ import numpy as np
 import pytest
 
 import mmtrace as mt
-from mmtrace.errors import InvalidGrid, InvalidParameter
+from mmtrace.errors import InvalidGrid, InvalidParameter, ResolutionError
+
+
+def lcr_by_contents(space, subset_ids, theta, r_grid):
+    """The defining loop: one public greedy content per (x, r)."""
+    subset_ids = np.unique(subset_ids)
+    lam = np.inf
+    for r in r_grid:
+        for x in subset_ids:
+            members = space.members(int(x), r)
+            local = members[np.isin(members, subset_ids)]
+            sol = mt.hausdorff_content(space, mt.ContentQuery(local, theta, r, "greedy"))
+            lam = min(lam, sol.value * r**theta / space.ball_mass(int(x), r))
+    return float(lam)
 
 
 class TestAdr:
@@ -68,6 +81,28 @@ class TestLcr:
     def test_single_point_lowest_scale(self, grid1d_11):
         lam = mt.check_lcr(grid1d_11, [5], 0.0, [2 * grid1d_11.scale_floor])
         assert lam > 0.2
+
+    @pytest.mark.parametrize("spec", [mt.simple_case_spec, mt.difficult_case_spec])
+    def test_equals_the_content_loop(self, spec):
+        space, pw = mt.generate(spec(1 / 8), verify=False)
+        grid = mt.default_r_grid(space)
+        for subset, theta in [(pc.ids, pc.theta) for pc in pw.pieces] + [(pw.union_ids, pw.theta_S)]:
+            want = lcr_by_contents(space, subset, theta, grid)
+            assert mt.check_lcr(space, subset, theta, grid) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_equals_the_content_loop_random_cloud(self):
+        rng = np.random.default_rng(3)
+        coords = rng.uniform(0, 1, size=(150, 2))
+        for geometry in ({"coords": coords}, {"dist_matrix": np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))}):
+            sp = mt.FiniteMetricMeasureSpace(weights=rng.uniform(0.5, 1.5, 150) / 150, resolution=1 / 16, **geometry)
+            subset = np.flatnonzero(coords[:, 0] < 0.4)
+            for theta in (0.0, 0.7, 1.5):
+                want = lcr_by_contents(sp, subset, theta, [0.5, 0.25, 0.125])
+                assert mt.check_lcr(sp, subset, theta, [0.5, 0.25, 0.125]) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_radius_at_the_floor(self, grid1d_11):
+        with pytest.raises(ResolutionError):
+            mt.check_lcr(grid1d_11, [4, 5], 1.0, [0.4, grid1d_11.scale_floor])
 
 
 class TestPorosity:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmtrace as mt
 from mmtrace.errors import EmptySet, InsufficientData, InvalidPoint, InvalidScale, ResolutionError
+from oracles import ogreedy_net
 
 
 class TestBalls:
@@ -69,6 +72,25 @@ class TestNets:
                 for b in range(a):
                     assert sp.distance(int(pts[a]), int(pts[b])) >= sep * (1 - 1e-12)
             assert net.covering_radius <= sep * (1 + 1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 3), st.sampled_from(["lattice", "random", "matrix"]), st.data())
+    def test_equal_to_the_greedy_scan(self, dim, k, kind, data):
+        # lattice spacings are powers of two, so many distances equal 2^-k exactly
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        if kind == "random":
+            coords = rng.uniform(0, 1, size=(data.draw(st.integers(1, 300)), dim))
+        else:
+            side = data.draw(st.integers(1, {1: 33, 2: 17, 3: 9}[dim]))
+            axes = np.meshgrid(*[np.arange(side) / 2.0 ** data.draw(st.integers(1, 4))] * dim, indexing="ij")
+            coords = np.stack([a.ravel() for a in axes], axis=1)
+        n = coords.shape[0]
+        dist = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
+        geometry = {"dist_matrix": dist} if kind == "matrix" else {"coords": coords}
+        sp = mt.FiniteMetricMeasureSpace(weights=np.ones(n), resolution=1 / 16, **geometry)
+        ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        net = mt.separated_net(sp, ids, k, maximal=False)
+        assert list(net.points) == ogreedy_net(sp.distance, ids, 2.0**-k)
 
     def test_empty_subset(self, grid1d_11):
         with pytest.raises(EmptySet):
@@ -175,6 +197,22 @@ class TestMatrixMetric:
         mat = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(mt.ParameterError):
             mt.FiniteMetricMeasureSpace(weights=[1, 1], dist_matrix=mat, resolution=0.5)
+
+    @pytest.mark.parametrize("defect", ["negative", "asymmetric", "zero"])
+    @pytest.mark.parametrize("pair", [(0, 1), (17, 260), (298, 299), (150, 3)])
+    def test_every_entry_checked(self, defect, pair):
+        # n = 300: well beyond any small sample of rows
+        coords = np.linspace(0, 1, 300).reshape(-1, 1)
+        mat = np.abs(coords - coords.T)
+        i, j = pair
+        if defect == "negative":
+            mat[i, j] = mat[j, i] = -0.5
+        elif defect == "asymmetric":
+            mat[i, j] += 0.25
+        else:
+            mat[i, j] = mat[j, i] = 0.0
+        with pytest.raises(mt.ParameterError):
+            mt.FiniteMetricMeasureSpace(weights=np.ones(300), dist_matrix=mat, resolution=1 / 299)
 
 
 class TestMassesAtCentres:
