@@ -37,6 +37,7 @@ class SubsetNeighbors:
         if space.coords is not None:
             self._tree = cKDTree(space.coords[self.ids])
         self._lists_cache: dict[float, tuple] = {}
+        self.porosity_masks: dict[tuple, list] = {}  # porosity_scan's, per (sigma, r_grid)
 
     def members_of(self, center, radius: float) -> np.ndarray:
         """Positions (into ids) of subset points within radius of center,
@@ -55,21 +56,55 @@ class SubsetNeighbors:
             return np.count_nonzero(self.space.dist_matrix[np.ix_(centres, self.ids)] <= _pad(radius), axis=1)
         return self._tree.query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
 
-    def rows_of(self, centres, radius: float):
+    def rows_of(self, centres, radius: float, counts=None, rank=None):
         """Uncached CSR rows of the radius-balls around the space point ids
         in centres, restricted to the subset, in blocks of about PAIR_BLOCK
-        pairs: yields ``(lo, hi, (indptr, indices))`` for centres[lo:hi]."""
+        pairs: yields ``(lo, hi, (indptr, indices))`` for centres[lo:hi];
+        ``counts`` are their ``counts_of``, if known.  With ``rank`` (a
+        permutation of subset positions) a row lists rank[j] for j, sorted."""
         centres = np.asarray(centres, dtype=int)
+        if counts is None:
+            counts = self.counts_of(centres, radius)
         n, r = self.ids.size, _pad(radius)
-        for lo, hi in _blocks(np.concatenate(([0], np.cumsum(self.counts_of(centres, radius))))):
+        # column c of a matrix block is the position of rank c
+        cols = self.ids if rank is None else self.ids[np.argsort(rank)]
+        for lo, hi in _blocks(np.concatenate(([0], np.cumsum(counts)))):
             if self._tree is None:
-                keys = np.flatnonzero(self.space.dist_matrix[np.ix_(centres[lo:hi], self.ids)] <= r)
+                keys = np.flatnonzero(self.space.dist_matrix[np.ix_(centres[lo:hi], cols)] <= r)
             else:
                 block = cKDTree(self.space.coords[centres[lo:hi]])
                 found = block.sparse_distance_matrix(self._tree, r, output_type="ndarray")
-                keys = np.sort(found["i"] * n + found["j"])
+                keys = np.sort(found["i"] * n + (found["j"] if rank is None else rank[found["j"]]))
             indptr = np.searchsorted(keys, np.arange(hi - lo + 1, dtype=np.int64) * n)
             yield lo, hi, (indptr, (keys % n).astype(np.int32))
+
+    def ball_sums(self, centres, radius: float, weights: np.ndarray) -> np.ndarray:
+        """Per weight vector over the subset (a row of the 2-d ``weights``)
+        and per space point id in centres: the sum of the weights within
+        radius, as ``row_sums`` gives."""
+        return self._per_ball(centres, radius, lambda rows: np.array([row_sums(rows, w) for w in weights]))
+
+    def deviations_of(self, centres, radius: float, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Per space point id in centres: the best-constant deviation of g
+        against w (both over the subset) on its radius-ball, as
+        ``row_deviations`` gives, from value-ranked rows sorted only once."""
+        by_rank = np.argsort(g, kind="stable")
+        w, g = w[by_rank], g[by_rank]
+        return self._per_ball(centres, radius, lambda rows: _ranked_deviations(rows, w, g), np.argsort(by_rank))
+
+    def _per_ball(self, centres, radius: float, reduce, rank=None) -> np.ndarray:
+        """``reduce`` of the rows around centres; balls holding the whole
+        subset share the reduction of one full row and are never built."""
+        centres = np.asarray(centres, dtype=int)
+        counts = self.counts_of(centres, radius)
+        whole = counts == self.ids.size
+        full = reduce((np.array([0, self.ids.size]), np.arange(self.ids.size, dtype=np.int32)))
+        out = np.empty(full.shape[:-1] + centres.shape)
+        out[..., whole] = full
+        part = np.flatnonzero(~whole)
+        for lo, hi, rows in self.rows_of(centres[part], radius, counts[part], rank):
+            out[..., part[lo:hi]] = reduce(rows)
+        return out
 
     def self_lists(self, radius: float) -> tuple:
         """CSR ``(indptr, indices)`` of the radius-balls around every subset
@@ -181,21 +216,36 @@ def centred_means(csr, w: np.ndarray, g: np.ndarray, fn) -> np.ndarray:
     return out
 
 
+def _best_devs(v, ww, starts, lengths, out) -> None:
+    """The deviation core: into out, per row of value-sorted v with
+    weights ww, sum_b ww_b |v_b - median| / mass at the weighted median
+    ``weighted_stats`` takes (zero for a zero-mass row)."""
+    mass = _row_reduce(ww, starts, lengths)
+    cum = np.cumsum(ww)
+    in_row = cum - np.repeat(np.concatenate(([0.0], cum))[starts], lengths)
+    below = _row_reduce(in_row < np.repeat(mass / 2.0, lengths), starts, lengths)
+    # an empty row (a centre off the subset) reads the appended 0
+    median = np.append(v, 0.0)[starts + np.minimum(below.astype(np.int64), lengths - 1)]
+    dev = _row_reduce(ww * np.abs(v - np.repeat(median, lengths)), starts, lengths)
+    np.divide(dev, mass, out=out, where=mass > 0)
+
+
 def row_deviations(csr, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per row: the best-constant deviation inf_c sum_b w_b |g_b - c| /
     sum_b w_b, taken at the weighted median ``weighted_stats`` takes (zero
     for a zero-mass ball)."""
     out = np.zeros(csr[0].size - 1)
     for lo, hi, _, pos, starts, lengths in _sorted_rows(csr, g):
-        v, ww = g[pos], w[pos]
-        mass = _row_reduce(ww, starts, lengths)
-        cum = np.cumsum(ww)
-        in_row = cum - np.repeat(np.concatenate(([0.0], cum))[starts], lengths)
-        below = _row_reduce(in_row < np.repeat(mass / 2.0, lengths), starts, lengths)
-        # an empty row (a centre off the subset) reads the appended 0
-        median = np.append(v, 0.0)[starts + np.minimum(below.astype(np.int64), lengths - 1)]
-        dev = _row_reduce(ww * np.abs(v - np.repeat(median, lengths)), starts, lengths)
-        np.divide(dev, mass, out=out[lo:hi], where=mass > 0)
+        _best_devs(g[pos], w[pos], starts, lengths, out[lo:hi])
+    return out
+
+
+def _ranked_deviations(csr, w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``row_deviations`` of rows that already list value ranks in
+    increasing order, with w and g given in rank order."""
+    out = np.zeros(csr[0].size - 1)
+    for lo, hi, cols, starts, lengths in _rows(csr):
+        _best_devs(g[cols], w[cols], starts, lengths, out[lo:hi])
     return out
 
 
@@ -222,11 +272,16 @@ def pair_abs_diffs(csr_a, wa, ga, csr_b, wb, gb, ia, ib) -> np.ndarray:
         lengths = lengths_b[lo:hi]
         starts = np.cumsum(lengths) - lengths
         y = indices_b[np.repeat(indptr_b[ib[lo:hi]] - starts, lengths) + np.arange(lengths.sum())]
-        a, gy = np.repeat(ia[lo:hi], lengths), gb[y]
+        # pairs sharing a row a repeat (a, y): evaluate each once
+        combo = np.repeat(ia[lo:hi], lengths) * gb.size + y
+        uniq = np.sort(combo)
+        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
+        a, gy = uniq // gb.size, gb[uniq % gb.size]
         # row a's members with value <= gy are the keys below (a, rank q)
         le = np.searchsorted(keys, a * n + np.searchsorted(g_sorted, gy, side="right")) + a
         tot = indptr[a + 1] + a
         w_le, s_le, w_tot, s_tot = cw[le], cwg[le], cw[tot], cwg[tot]
         per_y = gy * w_le - s_le + (s_tot - s_le) - gy * (w_tot - w_le)
-        out[lo:hi] = _row_reduce(wb[y] * per_y, starts, lengths)
-    return out
+        out[lo:hi] = _row_reduce(wb[y] * per_y[np.searchsorted(uniq, combo)], starts, lengths)
+    # a sum of |differences| that cancels to zero may round below it
+    return np.maximum(out, 0.0)

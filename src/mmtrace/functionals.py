@@ -301,15 +301,25 @@ def tilde_e(seq: MeasureSequence, f, k: int, center, radius: float) -> float:
 
 def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarray:
     """Scale-penalized maximal deviation sup_r (1/r) E~ at dyadic r in
-    [scale_floor, 1], evaluated at the given points (default: S)."""
+    [scale_floor, 1], evaluated at the given points (default: S).  Scales
+    run from fine to coarse; a deviation is at most half the oscillation of
+    f over S, so where the running maximum reaches 2^j times that (inflated
+    against round-off) scale 2^-j and coarser ones cannot raise it."""
     ids = seq.support_ids if eval_ids is None else np.asarray(eval_ids, dtype=int)
     f_on_s = _values(f)[seq.support_ids]
+    bound = np.ptp(f_on_s) / 2.0 * (1.0 + 1e-9) if np.all(np.isfinite(f_on_s)) else math.inf
+    off_s = ~np.isin(ids, seq.support_ids)
     out = np.zeros(ids.size)
-    for j in range(seq.k_max + 1):
-        probe = seq.neighbors.counts_of(ids, 2.0 ** (-j)) > 0
-        for lo, hi, balls in seq.neighbors.rows_of(ids, 2.0 ** (1 - j)):
-            e = 2.0**j * row_deviations(balls, seq.weights_per_k[j], f_on_s)
-            np.maximum(out[lo:hi], np.where(probe[lo:hi], e, 0.0), out=out[lo:hi])
+    for j in range(seq.k_max, -1, -1):
+        live = out < 2.0**j * bound
+        if not live.any():
+            break
+        # the empty-ball probe: a point of S lies in its own ball
+        probe = np.flatnonzero(live & off_s)
+        live[probe] = seq.neighbors.counts_of(ids[probe], 2.0 ** (-j)) > 0
+        live = np.flatnonzero(live)
+        e = 2.0**j * seq.neighbors.deviations_of(ids[live], 2.0 ** (1 - j), seq.weights_per_k[j], f_on_s)
+        out[live] = np.maximum(out[live], e)
     return out
 
 
@@ -425,9 +435,10 @@ def enumerate_or_search_nice_family(
     Candidates default to balls on separated nets of the subset with
     matching dyadic radii (pass ``radii`` to pin the scale range, e.g. for
     cross-resolution comparisons).  Greedy adds the best-scoring disjoint
-    ball up to the budget, then a swap pass trades chosen balls for better
-    conflicting ones.  ``method='exact'`` enumerates subsets (pools of at
-    most 16 candidates).
+    ball up to the budget.  No swap of one candidate for the chosen balls
+    it meets can gain: candidates come in order of decreasing term, so
+    each chosen ball it meets scores at least as much.  ``method='exact'``
+    enumerates subsets (pools of at most 16 candidates).
     """
     if c < 1:
         raise InvalidParameter("nice families need c >= 1")
@@ -483,49 +494,14 @@ def enumerate_or_search_nice_family(
         range(len(pool)),
         key=lambda i: (-terms[i], int(pool[i].center), pool[i].radius),
     )
-    # owner[x]: the chosen ball holding cloud point x, or -1
-    owner = np.full(space.n, -1)
+    taken = np.zeros(space.n, dtype=bool)
     chosen: list[int] = []
     for i in order:
         if len(chosen) >= budget or terms[i] <= 0:
             break
-        if np.all(owner[member_sets[i]] < 0):
+        if not taken[member_sets[i]].any():
             chosen.append(i)
-            owner[member_sets[i]] = i
-
-    for _ in range(3):
-        improved = False
-        chosen_set = set(chosen)
-        for i in order:
-            if i in chosen_set or terms[i] <= 0:
-                continue
-            # conflicts in chosen order, so their terms add as before
-            conflicts = sorted(set(owner[member_sets[i]].tolist()) - {-1}, key=chosen.index)
-            if terms[i] > float(np.sum(terms[conflicts])) + _EPS:
-                for j in conflicts:
-                    chosen.remove(j)
-                    owner[member_sets[j]] = -1
-                if len(chosen) < budget:
-                    chosen.append(i)
-                    owner[member_sets[i]] = i
-                    improved = True
-                else:
-                    # budget full after removals: put conflicts back
-                    for j in conflicts:
-                        chosen.append(j)
-                        owner[member_sets[j]] = j
-                chosen_set = set(chosen)
-        # refill any freed budget
-        for i in order:
-            if len(chosen) >= budget:
-                break
-            if i not in chosen_set and terms[i] > 0 and np.all(owner[member_sets[i]] < 0):
-                chosen.append(i)
-                owner[member_sets[i]] = i
-                chosen_set.add(i)
-                improved = True
-        if not improved:
-            break
+            taken[member_sets[i]] = True
     chosen.sort()
     return NiceFamily(balls=[pool[i] for i in chosen], c=float(c), kind=kind)
 
@@ -602,8 +578,7 @@ def sharp_mu_s1(space, piecewise: PiecewiseSet, f, r_top: float = 2.0) -> np.nda
     vals = _values(f)[nbrs1.ids]
     out = np.zeros(piecewise.union_ids.size)
     for rr in dyadic_radii(r_top, space.scale_floor):
-        for lo, hi, balls in nbrs1.rows_of(piecewise.union_ids, rr):
-            np.maximum(out[lo:hi], row_deviations(balls, mu1, vals), out=out[lo:hi])
+        np.maximum(out, nbrs1.deviations_of(piecewise.union_ids, rr, mu1, vals), out=out)
     return out
 
 

@@ -200,10 +200,12 @@ def verify_regular_sequence(
     nbrs = seq.neighbors
     m1 = bool(np.all(seq.weights_per_k > 0))
 
-    # scale grid: radii 2^-j, j = 0..k_max; ball masses m_k(B_j) per (k, j)
+    # scale grid: radii 2^-j, j = 0..k_max; ball masses m_k(B_j) per (k, j),
+    # every m_k from one ball sweep per radius (doubling radii included)
     radii = [2.0 ** (-j) for j in range(k_max + 1)]
-    mk_ball = {(k, j): row_sums(nbrs.self_lists(r), seq.weights_per_k[k])
-               for k in range(k_max + 1) for j, r in enumerate(radii)}
+    sums = {r: nbrs.ball_sums(S, r, seq.weights_per_k)
+            for r in {*radii, *(c * eps**k for c in c_grid for k in range(k_max + 1))}}
+    mk_ball = {(k, j): sums[r][k] for k in range(k_max + 1) for j, r in enumerate(radii)}
 
     C1 = 0.0
     C2 = math.inf
@@ -238,7 +240,7 @@ def verify_regular_sequence(
     for c in c_grid:
         worst = 0.0
         for k in range(k_max + 1):
-            big, base = row_sums(nbrs.self_lists(c * eps**k), seq.weights_per_k[k]), mk_ball[k, k]
+            big, base = sums[c * eps**k][k], mk_ball[k, k]
             worst = max(worst, float(np.max(np.divide(big, base, out=np.zeros(S.size), where=base > 0))))
         doubling[float(c)] = worst
 

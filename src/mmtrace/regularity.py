@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbors import _pad, row_sums, subset_neighbors
+from ._neighbors import _pad, subset_neighbors
 from .content import _candidate_pool, _greedy_cover
 from .errors import EmptySet, InvalidGrid, InvalidParameter, ResolutionError
 from .space import _EPS, FiniteMetricMeasureSpace, dyadic_radii
@@ -124,7 +124,7 @@ def check_adr(
     nbrs = subset_neighbors(space, piece.ids)
     lo, hi = np.inf, 0.0
     for r in r_grid:
-        ratios = row_sums(nbrs.self_lists(r), piece.weights) * r**piece.theta / space.masses_at_radius(r, piece.ids)
+        ratios = nbrs.ball_sums(piece.ids, r, piece.weights[None])[0] * r**piece.theta / space.masses_at_radius(r, piece.ids)
         lo = min(lo, float(np.min(ratios)))
         hi = max(hi, float(np.max(ratios)))
     ok = bool(np.isfinite(hi) and lo > 0)
@@ -184,27 +184,33 @@ def porosity_scan(
     r_grid = list(r_grid)
     if not r_grid:
         raise InvalidGrid("r_grid must be nonempty")
-    subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
-    holes = [max(sigma * r - space.resolution, 0.0) + _EPS for r in r_grid]
-    # distance from every space point to the subset; past twice the largest
-    # hole radius it may read inf, which compares the same
-    if space.coords is None:
-        d_to_s = np.min(space.dist_matrix[:, subset_ids], axis=1)
-    else:
-        d_to_s = cKDTree(space.coords[subset_ids]).query(space.coords, distance_upper_bound=2.0 * max(holes))[0]
-    masks = []
-    for r, hole in zip(r_grid, holes):
-        far = np.flatnonzero(d_to_s > hole)
-        reach = _pad((1.0 - sigma) * r)
+    nbrs = subset_neighbors(space, subset_ids)
+    key = (float(sigma), tuple(map(float, r_grid)))
+    if key not in nbrs.porosity_masks:
+        holes = [max(sigma * r - space.resolution, 0.0) + _EPS for r in r_grid]
+        # distance from every space point to the subset; past twice the largest
+        # hole radius it may read inf, which compares the same
         if space.coords is None:
-            mask = np.any(space.dist_matrix[np.ix_(subset_ids, far)] <= reach, axis=1)
+            d_to_s = np.min(space.dist_matrix[:, nbrs.ids], axis=1)
         else:
-            # a tree for one query: a quick build beats a balanced one
-            far_tree = cKDTree(space.coords[far], balanced_tree=False, compact_nodes=False)
-            mask = far_tree.query(space.coords[subset_ids])[0] <= reach
-        masks.append(mask)
+            d_to_s = nbrs._tree.query(space.coords, distance_upper_bound=2.0 * max(holes))[0]
+        masks = []
+        for r, hole in zip(r_grid, holes):
+            far = np.flatnonzero(d_to_s > hole)
+            reach = _pad((1.0 - sigma) * r)
+            if space.coords is None:
+                mask = np.any(space.dist_matrix[np.ix_(nbrs.ids, far)] <= reach, axis=1)
+            else:
+                # a tree for one query: a quick build beats a balanced one
+                far_tree = cKDTree(space.coords[far], balanced_tree=False, compact_nodes=False)
+                mask = far_tree.query(space.coords[nbrs.ids])[0] <= reach
+            # read-only: every scan of this subset, sigma and grid shares it
+            mask.flags.writeable = False
+            masks.append(mask)
+        nbrs.porosity_masks[key] = masks
+    masks = nbrs.porosity_masks[key]
     is_porous = bool(all(m.all() for m in masks))
-    return PorosityReport(sigma=float(sigma), r_grid=r_grid, porous_points_per_scale=masks, is_porous=is_porous)
+    return PorosityReport(sigma=float(sigma), r_grid=r_grid, porous_points_per_scale=list(masks), is_porous=is_porous)
 
 
 def compose_piecewise(pieces: Sequence[SubsetPiece]) -> PiecewiseSet:

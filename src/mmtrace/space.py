@@ -296,10 +296,12 @@ def separated_net(
     chosen = _greedy_net(space, ids, sep)
     covering = None
     if maximal:
-        covering = 0.0
-        for i in ids:
-            d = min(space.distance(int(i), int(c)) for c in chosen)
-            covering = max(covering, d)
+        if space.coords is None:
+            step = max(1, (1 << 20) // len(chosen))
+            covering = max(float(space.dist_matrix[np.ix_(ids[lo : lo + step], chosen)].min(axis=1).max())
+                           for lo in range(0, ids.size, step))
+        else:
+            covering = float(cKDTree(space.coords[chosen]).query(space.coords[ids])[0].max())
     return SeparatedNet(
         scale_k=int(k),
         points=np.asarray(chosen, dtype=int),

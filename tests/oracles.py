@@ -250,7 +250,9 @@ def osearch_family(member_sets, terms, centers, radii, budget):
     in order of (-term, center, radius); a disjoint ball is added while the
     budget lasts, a ball beating the summed terms of the chosen balls it
     meets (in chosen order) replaces them, and freed budget is refilled;
-    at most three rounds.  Returns the sorted chosen indices."""
+    at most three rounds.  Returns the sorted chosen indices.  The package
+    search has no swap pass, since no swap can gain; keeping the pass here
+    checks that claim."""
     sets = [set(map(int, m)) for m in member_sets]
     order = sorted(range(len(sets)), key=lambda i: (-terms[i], centers[i], radii[i]))
     taken, chosen = set(), []

@@ -6,6 +6,7 @@ import weakref
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,35 @@ def test_cross_pairs_and_pair_abs_diffs(inst, data, matrix):
         assert abs(got[t] - ref) <= TOL * max(1.0, ref)
 
 
+@PROPS
+@given(instances(), st.data(), st.booleans())
+def test_pair_abs_diffs_on_repeated_pairs(inst, data, matrix):
+    """Pairs of any rows, repeated, so many (row a, point y) combinations
+    recur within and across blocks."""
+    coords, weights, values, subset, radius, budget = inst
+    space = _space(coords, weights, matrix)
+    nbrs = nb.subset_neighbors(space, subset)
+    m = subset.size
+    ia = np.sort(np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=40))))
+    ib = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=ia.size, max_size=ia.size)))
+    rows = _oracle_rows(coords, subset, radius)
+    w, g = weights[subset], values[subset]
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        got = nb.pair_abs_diffs(nbrs.self_lists(radius), w, g, nbrs.self_lists(radius), w, g, ia, ib)
+    assert np.all(got >= 0)
+    for t, (a, b) in enumerate(zip(ia, ib)):
+        ref = sum(w[x] * w[y] * abs(g[x] - g[y]) for x in rows[a] for y in rows[b])
+        assert abs(got[t] - ref) <= TOL * max(1.0, ref)
+
+
+def test_gl3_finite_on_a_step():
+    """Where both balls hold one value of a 0/1 step, the prefix-sum terms
+    cancel to a zero that rounded to -5e-16 and made gl3 NaN."""
+    space, pw = mt.generate(mt.difficult_case_spec(1 / 24), verify=False)
+    f = mt.make_sample_function(space, pw, "step")
+    assert np.isfinite(mt.gluing(space, pw, f, 2.5, which=3).value)
+
+
 def _some_ids(data, n):
     """Point ids in any order, with repeats, on or off the subset."""
     return np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30)))
@@ -125,17 +155,59 @@ def test_rows_of_around_any_centres(inst, data, matrix):
     assert all(hi == lo + 1 or csr[0][-1] <= budget for lo, hi, csr in blocks)
     rows = [list(ind[ptr[a]:ptr[a + 1]]) for _, _, (ptr, ind) in blocks for a in range(ptr.size - 1)]
     assert rows == want
+    # value-ranked rows list rank[j] in increasing order
+    rank = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(subset.size)
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        ranked = list(nbrs.rows_of(centres, radius, nbrs.counts_of(centres, radius), rank))
+        dev_of = nbrs.deviations_of(centres, radius, w, g)
+    got = [list(ind[ptr[a]:ptr[a + 1]]) for _, _, (ptr, ind) in ranked for a in range(ptr.size - 1)]
+    assert got == [sorted(rank[row].tolist()) for row in want]
     for a, row in enumerate(want):
         ref = oE(g[row], w[row])
         assert abs(dev[a] - ref) <= TOL * max(1.0, ref)
+        assert abs(dev_of[a] - ref) <= TOL * max(1.0, ref)
 
 
 @PROPS
 @given(instances(), st.data(), st.booleans())
-def test_calderon_maximal_matches_oracle(inst, data, matrix):
+def test_ball_sums_equal_row_sums(inst, data, matrix):
+    """Around the subset's own points the sums equal ``row_sums`` over the
+    cached sweep, around any points the oracle."""
+    coords, weights, values, subset, radius, budget = inst
+    space = _space(coords, weights, matrix)
+    nbrs = nb.subset_neighbors(space, subset)
+    stack = np.stack([weights[subset], values[subset]])
+    centres = _some_ids(data, coords.shape[0])
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        own = nbrs.ball_sums(subset, radius, stack)
+        got = nbrs.ball_sums(centres, radius, stack)
+    for w, row in zip(stack, own):
+        np.testing.assert_allclose(row, nb.row_sums(nbrs.self_lists(radius), w), rtol=TOL, atol=TOL)
+    in_sub = {int(i): p for p, i in enumerate(subset)}
+    for a, x in enumerate(centres):
+        members = [in_sub[i] for i in oball(coords, x, radius) if i in in_sub]
+        for w, row in zip(stack, got):
+            assert abs(row[a] - sum(w[members])) <= TOL * max(1.0, sum(abs(w[members])))
+
+
+def _values_of_kind(data, kind, drawn):
+    """The drawn values, or values that stop the scale sweep early: random,
+    a single spike, a constant."""
+    n = drawn.size
+    if kind == "random":
+        return np.random.default_rng(data.draw(st.integers(0, 2**16))).uniform(-1.0, 1.0, n)
+    if kind == "spike":
+        return np.where(np.arange(n) == data.draw(st.integers(0, n - 1)), 5.0, 0.0)
+    return drawn if kind == "drawn" else np.full(n, 0.3)
+
+
+@PROPS
+@given(instances(), st.data(), st.booleans(), st.sampled_from(["drawn", "random", "spike", "constant"]))
+def test_calderon_maximal_matches_oracle(inst, data, matrix, kind):
     """Scales 2^-j for j = 0..2, so doubled radii 2, 1, 1/2 land on lattice
     distances; evaluation points may lie off S."""
     coords, weights, values, subset, _, budget = inst
+    values = _values_of_kind(data, kind, values)
     eval_ids = _some_ids(data, coords.shape[0])
     space = _space(coords, weights, matrix, resolution=0.25)
     piece = mt.SubsetPiece(ids=subset, theta=0.5, weights=weights[subset])
@@ -158,6 +230,8 @@ def test_sharp_mu_s1_matches_oracle(inst, data, matrix):
         mt.SubsetPiece(ids=s1, theta=0.0, weights=weights[s1]),
         mt.SubsetPiece(ids=s2, theta=1.0, weights=weights[s2]),
     ])
+    # the cloud lies in the unit cube, so every ball at r_top = 2 holds S1
+    assert np.all(nb.subset_neighbors(space, s1).counts_of(pw.union_ids, 2.0) == s1.size)
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
         got = mt.sharp_mu_s1(space, pw, values)
     for x, val in zip(pw.union_ids, got):
@@ -174,6 +248,35 @@ def test_porosity_scan_matches_oracle(inst, sigma, matrix):
     rep = mt.porosity_scan(space, subset, sigma, grid)
     for r, mask in zip(grid, rep.porous_points_per_scale):
         assert mask.tolist() == oporous_mask(coords, subset.tolist(), sigma, r, 0.25)
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_calderon_probe_misses_only_fine_scales(matrix):
+    """A point off S whose finest probe ball is empty still takes the
+    coarser scales, where the probe meets S."""
+    coords = np.array([[0.0], [0.0], [0.5]])
+    space = _space(coords, np.ones(3), matrix, resolution=0.25)
+    piece = mt.SubsetPiece(ids=np.array([0, 1]), theta=0.5, weights=np.ones(2))
+    seq = mt.build_measure_sequence(space, mt.compose_piecewise([piece]), 1.0)
+    values = np.array([-1.0, 0.0, 7.0])
+    got = mt.calderon_maximal(space, seq, values, [2, 0])
+    mk = [seq.dense(k) for k in range(seq.k_max + 1)]
+    want = [osharp(coords, {0, 1}, mk, values, x, seq.k_max) for x in (2, 0)]
+    assert want[0] == 1.0
+    np.testing.assert_allclose(got, want, rtol=TOL)
+
+
+def test_porosity_masks_shared_per_sigma_and_grid():
+    coords = np.stack(np.meshgrid(np.arange(9) / 8, np.arange(9) / 8, indexing="ij"), -1).reshape(-1, 2)
+    space = mt.FiniteMetricMeasureSpace(weights=np.full(81, 1 / 81), coords=coords, resolution=1 / 8)
+    line = np.flatnonzero(coords[:, 1] == 0.5)
+    first = mt.porosity_scan(space, line, 0.25, [0.5, 0.25])
+    with mock.patch("mmtrace.regularity.cKDTree", side_effect=AssertionError("rebuilt")):
+        again = mt.porosity_scan(space, line, 0.25, [0.5, 0.25])
+    assert all(a is b for a, b in zip(first.porous_points_per_scale, again.porous_points_per_scale))
+    assert not first.porous_points_per_scale[0].flags.writeable
+    other = mt.porosity_scan(space, line, 0.5, [0.5, 0.25])
+    assert other.porous_points_per_scale[0] is not first.porous_points_per_scale[0]
 
 
 def test_long_row_split_from_its_block():

@@ -89,8 +89,10 @@ class TestNets:
         geometry = {"dist_matrix": dist} if kind == "matrix" else {"coords": coords}
         sp = mt.FiniteMetricMeasureSpace(weights=np.ones(n), resolution=1 / 16, **geometry)
         ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        net = mt.separated_net(sp, ids, k, maximal=False)
+        net = mt.separated_net(sp, ids, k)
         assert list(net.points) == ogreedy_net(sp.distance, ids, 2.0**-k)
+        want = dist[np.ix_(ids, net.points)].min(axis=1).max()
+        assert abs(net.covering_radius - want) <= 1e-12 * max(1.0, want)
 
     def test_empty_subset(self, grid1d_11):
         with pytest.raises(EmptySet):
