@@ -50,22 +50,46 @@ class SubsetNeighbors:
         d = self.space.distances_from(center)[self.ids]
         return np.flatnonzero(d <= r)
 
+    def _cached(self, centres: np.ndarray, radius: float):
+        """The cached sweep at radius and the positions of centres in it;
+        (None, None) unless it is cached and every centre is in the subset."""
+        csr = self._lists_cache.get(float(radius))
+        if csr is not None:
+            pos = np.searchsorted(self.ids, centres)
+            if np.all(pos < self.ids.size) and np.array_equal(self.ids[pos], centres):
+                return csr, pos
+        return None, None
+
     def counts_of(self, centres, radius: float) -> np.ndarray:
-        """Per space point id in centres: the number of subset points within radius."""
+        """Per space point id in centres: the number of subset points within
+        radius (the row lengths of the cached sweep, if it serves)."""
+        centres = np.asarray(centres, dtype=int)
+        csr, pos = self._cached(centres, radius)
+        if csr is not None:
+            return csr[0][pos + 1] - csr[0][pos]
         if self._tree is None:
             return np.count_nonzero(self.space.dist_matrix[np.ix_(centres, self.ids)] <= _pad(radius), axis=1)
         return self._tree.query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
 
     def rows_of(self, centres, radius: float, counts=None, rank=None):
-        """Uncached CSR rows of the radius-balls around the space point ids
-        in centres, restricted to the subset, in blocks of about PAIR_BLOCK
+        """CSR rows of the radius-balls around the space point ids in
+        centres, restricted to the subset, in blocks of about PAIR_BLOCK
         pairs: yields ``(lo, hi, (indptr, indices))`` for centres[lo:hi];
         ``counts`` are their ``counts_of``, if known.  With ``rank`` (a
-        permutation of subset positions) a row lists rank[j] for j, sorted."""
+        permutation of subset positions) a row lists rank[j] for j, sorted.
+        Rows are gathered from the cached sweep if it serves, else built
+        without caching them."""
         centres = np.asarray(centres, dtype=int)
+        n, r = self.ids.size, _pad(radius)
+        csr, pos = self._cached(centres, radius)
+        if csr is not None:
+            for lo, hi, cols, starts, lengths in _rows(csr, pos):
+                if rank is not None:
+                    cols = (_ranked(cols, lengths, rank) % n).astype(np.int32)
+                yield lo, hi, (np.append(starts, cols.size), cols)
+            return
         if counts is None:
             counts = self.counts_of(centres, radius)
-        n, r = self.ids.size, _pad(radius)
         # column c of a matrix block is the position of rank c
         cols = self.ids if rank is None else self.ids[np.argsort(rank)]
         for lo, hi in _blocks(np.concatenate(([0], np.cumsum(counts)))):
@@ -169,32 +193,37 @@ def _blocks(indptr: np.ndarray):
         lo = hi
 
 
-def _rows(csr):
-    """Per block of rows lo..hi-1: (lo, hi, pair positions, local row
-    starts, row lengths)."""
+def _rows(csr, rows=None):
+    """Per block of rows lo..hi-1 of csr, or of the listed rows of csr:
+    (lo, hi, pair positions, local row starts, row lengths)."""
     indptr, indices = csr
-    for lo, hi in _blocks(indptr):
-        yield lo, hi, indices[indptr[lo] : indptr[hi]], indptr[lo:hi] - indptr[lo], np.diff(indptr[lo : hi + 1])
+    if rows is None:
+        for lo, hi in _blocks(indptr):
+            yield lo, hi, indices[indptr[lo] : indptr[hi]], indptr[lo:hi] - indptr[lo], np.diff(indptr[lo : hi + 1])
+        return
+    first = indptr[rows]
+    lengths = indptr[rows + 1] - first
+    ends = np.concatenate(([0], np.cumsum(lengths)))
+    for lo, hi in _blocks(ends):
+        starts = ends[lo:hi] - ends[lo]
+        at = np.repeat(first[lo:hi] - starts, lengths[lo:hi]) + np.arange(ends[hi] - ends[lo])
+        yield lo, hi, indices[at], starts, lengths[lo:hi]
 
 
-def _sorted_rows(csr, g: np.ndarray):
-    """``_rows`` with each row in value order of g, ties by position as a
-    stable argsort of the row gives, from one sort of int64 keys
-    (local row) * n + (value rank); yields the keys and sorted positions."""
-    by_rank = np.argsort(g, kind="stable")
-    rank = np.empty(g.size, dtype=np.int64)
-    rank[by_rank] = np.arange(g.size)
-    for lo, hi, cols, starts, lengths in _rows(csr):
-        keys = np.repeat(np.arange(hi - lo, dtype=np.int64) * g.size, lengths) + rank[cols]
-        keys.sort()
-        yield lo, hi, keys, by_rank[keys % g.size], starts, lengths
+def _ranked(cols: np.ndarray, lengths: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Sorted int64 keys (local row) * n + rank[col]: per row, its ranks in
+    increasing order."""
+    keys = np.repeat(np.arange(lengths.size, dtype=np.int64) * rank.size, lengths) + rank[cols]
+    keys.sort()
+    return keys
 
 
 def _row_reduce(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per-row sums of x.  ``np.add.reduceat`` returns the next element for
-    an empty row, so those are zeroed; the appended 0 keeps starts in range."""
-    out = np.add.reduceat(np.append(x, 0.0), starts)
-    out[lengths == 0] = 0.0
+    """Per-row sums of x, zero for an empty row.  Only non-empty rows are
+    reduced, so each sums exactly its own elements and a row's value does
+    not depend on which rows share its block."""
+    out = np.zeros(lengths.size)
+    out[lengths > 0] = np.add.reduceat(x, starts[lengths > 0], dtype=float)
     return out
 
 
@@ -234,8 +263,12 @@ def row_deviations(csr, w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per row: the best-constant deviation inf_c sum_b w_b |g_b - c| /
     sum_b w_b, taken at the weighted median ``weighted_stats`` takes (zero
     for a zero-mass ball)."""
+    by_rank = np.argsort(g, kind="stable")
+    rank = np.argsort(by_rank)
     out = np.zeros(csr[0].size - 1)
-    for lo, hi, _, pos, starts, lengths in _sorted_rows(csr, g):
+    for lo, hi, cols, starts, lengths in _rows(csr):
+        # each row in value order, ties by position as a stable argsort gives
+        pos = by_rank[_ranked(cols, lengths, rank) % g.size]
         _best_devs(g[pos], w[pos], starts, lengths, out[lo:hi])
     return out
 
@@ -251,37 +284,30 @@ def _ranked_deviations(csr, w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def pair_abs_diffs(csr_a, wa, ga, csr_b, wb, gb, ia, ib) -> np.ndarray:
     """Per pair t: the sum over x in row ia[t] of csr_a and y in row ib[t]
-    of csr_b of wa[x] wb[y] |ga[x] - gb[y]|, from value-sorted rows of
-    csr_a with in-row prefix sums of w and w*g (the sorted-ball cache)."""
-    indptr, n = csr_a[0], ga.size
-    keys = np.empty(csr_a[1].size, dtype=np.int64)
-    # row a holds 0 and its prefix sums at indptr[a] + a .. indptr[a + 1] + a
-    cw = np.empty(keys.size + indptr.size - 1)
-    cwg = np.empty_like(cw)
-    for lo, hi, k, pos, starts, lengths in _sorted_rows(csr_a, ga):
-        keys[indptr[lo] : indptr[hi]] = k + lo * n
-        slot = np.arange(k.size + hi - lo) - np.repeat(np.arange(hi - lo), lengths + 1)
-        for dst, x in ((cw, wa[pos]), (cwg, wa[pos] * ga[pos])):
-            cum = np.concatenate(([0.0], np.cumsum(x)))
-            dst[indptr[lo] + lo : indptr[hi] + hi] = cum[slot] - np.repeat(cum[starts], lengths + 1)
-    g_sorted = np.sort(ga)
-    indptr_b, indices_b = csr_b
-    lengths_b = np.diff(indptr_b)[ib]
+    of csr_b of wa[x] wb[y] |ga[x] - gb[y]|.  A table T[a, q], the sum over
+    x in row a of wa[x] |ga[x] - u[q]| for u the sorted distinct values of
+    gb, comes from per-(row, value bucket) sums of w and w*g accumulated
+    along the buckets; pair t sums wb[y] T[a, bucket of gb[y]] over row
+    ib[t].  T holds |unique(ia)| x |u| floats: cheap when gb takes few
+    values (in gluing a segment on the canonical instances, 33 at h = 1/32)."""
+    u, q = np.unique(gb, return_inverse=True)
+    # g_x <= u[q] exactly when t[x] <= q
+    t = np.searchsorted(u, ga)
+    wga = wa * ga
+    rows = np.unique(ia)
+    table = np.empty((rows.size, u.size))
+    for lo, hi, x, _, lengths in _rows(csr_a, rows):
+        key = np.repeat(np.arange(hi - lo) * (u.size + 1), lengths) + t[x]
+        # per row, sums over t <= q for q = 0 .. |u|; the last is the row total
+        cw, cwg = (
+            np.cumsum(np.bincount(key, v, (hi - lo) * (u.size + 1)).reshape(hi - lo, -1), axis=1)
+            for v in (wa[x], wga[x])
+        )
+        w_le, s_le, w_tot, s_tot = cw[:, :-1], cwg[:, :-1], cw[:, -1:], cwg[:, -1:]
+        table[lo:hi] = u * w_le - s_le + (s_tot - s_le) - u * (w_tot - w_le)
+    table, at = table.ravel(), np.searchsorted(rows, ia) * u.size
     out = np.empty(ia.size)
-    for lo, hi in _blocks(np.concatenate(([0], np.cumsum(lengths_b)))):
-        lengths = lengths_b[lo:hi]
-        starts = np.cumsum(lengths) - lengths
-        y = indices_b[np.repeat(indptr_b[ib[lo:hi]] - starts, lengths) + np.arange(lengths.sum())]
-        # pairs sharing a row a repeat (a, y): evaluate each once
-        combo = np.repeat(ia[lo:hi], lengths) * gb.size + y
-        uniq = np.sort(combo)
-        uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
-        a, gy = uniq // gb.size, gb[uniq % gb.size]
-        # row a's members with value <= gy are the keys below (a, rank q)
-        le = np.searchsorted(keys, a * n + np.searchsorted(g_sorted, gy, side="right")) + a
-        tot = indptr[a + 1] + a
-        w_le, s_le, w_tot, s_tot = cw[le], cwg[le], cw[tot], cwg[tot]
-        per_y = gy * w_le - s_le + (s_tot - s_le) - gy * (w_tot - w_le)
-        out[lo:hi] = _row_reduce(wb[y] * per_y[np.searchsorted(uniq, combo)], starts, lengths)
+    for lo, hi, y, starts, lengths in _rows(csr_b, ib):
+        out[lo:hi] = _row_reduce(wb[y] * table[np.repeat(at[lo:hi], lengths) + q[y]], starts, lengths)
     # a sum of |differences| that cancels to zero may round below it
     return np.maximum(out, 0.0)

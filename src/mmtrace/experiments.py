@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._neighbors import SubsetNeighbors
 from .errors import InsufficientData, IoError, ParameterError
 from .functionals import (
     FunctionalReport,
@@ -229,22 +230,24 @@ def dirichlet_upper_bound_probe(
     discrete Sobolev-type norm of F; probes the upper-bound direction of
     the trace theorem with the generator-supplied extension."""
     vals = F.values if isinstance(F, SampleFunction) else np.asarray(F, dtype=float)
-    nbr_r = 1.01 * space.resolution
-    lip = np.zeros(space.n)
-    for x in range(space.n):
-        members = space.members(x, nbr_r)
-        members = members[members != x]
-        if members.size == 0:
-            raise InsufficientData(f"point {x} has no mesh neighbors")
-        d = np.array([space.distance(x, int(m)) for m in members])
-        lip[x] = float(np.max(np.abs(vals[members] - vals[x]) / d))
+    # a throwaway instance: the probe's sweep stays out of the space's cache
+    indptr, y = SubsetNeighbors(space, space.ids).self_lists(1.01 * space.resolution)
+    x = np.repeat(space.ids, np.diff(indptr))
+    x, y = x[x != y], y[x != y]
+    degree = np.bincount(x, minlength=space.n)
+    if not degree.all():
+        raise InsufficientData(f"point {int(np.argmin(degree))} has no mesh neighbors")
+    d = space.dist_matrix[x, y] if space.coords is None else np.linalg.norm(space.coords[x] - space.coords[y], axis=1)
+    lip = np.maximum.reduceat(np.abs(vals[y] - vals[x]) / d, np.cumsum(degree) - degree)
     energy = float(np.sum(space.weights * lip**p))
     denom = float(np.sum(space.weights * np.abs(vals) ** p) ** (1.0 / p)) + energy ** (1.0 / p)
     # the homogeneous parts of trace_norm_simple / trace_norm_difficult
     if piecewise.pieces[0].theta > 0:
         hom, thin = gluing(space, piecewise, vals, p, which=l).value, piecewise.pieces
     else:
-        hom = sharp_norm_s1(space, piecewise, vals, p) + gluing(space, piecewise, vals, p, which=3).value
+        # gl3 first: sharp_mu_s1 reads the sweeps it caches
+        hom = gluing(space, piecewise, vals, p, which=3).value
+        hom = sharp_norm_s1(space, piecewise, vals, p) + hom
         thin = piecewise.pieces[1:]
     for pc in thin:
         hom += besov_norm(space, pc, vals, 1.0 - pc.theta / p, p).parts["seminorm"]

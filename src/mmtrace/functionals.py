@@ -350,10 +350,7 @@ def bn_functional(
     m0 = seq.weights_per_k[0]
     lp = float(np.sum(m0 * np.abs(f_on_s) ** p) ** (1.0 / p))
 
-    sharp_vals = calderon_maximal(space, seq, f)
-    mu_on_s = space.weights[S]
-    sharp = float(np.sum(mu_on_s * sharp_vals**p) ** (1.0 / p))
-
+    # the scale sum caches the sweeps that calderon_maximal then reads
     r_grid = [2.0 ** (-k) for k in range(1, k_max + 1)]
     report = porosity_scan(space, S, sigma, r_grid)
     scale_p = 0.0
@@ -365,6 +362,8 @@ def bn_functional(
         last = 2.0 ** (k * (p - seq.theta)) * float(np.sum(mk[mask] * e[mask] ** p))
         scale_p += last
     scale_sum = scale_p ** (1.0 / p)
+    sharp_vals = calderon_maximal(space, seq, f)
+    sharp = float(np.sum(space.weights[S] * sharp_vals**p) ** (1.0 / p))
     theta1 = piecewise.pieces[0].theta
     return FunctionalReport(
         name="bn",
@@ -683,9 +682,10 @@ def trace_norm_difficult(
     mu1 = space.weights[s1.ids]
     vals = _values(f)
     lp_s1 = float(np.sum(mu1 * np.abs(vals[s1.ids]) ** p) ** (1.0 / p))
+    # gl3 caches the fat piece's sweeps that sharp_mu_s1 then reads
+    gl = gluing(space, piecewise, f, p, which=3, k_max=k_max)
     sharp_s1 = sharp_norm_s1(space, piecewise, f, p)
     bes = besov_norm(space, piecewise.pieces[1], f, 1.0 - th2 / p, p, k_max=k_max)
-    gl = gluing(space, piecewise, f, p, which=3, k_max=k_max)
     parts = {
         "lp_s1": lp_s1,
         "sharp_s1": sharp_s1,

@@ -290,3 +290,16 @@ def osearch_family(member_sets, terms, centers, radii, budget):
         if not improved:
             break
     return sorted(chosen)
+
+
+def odirichlet_lip(dist, fvals, r):
+    """Per point x, one at a time: the largest |f(y) - f(x)| / d(x, y) over
+    the other points y within r; raises ValueError(x) at the first point
+    without one."""
+    lip = []
+    for x in range(len(fvals)):
+        ys = [y for y in range(len(fvals)) if y != x and dist[x, y] <= r * (1 + PAD) + PAD]
+        if not ys:
+            raise ValueError(x)
+        lip.append(max(abs(fvals[y] - fvals[x]) / dist[x, y] for y in ys))
+    return np.array(lip)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import mmtrace as mt
-from mmtrace.errors import ParameterError
+from mmtrace.errors import InsufficientData, ParameterError
 from mmtrace.experiments import CSV_HEADER, RatioReport, report_to_csv, run_equivalence
+from mmtrace.functionals import sharp_norm_s1
 from mmtrace.io import parse_config
+from oracles import odirichlet_lip
 
 SMALL_CONFIG = """
 name = simple3d
@@ -104,7 +106,44 @@ class TestFunctionalDispatch:
         assert np.isfinite(rep.value) and rep.value > 0
 
 
+def _distances(coords):
+    return np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
+
+
+def _matrix_twin(space):
+    return mt.FiniteMetricMeasureSpace(
+        weights=space.weights, dist_matrix=_distances(space.coords), resolution=space.resolution, validate=False
+    )
+
+
 class TestDirichletProbe:
+    @pytest.mark.parametrize("matrix", [False, True])
+    @pytest.mark.parametrize("spec", [mt.simple_case_spec, mt.difficult_case_spec])
+    def test_matches_the_point_loop(self, spec, matrix):
+        space, pw = mt.generate(spec(1 / 8), verify=False)
+        f = mt.make_sample_function(space, pw, "random").values
+        lip = odirichlet_lip(_distances(space.coords), f, 1.01 * space.resolution)
+        if matrix:
+            space = _matrix_twin(space)
+        p = 2.5
+        denom = np.sum(space.weights * np.abs(f) ** p) ** (1 / p) + np.sum(space.weights * lip**p) ** (1 / p)
+        if pw.pieces[0].theta > 0:
+            hom, thin = mt.gluing(space, pw, f, p, which=1).value, pw.pieces
+        else:
+            hom, thin = sharp_norm_s1(space, pw, f, p) + mt.gluing(space, pw, f, p, which=3).value, pw.pieces[1:]
+        hom += sum(mt.besov_norm(space, pc, f, 1 - pc.theta / p, p).parts["seminorm"] for pc in thin)
+        assert mt.dirichlet_upper_bound_probe(space, f, p, pw) == pytest.approx(hom / denom, rel=1e-12)
+
+    @pytest.mark.parametrize("matrix", [False, True])
+    def test_lowest_isolated_point_named(self, matrix):
+        coords = np.array([[0.0], [0.1], [0.5], [0.8], [0.9], [1.3]])
+        space = mt.FiniteMetricMeasureSpace(weights=np.ones(6), coords=coords, resolution=0.1)
+        with pytest.raises(ValueError, match="2"):
+            odirichlet_lip(_distances(coords), np.zeros(6), 0.101)
+        pw = mt.compose_piecewise([mt.SubsetPiece(ids=np.array([0, 1]), theta=0.5, weights=np.ones(2))])
+        with pytest.raises(InsufficientData, match="point 2 has"):
+            mt.dirichlet_upper_bound_probe(_matrix_twin(space) if matrix else space, np.zeros(6), 2.5, pw)
+
     def test_constant_zero(self):
         space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
         F = mt.make_sample_function(space, pw, "constant")

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 import mmtrace as mt
 from conftest import build_tiny_instance
+from mmtrace import functionals
+from mmtrace._neighbors import subset_neighbors
+from mmtrace.space import dyadic_radii
 from mmtrace.errors import (
     InvalidFamily,
     InvalidPair,
@@ -257,6 +261,42 @@ class TestGluing:
             s_k = cfg.s_set_mask(0, 1, k)
             s_k1 = cfg.s_set_mask(0, 1, k + 1)
             assert np.all(s_k1 <= s_k)
+
+
+def _extended_numerators(csr_a, wa, ga, csr_b, wb, gb, ia, ib):
+    """The gl3 numerator double loop in extended precision, one product
+    block per pair."""
+    (pa, xa), (pb, xb) = csr_a, csr_b
+    wa, ga, wb, gb = (v.astype(np.longdouble) for v in (wa, ga, wb, gb))
+    out = np.empty(ia.size, dtype=np.longdouble)
+    for t, (a, b) in enumerate(zip(ia, ib)):
+        x, y = xa[pa[a] : pa[a + 1]], xb[pb[b] : pb[b + 1]]
+        out[t] = np.sum(wa[x, None] * wb[None, y] * np.abs(ga[x, None] - gb[None, y]))
+    return out
+
+
+class TestGl3Numerators:
+    @pytest.mark.parametrize("spec", [mt.simple_case_spec, mt.difficult_case_spec])
+    def test_numerators_match_extended_precision(self, spec):
+        """Every numerator gluing asks for, on smooth and random functions
+        and on a near-constant one with a 1e6 offset."""
+        space, pw = mt.generate(spec(1 / 16), verify=False)
+        near_constant = 1e6 + 1e-6 * np.random.default_rng(3).uniform(-1, 1, space.n)
+        calls = []
+        kernel = functionals.pair_abs_diffs
+
+        def spy(*args):
+            calls.append((args, kernel(*args)))
+            return calls[-1][1]
+
+        with mock.patch.object(functionals, "pair_abs_diffs", spy):
+            for fam in ("hoelder:0.6", "random"):
+                mt.gluing(space, pw, mt.make_sample_function(space, pw, fam), 2.5, which=3)
+            mt.gluing(space, pw, near_constant, 2.5, which=3)
+        assert len(calls) == 3 * mt.default_k_max(space)
+        for args, got in calls:
+            want = _extended_numerators(*args)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 class TestMetricBackendAgreement:
@@ -668,3 +708,28 @@ class TestTraceNorms:
         gl = mt.gluing(space, pw, f, 2.5, 3)
         assert rep.parts["gl3"] == pytest.approx(gl.value, rel=1e-12)
         assert rep.value == pytest.approx(sum(rep.parts.values()), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["trace_difficult", "bn"])
+    def test_fresh_and_warm_spaces_agree(self, case):
+        """Sweeps cached in advance change no bit of a report, and a call
+        on a fresh space caches only the radii its scale sums read."""
+
+        def instance():
+            spec = mt.difficult_case_spec if case == "trace_difficult" else mt.simple_case_spec
+            space, pw = mt.generate(spec(1 / 8), verify=False)
+            f = mt.make_sample_function(space, pw, "random")
+            if case == "trace_difficult":
+                return space, pw, lambda: mt.trace_norm_difficult(space, pw, f, 2.5).to_json()
+            seq = mt.build_measure_sequence(space, pw, 2.0, p=2.5)
+            return space, pw, lambda: mt.bn_functional(space, seq, pw, f, 2.5, 0.25).to_json()
+
+        space, _, run = instance()
+        fresh = run()
+        read = {2.0**-k for k in range(1, mt.default_k_max(space) + 1)}
+        assert all(set(nbrs._lists_cache) == read for nbrs in space._neighbors.values())
+        assert run() == fresh
+        warm_space, pw, warm_run = instance()
+        for ids in [pw.union_ids] + [pc.ids for pc in pw.pieces]:
+            for r in dyadic_radii(2.0, warm_space.scale_floor):
+                subset_neighbors(warm_space, ids).self_lists(r)
+        assert warm_run() == fresh

@@ -45,9 +45,9 @@ def _space(coords, weights, matrix, resolution=1.0):
     return mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=resolution, validate=False)
 
 
-def _oracle_rows(coords, subset, radius):
+def _oracle_rows(coords, subset, radius, centres=None):
     in_sub = {int(i): p for p, i in enumerate(subset)}
-    return [[in_sub[i] for i in oball(coords, x, radius) if i in in_sub] for x in subset]
+    return [[in_sub[i] for i in oball(coords, x, radius) if i in in_sub] for x in (subset if centres is None else centres)]
 
 
 @PROPS
@@ -317,3 +317,71 @@ def test_cache_does_not_keep_the_space_alive():
     ref = weakref.ref(space)
     del space
     assert ref() is None
+
+
+@PROPS
+@given(instances(), st.data(), st.booleans())
+def test_kernels_do_not_depend_on_the_block(inst, data, matrix):
+    """A row's sum and a pair's numerator are the same bits whichever rows
+    share its block, around cached and uncached rows alike."""
+    coords, weights, values, subset, radius, _ = inst
+    space = _space(coords, weights, matrix)
+    nbrs = nb.subset_neighbors(space, subset)
+    stack = np.stack([weights[subset], values[subset]])
+    centres = _some_ids(data, coords.shape[0])
+    m = subset.size
+    ia = np.sort(np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=40))))
+    ib = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=ia.size, max_size=ia.size)))
+    w, g = stack
+
+    def kernels():
+        nbrs._lists_cache.clear()
+        out = [nbrs.ball_sums(centres, radius, stack)]
+        csr = nbrs.self_lists(radius)
+        # the same sums again, now gathered from the cached sweep
+        return out + [nbrs.ball_sums(centres, radius, stack), nb.row_sums(csr, g),
+                      nb.pair_abs_diffs(csr, w, g, csr, w, g, ia, ib)]
+
+    want = kernels()
+    np.testing.assert_array_equal(want[0], want[1])
+    for budget in (1, 3, 7):
+        with mock.patch.object(nb, "PAIR_BLOCK", budget):
+            got = kernels()
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def _queries(nbrs, centres, radius, rank):
+    counts = nbrs.counts_of(centres, radius)
+    plain = [a for _, _, csr in nbrs.rows_of(centres, radius) for a in csr]
+    ranked = [a for _, _, csr in nbrs.rows_of(centres, radius, counts, rank) for a in csr]
+    return [counts] + plain + ranked
+
+
+@PROPS
+@given(instances(), st.data(), st.booleans())
+def test_cached_sweep_serves_rows_of_and_counts_of(inst, data, matrix):
+    """Around subset points, counts and rows (plain and value-ranked) come
+    from the cached sweep without a distance query, bit-identical to the
+    rows built without it, and no query adds a cache entry."""
+    coords, weights, _, subset, radius, budget = inst
+    space = _space(coords, weights, matrix)
+    nbrs = nb.subset_neighbors(space, subset)
+    centres = subset[np.array(data.draw(st.lists(st.integers(0, subset.size - 1), max_size=30)), dtype=int)]
+    rank = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(subset.size)
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        built = _queries(nbrs, centres, radius, rank)
+        assert not nbrs._lists_cache
+        nbrs.self_lists(radius)
+        with mock.patch.object(nbrs, "_tree", object()), mock.patch.object(space, "dist_matrix", None):
+            served = _queries(nbrs, centres, radius, rank)
+        # a centre off the subset, or another radius, is built as before
+        off = np.append(centres, np.setdiff1d(np.arange(coords.shape[0]), subset)[:1])
+        np.testing.assert_array_equal(nbrs.counts_of(off, radius), [len(r) for r in _oracle_rows(coords, subset, radius, off)])
+        nbrs.counts_of(centres, 2 * radius)
+    assert list(nbrs._lists_cache) == [float(radius)]
+    assert len(served) == len(built)
+    for a, b in zip(served, built):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
