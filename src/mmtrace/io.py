@@ -13,14 +13,24 @@ Matrix-metric variant::
     <d(2,0)> <d(2,1)>                    # one row per point 1..n-1
     ...
 
-Pieces are a JSON sidecar; sample functions are `<id> <value>` lines.
-Experiment configs are `key = value` text (see parse_config).
+Tokens are separated by whitespace and blank lines are ignored.  An id
+is an integer literal (``1.0`` is not an id) and the ids of a space file
+are exactly 0..n-1, each once.  The id tables are read by numpy's C
+parser, which takes decimal reals, ``nan`` and ``inf`` but no underscored
+literal such as ``1_0``; the matrix distance block is still read by
+Python's ``float``.  Space files have no comments.
+
+Pieces are a JSON sidecar.  Sample functions are `<id> <value>` lines,
+each id at most once and absent ids NaN; there ``#`` starts a comment
+that runs to the end of the line.  Experiment configs are
+`key = value` text (see parse_config).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 
@@ -61,43 +71,67 @@ def _parse_header(line: str) -> dict:
     return fields
 
 
-def _point_rows(lines: list, n: int, width: int) -> np.ndarray:
-    """``<id> <width reals>`` lines as an (n, width) array ordered by id;
+def _read_table(fh, width: int, max_rows=None, comments=None):
+    """``(ids, values)`` of the ``<id> <width reals>`` lines from the file's
+    position on, parsed by numpy's C reader; it stops after ``max_rows``
+    data lines and skips blank ones.  Any malformed line is a ValueError."""
+    with warnings.catch_warnings():
+        # numpy warns about skipped blank lines and an empty table
+        warnings.simplefilter("ignore", UserWarning)
+        # older numpy releases read an id written `1.0`, with this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            table = np.loadtxt(fh, dtype=[("id", np.int64), ("v", float, (width,))],
+                               comments=comments, ndmin=1, max_rows=max_rows)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from exc
+    return table["id"], table["v"]
+
+
+def _id_rows(fh, n: int, width: int) -> np.ndarray:
+    """The next ``n`` point lines as an (n, width) array ordered by id;
     the ids must be exactly 0..n-1."""
-    toks = [ln.split() for ln in lines]
-    if len(toks) != n or any(len(t) != width + 1 for t in toks):
-        raise IoError(f"expected {n} point lines of an id and {width} values, got {len(toks)} lines")
-    ids = np.array([int(t[0]) for t in toks], dtype=int)
+    expected = f"expected {n} point lines of an id and {width} values"
+    try:
+        ids, values = _read_table(fh, width, max_rows=n)
+    except ValueError as exc:
+        raise IoError(f"{expected}: {exc}") from exc
+    if ids.size != n:
+        raise IoError(f"{expected}, got {ids.size} lines")
     if not np.array_equal(np.sort(ids), np.arange(n)):
         raise IoError(f"point ids must be exactly 0..{n - 1}, each once")
     rows = np.empty((n, width))
-    rows[ids] = [[float(v) for v in t[1:]] for t in toks]
+    rows[ids] = values
     return rows
 
 
 def load_space(path: str, c_res: float = 1.0) -> FiniteMetricMeasureSpace:
-    lines = [ln for ln in (l.strip() for l in _read_text(path, "space").splitlines()) if ln]
-    if not lines:
-        raise IoError(f"{path} is empty")
-    head = _parse_header(lines[0])
     try:
-        if head["magic"] == "mmspace v1":
-            n, dim, h = int(head["n"]), int(head["dim"]), float(head["h"])
-            rows = _point_rows(lines[1:], n, dim + 1)
-            return FiniteMetricMeasureSpace(weights=rows[:, dim], coords=rows[:, :dim], resolution=h, c_res=c_res)
-        if head["magic"] == "mmspace-matrix v1":
-            n, h = int(head["n"]), float(head["h"])
-            weights = _point_rows(lines[1 : n + 1], n, 1)[:, 0]
-            block = [[float(t) for t in ln.split()] for ln in lines[n + 1 :]]
-            if [len(row) for row in block] != list(range(1, n)):
-                raise IoError(f"distance block must have {n - 1} rows of lengths 1..{n - 1}")
-            mat = np.zeros((n, n))
-            for i, row in enumerate(block, start=1):
-                mat[i, :i] = row
-                mat[:i, i] = row
-            return FiniteMetricMeasureSpace(weights=weights, dist_matrix=mat, resolution=h, c_res=c_res)
+        with open(path) as fh:
+            head = _parse_header(next((ln for ln in fh if ln.strip()), ""))
+            if head["magic"] == "mmspace v1":
+                n, dim, h = int(head["n"]), int(head["dim"]), float(head["h"])
+                rows = _id_rows(fh, n, dim + 1)
+                if any(ln.strip() for ln in fh):
+                    raise IoError(f"{path}: text after the {n} point lines")
+                return FiniteMetricMeasureSpace(weights=rows[:, dim], coords=rows[:, :dim], resolution=h, c_res=c_res)
+            if head["magic"] == "mmspace-matrix v1":
+                n, h = int(head["n"]), float(head["h"])
+                weights = _id_rows(fh, n, 1)[:, 0]
+                block = [[float(t) for t in ln.split()] for ln in fh if ln.strip()]
+                if [len(row) for row in block] != list(range(1, n)):
+                    raise IoError(f"distance block must have {n - 1} rows of lengths 1..{n - 1}")
+                mat = np.zeros((n, n))
+                for i, row in enumerate(block, start=1):
+                    mat[i, :i] = row
+                    mat[:i, i] = row
+                return FiniteMetricMeasureSpace(weights=weights, dist_matrix=mat, resolution=h, c_res=c_res)
+    except OSError as exc:
+        raise IoError(f"cannot read space from {path}: {exc}") from exc
     except (KeyError, ValueError, IndexError) as exc:
         raise IoError(f"malformed space file {path}: {exc}") from exc
+    if not head["magic"]:
+        raise IoError(f"{path} is empty")
     raise IoError(f"unknown space format {head['magic']!r}")
 
 
@@ -162,19 +196,20 @@ def save_function(values: np.ndarray, ids, path: str):
 
 def load_function(path: str, n: int) -> np.ndarray:
     """Dense value vector; entries absent from the file are NaN."""
-    out = np.full(n, np.nan)
     try:
         with open(path) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln or ln.startswith("#"):
-                    continue
-                toks = ln.split()
-                if int(toks[0]) < 0:
-                    raise IndexError(f"negative point id {toks[0]}")
-                out[int(toks[0])] = float(toks[1])
-    except (OSError, ValueError, IndexError) as exc:
+            ids, values = _read_table(fh, 1, comments="#")
+        if ids.min(initial=0) < 0:
+            raise ValueError(f"negative point id {ids.min()}")
+        if ids.max(initial=-1) >= n:
+            raise ValueError(f"point id {ids.max()} out of range for {n} points")
+        counts = np.bincount(ids, minlength=n)
+        if counts.max(initial=0) > 1:
+            raise ValueError(f"point id {counts.argmax()} given more than once")
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot read function from {path}: {exc}") from exc
+    out = np.full(n, np.nan)
+    out[ids] = values[:, 0]
     return out
 
 

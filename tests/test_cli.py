@@ -145,6 +145,21 @@ class TestExitCodes:
         assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
         assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
 
+    def test_malformed_space_file_is_4(self, instance_dir, tmp_path):
+        lines = (instance_dir / "space.mmspace").read_text().splitlines()
+        lines[2] += " 0.5"
+        space = tmp_path / "space.mmspace"
+        space.write_text("\n".join(lines) + "\n")
+        pieces = str(instance_dir / "pieces.json")
+        assert main(["verify", "--space", str(space), "--pieces", pieces, "--what", "adr"]) == 4
+
+    @pytest.mark.parametrize("line", ["2 5.0 7.0", "0 2.5", "0 1_5"], ids=["extra_value", "id_twice", "underscore"])
+    def test_malformed_function_file_is_4(self, instance_dir, tmp_path, line):
+        f = tmp_path / "f.txt"
+        f.write_text(f"0 1.5\n{line}\n")
+        space = str(instance_dir / "space.mmspace")
+        assert main(["norms", "--space", space, "--f", str(f), "--which", "gl1"]) == 4
+
     def test_missing_space_file_is_4(self, tmp_path):
         rc = main([
             "verify", "--space", str(tmp_path / "nope.mmspace"),

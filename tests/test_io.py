@@ -1,5 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmtrace as mt
 from mmtrace import io as mio
@@ -56,6 +61,128 @@ class TestSpaceFiles:
         with pytest.raises(IoError, match="distance block"):
             mio.load_space(str(p))
 
+# values that a lossy writer or reader would change: subnormals, the ends of
+# the exponent range, signed zeros and values that need all 17 digits
+EDGE_REALS = [5e-324, 2.225073858507201e-308, 1e-300, 1e300, 0.1, 1 / 3, 0.30000000000000004,
+              123456789.12345679, 2.0 ** 52 + 1]
+COORDS = st.one_of(st.sampled_from(EDGE_REALS + [-x for x in EDGE_REALS] + [0.0, -0.0]),
+                   st.floats(min_value=-1e300, max_value=1e300))
+POSITIVE = st.one_of(st.sampled_from(EDGE_REALS), st.floats(min_value=5e-324, max_value=1e300))
+
+
+def _bit_identical(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_coordinate_roundtrip_is_bit_identical(tmp_path_factory, n, dim, data):
+    coords = np.array(data.draw(st.lists(COORDS, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    weights = np.array(data.draw(st.lists(POSITIVE, min_size=n, max_size=n)))
+    sp = mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=data.draw(POSITIVE))
+    path = str(tmp_path_factory.mktemp("rt") / "s.mmspace")
+    mio.save_space(sp, path)
+    loaded = mio.load_space(path)
+    assert _bit_identical(loaded.coords, coords) and _bit_identical(loaded.weights, weights)
+    assert loaded.resolution == sp.resolution
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_matrix_roundtrip_is_bit_identical(tmp_path_factory, n, data):
+    weights = np.array(data.draw(st.lists(POSITIVE, min_size=n, max_size=n)))
+    mat = np.zeros((n, n))
+    rows, cols = np.tril_indices(n, -1)
+    mat[rows, cols] = data.draw(st.lists(POSITIVE, min_size=rows.size, max_size=rows.size))
+    mat[cols, rows] = mat[rows, cols]
+    sp = mt.FiniteMetricMeasureSpace(weights=weights, dist_matrix=mat, resolution=0.5)
+    path = str(tmp_path_factory.mktemp("rt") / "m.mmspace")
+    mio.save_space(sp, path)
+    loaded = mio.load_space(path)
+    assert _bit_identical(loaded.weights, weights) and _bit_identical(loaded.dist_matrix, mat)
+
+
+COORD_HEAD = "mmspace v1; n=3; dim=1; h=0.5\n"
+COORD_ROWS = ["0 0.0 0.5", "1 0.5 0.5", "2 1.0 0.5"]
+MATRIX_HEAD = "mmspace-matrix v1; n=3; h=0.5\n"
+MATRIX_ROWS = ["0 0.5", "1 0.5", "2 0.5"]
+MATRIX_BLOCK = "0.5\n1.0 0.5\n"
+
+
+def _coordinate(rows, tail=""):
+    return COORD_HEAD + "".join(r + "\n" for r in rows) + tail
+
+
+def _matrix(rows, tail=""):
+    return MATRIX_HEAD + "".join(r + "\n" for r in rows) + MATRIX_BLOCK + tail
+
+
+MALFORMED_SPACES = {
+    "coord_short_row": _coordinate(["0 0.0 0.5", "1 0.5", "2 1.0 0.5"]),
+    "coord_long_row": _coordinate(["0 0.0 0.5", "1 0.5 0.5 0.5", "2 1.0 0.5"]),
+    "coord_missing_row": _coordinate(COORD_ROWS[:2]),
+    "coord_extra_row": _coordinate(COORD_ROWS + ["3 1.5 0.5"]),
+    "coord_trailing_garbage": _coordinate(COORD_ROWS, "\nend\n"),
+    "coord_float_id": _coordinate(["0 0.0 0.5", "1.0 0.5 0.5", "2 1.0 0.5"]),
+    "coord_id_twice": _coordinate(["0 0.0 0.5", "0 0.5 0.5", "2 1.0 0.5"]),
+    "coord_underscore": _coordinate(["0 0.0 0.5", "1 1_0 0.5", "2 1.0 0.5"]),
+    "coord_comment": _coordinate(COORD_ROWS, "# a comment\n"),
+    "matrix_short_row": _matrix(["0 0.5", "1", "2 0.5"]),
+    "matrix_long_row": _matrix(["0 0.5", "1 0.5 0.5", "2 0.5"]),
+    "matrix_missing_row": _matrix(MATRIX_ROWS[:2]),
+    "matrix_extra_row": _matrix(MATRIX_ROWS + ["3 0.5"]),
+    "matrix_trailing_garbage": _matrix(MATRIX_ROWS, "end\n"),
+    "matrix_float_id": _matrix(["0 0.5", "1.0 0.5", "2 0.5"]),
+    "matrix_id_twice": _matrix(["0 0.5", "0 0.5", "2 0.5"]),
+    "matrix_underscore": _matrix(["0 0.5", "1 1_0", "2 0.5"]),
+    "empty": "",
+    "blank_lines_only": "\n   \n\t\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPACES.values(), ids=MALFORMED_SPACES.keys())
+def test_malformed_space_files(tmp_path, text):
+    path = tmp_path / "bad.mmspace"
+    path.write_text(text)
+    with pytest.raises(IoError):
+        mio.load_space(str(path))
+
+
+def test_blank_lines_between_rows_are_ignored(tmp_path):
+    path = tmp_path / "s.mmspace"
+    path.write_text("\n" + COORD_HEAD + "\n".join(reversed(COORD_ROWS)) + "\n\n  \n")
+    loaded = mio.load_space(str(path))
+    assert loaded.coords[:, 0].tolist() == [0.0, 0.5, 1.0]
+    path.write_text(MATRIX_HEAD + "\n".join(MATRIX_ROWS) + "\n\n" + MATRIX_BLOCK + "\n")
+    np.testing.assert_array_equal(mio.load_space(str(path)).dist_matrix[2], [1.0, 0.5, 0.0])
+
+
+def test_load_space_memory_at_h_20(tmp_path):
+    """The parser reads the tables straight into arrays: the loader's peak
+    allocation at h = 1/20 (n = 9,261) is a small multiple of its arrays."""
+    space, _ = mt.generate(mt.simple_case_spec(1 / 20), verify=False)
+    path = str(tmp_path / "s.mmspace")
+    mio.save_space(space, path)
+    tracemalloc.start()
+    try:
+        loaded = mio.load_space(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.n == 9261
+    assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("which, digest", [
+    ("grid1d_11", "e0407d2ed5fe4a4e508b4b4a596d4e243668c79ee95ab74f98036e17a9ee8ca2"),
+    ("simple_8", "6ed8aa817f3c1f8b7be78aba6e6482a4694f240e816f9c400a46e5fa6eb0a0d4"),
+])
+def test_save_space_bytes_are_pinned(tmp_path, grid1d_11, which, digest):
+    space = grid1d_11 if which == "grid1d_11" else mt.generate(mt.simple_case_spec(1 / 8), verify=False)[0]
+    path = tmp_path / "s.mmspace"
+    mio.save_space(space, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 class TestPiecesFiles:
     def test_roundtrip(self, tmp_path):
@@ -108,12 +235,20 @@ class TestFunctionFiles:
         assert loaded[0] == 1.5 and loaded[2] == -0.25
         assert np.isnan(loaded[1]) and np.isnan(loaded[3])
 
-    @pytest.mark.parametrize("line", ["-1 5.0", "4 5.0", "x 5.0", "2"])
+    @pytest.mark.parametrize("line", ["-1 5.0", "4 5.0", "x 5.0", "2", "2 5.0 7.0", "0 2.5", "1 1_5", "1.0 5.0"])
     def test_bad_line(self, tmp_path, line):
         path = tmp_path / "f.txt"
         path.write_text(f"0 1.5\n{line}\n")
         with pytest.raises(IoError):
             mio.load_function(str(path), 4)
+
+    def test_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("# values of f\n\n0 1.5   # the corner\n  \n3 -0.25\n")
+        loaded = mio.load_function(str(path), 4)
+        assert loaded[0] == 1.5 and loaded[3] == -0.25 and np.isnan(loaded[1:3]).all()
+        path.write_text("# nothing given\n")
+        assert np.isnan(mio.load_function(str(path), 2)).all()
 
 
 class TestConfigText:
