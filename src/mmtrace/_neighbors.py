@@ -5,8 +5,9 @@ Balls are closed and padded against round-off like ``space.members``.  A
 sweep at one radius is a CSR (compressed sparse row, as in scipy.sparse)
 pair ``(indptr, indices)``: row a, ``indices[indptr[a]:indptr[a + 1]]``,
 holds the int32 positions into the sorted subset ids of the ball around
-subset point a, in increasing order.  The kernels reduce rows in blocks of
-at most ``PAIR_BLOCK`` stored pairs, which bounds their temporaries.
+subset point a, in increasing order.  One row builder (``rows_of``) makes
+every pair list and the kernels reduce rows, both in blocks of at most
+``PAIR_BLOCK`` stored pairs, which bounds their temporaries at any size.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from scipy.spatial import cKDTree
 
 from .space import _EPS, FiniteMetricMeasureSpace
 
-PAIR_BLOCK = 1 << 15
+# a block's float64 temporaries (64 KiB) stay below glibc's default 128 KiB
+# mmap threshold, so successive blocks reuse heap pages, not fresh mappings
+PAIR_BLOCK = 1 << 13
 
 
 def _pad(radius: float) -> float:
@@ -98,9 +101,12 @@ class SubsetNeighbors:
             else:
                 block = cKDTree(self.space.coords[centres[lo:hi]])
                 found = block.sparse_distance_matrix(self._tree, r, output_type="ndarray")
-                keys = np.sort(found["i"] * n + (found["j"] if rank is None else rank[found["j"]]))
+                keys = found["i"] * n
+                keys += found["j"] if rank is None else rank[found["j"]]
+                del found
+                keys.sort()
             indptr = np.searchsorted(keys, np.arange(hi - lo + 1, dtype=np.int64) * n)
-            yield lo, hi, (indptr, (keys % n).astype(np.int32))
+            yield lo, hi, (indptr, np.remainder(keys, n, out=keys).astype(np.int32))
 
     def ball_sums(self, centres, radius: float, weights: np.ndarray) -> np.ndarray:
         """Per weight vector over the subset (a row of the 2-d ``weights``)
@@ -135,37 +141,24 @@ class SubsetNeighbors:
         point, restricted to the subset; cached per radius."""
         key = float(radius)
         if key not in self._lists_cache:
-            self._lists_cache[key] = self._build(_pad(radius))
+            self._lists_cache[key] = self._sweep(self.ids, radius)
         return self._lists_cache[key]
 
-    def _build(self, r: float) -> tuple:
-        # one sorted int64 key row * n + col per stored pair
-        n = self.ids.size
-        if self._tree is None:
-            keys = np.flatnonzero(self.space.dist_matrix[np.ix_(self.ids, self.ids)] <= r)
-        else:
-            # both orders of every pair i < j, plus the diagonal
-            pairs = self._tree.query_pairs(r, output_type="ndarray")
-            m = pairs.shape[0]
-            keys = np.empty(2 * m + n, dtype=np.int64)
-            keys[:m] = pairs @ np.array([n, 1])
-            keys[m : 2 * m] = pairs @ np.array([1, n])
-            del pairs
-            keys[2 * m :] = np.arange(n, dtype=np.int64) * (n + 1)
-            keys.sort()
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        np.remainder(keys, n, out=keys)
-        return indptr, keys.astype(np.int32)
+    def _sweep(self, centres: np.ndarray, radius: float) -> tuple:
+        """CSR of the radius-balls around centres, filled from ``rows_of``."""
+        counts = self.counts_of(centres, radius)
+        indptr = np.zeros(centres.size + 1, dtype=np.int64)
+        indices = np.empty(int(counts.sum()), dtype=np.int32)
+        for lo, hi, (ptr, cols) in self.rows_of(centres, radius, counts):
+            indptr[lo + 1 : hi + 1] = indptr[lo] + ptr[1:]
+            indices[indptr[lo] : indptr[hi]] = cols
+        return indptr, indices[: indptr[-1]]
 
     def cross_pairs(self, other: "SubsetNeighbors", radius: float):
         """Position pairs (into self.ids, other.ids) at distance <= radius,
         sorted by (self position, other position)."""
-        r = _pad(radius)
-        if self._tree is None:
-            return np.nonzero(self.space.dist_matrix[np.ix_(self.ids, other.ids)] <= r)
-        found = self._tree.sparse_distance_matrix(other._tree, r, output_type="ndarray")
-        keys = np.sort(found["i"] * other.ids.size + found["j"])
-        return keys // other.ids.size, keys % other.ids.size
+        indptr, indices = other._sweep(self.ids, radius)
+        return np.repeat(np.arange(self.ids.size), np.diff(indptr)), indices.astype(np.int64)
 
 
 def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:

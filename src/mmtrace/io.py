@@ -13,12 +13,13 @@ Matrix-metric variant::
     <d(2,0)> <d(2,1)>                    # one row per point 1..n-1
     ...
 
-Tokens are separated by whitespace and blank lines are ignored.  An id
-is an integer literal (``1.0`` is not an id) and the ids of a space file
-are exactly 0..n-1, each once.  The id tables are read by numpy's C
-parser, which takes decimal reals, ``nan`` and ``inf`` but no underscored
-literal such as ``1_0``; the matrix distance block is still read by
-Python's ``float``.  Space files have no comments.
+A header sets exactly its keys, each once, as ``save_space`` writes them:
+decimal integers, and ``h`` as ``repr`` writes it (``1e-05``).  Tokens
+are separated by whitespace and blank lines are ignored.  An id is an
+integer literal (``1.0`` is not an id) and the ids of a space file are
+exactly 0..n-1, each once.  The id tables and the distance block are read
+by numpy's C parser, which takes decimal reals, ``nan`` and ``inf`` but no
+underscored literal such as ``1_0``.  Space files have no comments.
 
 Pieces are a JSON sidecar.  Sample functions are `<id> <value>` lines,
 each id at most once and absent ids NaN; there ``#`` starts a comment
@@ -59,32 +60,33 @@ def save_space(space: FiniteMetricMeasureSpace, path: str):
         raise IoError(f"cannot write space to {path}: {exc}") from exc
 
 
-def _parse_header(line: str) -> dict:
-    fields = {}
-    head, *rest = [part.strip() for part in line.strip().split(";")]
-    fields["magic"] = head
-    for item in rest:
-        if not item:
-            continue
-        key, _, val = item.partition("=")
-        fields[key.strip()] = val.strip()
-    return fields
+_HEADERS = {"mmspace v1": ("n", "dim", "h"), "mmspace-matrix v1": ("n", "h")}
+_GRAMMAR = {"n": "[0-9]+", "dim": "[0-9]+", "h": r"[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?"}
+
+
+def _parse_header(line: str) -> tuple:
+    """``(magic, fields)`` of a header line; a known format sets exactly
+    its keys, each once, in the grammar save_space writes (``_GRAMMAR``)."""
+    head, *items = [part.strip() for part in line.strip().split(";")]
+    pairs = [tuple(t.strip() for t in item.partition("=")[::2]) for item in items if item]
+    if head not in _HEADERS:
+        return head, {}
+    if sorted(k for k, _ in pairs) != sorted(_HEADERS[head]) or not all(re.fullmatch(_GRAMMAR[k], v) for k, v in pairs):
+        raise IoError(f"a {head!r} header sets {', '.join(_HEADERS[head])} once each, as save_space writes them")
+    return head, {k: float(v) if k == "h" else int(v) for k, v in pairs}
 
 
 def _read_table(fh, width: int, max_rows=None, comments=None):
     """``(ids, values)`` of the ``<id> <width reals>`` lines from the file's
-    position on, parsed by numpy's C reader; it stops after ``max_rows``
-    data lines and skips blank ones.  Any malformed line is a ValueError."""
+    position on, by numpy's C reader, up to ``max_rows`` data lines (blank
+    ones skipped); a malformed line raises ValueError or DeprecationWarning."""
     with warnings.catch_warnings():
         # numpy warns about skipped blank lines and an empty table
         warnings.simplefilter("ignore", UserWarning)
         # older numpy releases read an id written `1.0`, with this warning
         warnings.simplefilter("error", DeprecationWarning)
-        try:
-            table = np.loadtxt(fh, dtype=[("id", np.int64), ("v", float, (width,))],
-                               comments=comments, ndmin=1, max_rows=max_rows)
-        except DeprecationWarning as exc:
-            raise ValueError(str(exc)) from exc
+        table = np.loadtxt(fh, dtype=[("id", np.int64), ("v", float, (width,))],
+                           comments=comments, ndmin=1, max_rows=max_rows)
     return table["id"], table["v"]
 
 
@@ -94,7 +96,7 @@ def _id_rows(fh, n: int, width: int) -> np.ndarray:
     expected = f"expected {n} point lines of an id and {width} values"
     try:
         ids, values = _read_table(fh, width, max_rows=n)
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         raise IoError(f"{expected}: {exc}") from exc
     if ids.size != n:
         raise IoError(f"{expected}, got {ids.size} lines")
@@ -108,31 +110,33 @@ def _id_rows(fh, n: int, width: int) -> np.ndarray:
 def load_space(path: str, c_res: float = 1.0) -> FiniteMetricMeasureSpace:
     try:
         with open(path) as fh:
-            head = _parse_header(next((ln for ln in fh if ln.strip()), ""))
-            if head["magic"] == "mmspace v1":
-                n, dim, h = int(head["n"]), int(head["dim"]), float(head["h"])
+            magic, head = _parse_header(next((ln for ln in fh if ln.strip()), ""))
+            if magic == "mmspace v1":
+                n, dim, h = head["n"], head["dim"], head["h"]
                 rows = _id_rows(fh, n, dim + 1)
                 if any(ln.strip() for ln in fh):
                     raise IoError(f"{path}: text after the {n} point lines")
                 return FiniteMetricMeasureSpace(weights=rows[:, dim], coords=rows[:, :dim], resolution=h, c_res=c_res)
-            if head["magic"] == "mmspace-matrix v1":
-                n, h = int(head["n"]), float(head["h"])
+            if magic == "mmspace-matrix v1":
+                n, h = head["n"], head["h"]
                 weights = _id_rows(fh, n, 1)[:, 0]
-                block = [[float(t) for t in ln.split()] for ln in fh if ln.strip()]
-                if [len(row) for row in block] != list(range(1, n)):
+                with warnings.catch_warnings():
+                    # older numpy releases stop at unparsed text with only this warning
+                    warnings.simplefilter("error", DeprecationWarning)
+                    block = [np.fromstring(ln, sep=" ") for ln in fh if ln.strip()]
+                if [row.size for row in block] != list(range(1, n)):
                     raise IoError(f"distance block must have {n - 1} rows of lengths 1..{n - 1}")
                 mat = np.zeros((n, n))
                 for i, row in enumerate(block, start=1):
-                    mat[i, :i] = row
-                    mat[:i, i] = row
+                    mat[i, :i] = mat[:i, i] = row
                 return FiniteMetricMeasureSpace(weights=weights, dist_matrix=mat, resolution=h, c_res=c_res)
     except OSError as exc:
         raise IoError(f"cannot read space from {path}: {exc}") from exc
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError, IndexError, DeprecationWarning) as exc:
         raise IoError(f"malformed space file {path}: {exc}") from exc
-    if not head["magic"]:
+    if not magic:
         raise IoError(f"{path} is empty")
-    raise IoError(f"unknown space format {head['magic']!r}")
+    raise IoError(f"unknown space format {magic!r}")
 
 
 def save_pieces(piecewise: PiecewiseSet, path: str):
@@ -206,7 +210,7 @@ def load_function(path: str, n: int) -> np.ndarray:
         counts = np.bincount(ids, minlength=n)
         if counts.max(initial=0) > 1:
             raise ValueError(f"point id {counts.argmax()} given more than once")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, DeprecationWarning) as exc:
         raise IoError(f"cannot read function from {path}: {exc}") from exc
     out = np.full(n, np.nan)
     out[ids] = values[:, 0]

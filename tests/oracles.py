@@ -303,3 +303,35 @@ def odirichlet_lip(dist, fvals, r):
             raise ValueError(x)
         lip.append(max(abs(fvals[y] - fvals[x]) / dist[x, y] for y in ys))
     return np.array(lip)
+
+
+# -- reference pair lists ----------------------------------------------------
+# A whole-sweep pair-list builder, the reference for the ball layer's blocked
+# row builder: one query_pairs call (or one matrix scan) and one int64 key
+# array over the whole sweep.
+
+
+def _opad(r):
+    return r * (1 + PAD) + PAD
+
+
+def oquery_pairs_lists(space, ids, radius):
+    """CSR (indptr int64, indices int32) of the radius-balls around every
+    point of the sorted ids, restricted to them, from cKDTree.query_pairs."""
+    from scipy.spatial import cKDTree
+
+    n, r = ids.size, _opad(radius)
+    if space.coords is None:
+        keys = np.flatnonzero(space.dist_matrix[np.ix_(ids, ids)] <= r)
+    else:
+        # both orders of every pair i < j, plus the diagonal
+        pairs = cKDTree(space.coords[ids]).query_pairs(r, output_type="ndarray")
+        m = pairs.shape[0]
+        keys = np.empty(2 * m + n, dtype=np.int64)
+        keys[:m] = pairs @ np.array([n, 1])
+        keys[m : 2 * m] = pairs @ np.array([1, n])
+        keys[2 * m :] = np.arange(n, dtype=np.int64) * (n + 1)
+        keys.sort()
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, (keys % n).astype(np.int32)
+

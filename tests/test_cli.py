@@ -153,6 +153,15 @@ class TestExitCodes:
         pieces = str(instance_dir / "pieces.json")
         assert main(["verify", "--space", str(space), "--pieces", pieces, "--what", "adr"]) == 4
 
+    def test_malformed_space_header_is_4(self, instance_dir, tmp_path):
+        lines = (instance_dir / "space.mmspace").read_text().splitlines()
+        # int reads n=0_<n> as n
+        lines[0] = lines[0].replace("; n=", "; n=0_")
+        space = tmp_path / "space.mmspace"
+        space.write_text("\n".join(lines) + "\n")
+        pieces = str(instance_dir / "pieces.json")
+        assert main(["verify", "--space", str(space), "--pieces", pieces, "--what", "adr"]) == 4
+
     @pytest.mark.parametrize("line", ["2 5.0 7.0", "0 2.5", "0 1_5"], ids=["extra_value", "id_twice", "underscore"])
     def test_malformed_function_file_is_4(self, instance_dir, tmp_path, line):
         f = tmp_path / "f.txt"

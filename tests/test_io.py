@@ -109,12 +109,12 @@ MATRIX_ROWS = ["0 0.5", "1 0.5", "2 0.5"]
 MATRIX_BLOCK = "0.5\n1.0 0.5\n"
 
 
-def _coordinate(rows, tail=""):
-    return COORD_HEAD + "".join(r + "\n" for r in rows) + tail
+def _coordinate(rows, tail="", head=COORD_HEAD):
+    return head + "".join(r + "\n" for r in rows) + tail
 
 
-def _matrix(rows, tail=""):
-    return MATRIX_HEAD + "".join(r + "\n" for r in rows) + MATRIX_BLOCK + tail
+def _matrix(rows, tail="", head=MATRIX_HEAD, block=MATRIX_BLOCK):
+    return head + "".join(r + "\n" for r in rows) + block + tail
 
 
 MALFORMED_SPACES = {
@@ -135,9 +135,28 @@ MALFORMED_SPACES = {
     "matrix_float_id": _matrix(["0 0.5", "1.0 0.5", "2 0.5"]),
     "matrix_id_twice": _matrix(["0 0.5", "0 0.5", "2 0.5"]),
     "matrix_underscore": _matrix(["0 0.5", "1 1_0", "2 0.5"]),
+    "matrix_block_underscore": _matrix(MATRIX_ROWS, block="0.5\n1_0 0.5\n"),
+    "matrix_block_garbage": _matrix(MATRIX_ROWS, block="0.5\n1.0 x\n"),
+    "matrix_block_comma": _matrix(MATRIX_ROWS, block="0.5\n1.0,0.5\n"),
     "empty": "",
     "blank_lines_only": "\n   \n\t\n",
 }
+# headers that Python's int and float would read (n = 1_0 as 10 points,
+# h = 0_5 as 5.0), or whose unknown or repeated keys were ignored
+MALFORMED_SPACES.update({
+    "header_underscore_n": _coordinate([f"{i} {i / 10} 0.5" for i in range(10)], head="mmspace v1; n=1_0; dim=1; h=0.5\n"),
+    "header_underscore_h": _coordinate(COORD_ROWS, head="mmspace v1; n=3; dim=1; h=0_5\n"),
+    "header_unicode_digit": _coordinate(COORD_ROWS, head="mmspace v1; n=\u0663; dim=1; h=0.5\n"),
+    "header_signed_n": _coordinate(COORD_ROWS, head="mmspace v1; n=+3; dim=1; h=0.5\n"),
+    "header_real_dim": _coordinate(COORD_ROWS, head="mmspace v1; n=3; dim=1.0; h=0.5\n"),
+    "header_h_no_digits": _coordinate(COORD_ROWS, head="mmspace v1; n=3; dim=1; h=.5\n"),
+    "header_unknown_key": _coordinate(COORD_ROWS, head="mmspace v1; n=3; dim=1; h=0.5; c=1\n"),
+    "header_repeated_key": _coordinate(COORD_ROWS, head="mmspace v1; n=3; dim=1; h=0.5; n=3\n"),
+    "header_missing_key": _coordinate(COORD_ROWS, head="mmspace v1; n=3; h=0.5\n"),
+    "header_key_without_value": _coordinate(COORD_ROWS, head="mmspace v1; n=3; dim; h=0.5\n"),
+    "matrix_header_dim": _matrix(MATRIX_ROWS, head="mmspace-matrix v1; n=3; dim=1; h=0.5\n"),
+    "matrix_header_underscore": _matrix(MATRIX_ROWS, head="mmspace-matrix v1; n=3; h=0.2_5\n"),
+})
 
 
 @pytest.mark.parametrize("text", MALFORMED_SPACES.values(), ids=MALFORMED_SPACES.keys())
@@ -171,6 +190,33 @@ def test_load_space_memory_at_h_20(tmp_path):
         tracemalloc.stop()
     assert loaded.n == 9261
     assert peak <= 1.5e6
+
+
+def test_matrix_block_memory_at_1500_points(tmp_path):
+    """The distance block is read row by row into arrays: loading a
+    1,500-point matrix file peaks at a small multiple of its matrix."""
+    x = np.random.default_rng(0).uniform(size=(1500, 2))
+    mat = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+    space = mt.FiniteMetricMeasureSpace(weights=np.full(1500, 1 / 1500), dist_matrix=mat, resolution=0.01)
+    path = str(tmp_path / "m.mmspace")
+    mio.save_space(space, path)
+    del space
+    tracemalloc.start()
+    try:
+        loaded = mio.load_space(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bit_identical(loaded.dist_matrix, mat)
+    assert peak <= 1.5 * mat.nbytes + 2e6
+
+
+def test_header_grammar_of_save_space(tmp_path):
+    """Headers as ``save_space`` writes them, with spaces around the keys."""
+    path = tmp_path / "s.mmspace"
+    for h in ("1e-05", "1.5e+300", "0.041666666666666664", "2"):
+        path.write_text(_coordinate(COORD_ROWS, head=f"mmspace v1 ;n = 3;  dim=1 ; h={h};\n"))
+        assert mio.load_space(str(path)).resolution == float(h)
 
 
 @pytest.mark.parametrize("which, digest", [

@@ -2,6 +2,7 @@
 maximal functions and porosity scan built on them) against
 ``weighted_stats`` and the naive-loop oracles."""
 
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import mmtrace as mt
 from mmtrace import _neighbors as nb
-from oracles import oball, oE, omass, oporous_mask, osharp, osharp_mu_s1
+from oracles import oball, oE, omass, oporous_mask, oquery_pairs_lists, osharp, osharp_mu_s1
 
 TOL = 1e-12
 PROPS = settings(max_examples=60, deadline=None)
@@ -385,3 +386,75 @@ def test_cached_sweep_serves_rows_of_and_counts_of(inst, data, matrix):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
+
+
+def _joined(blocks):
+    """One CSR from ``rows_of`` blocks: indptr from their row lengths."""
+    lengths = [np.diff(ptr) for _, _, (ptr, _) in blocks]
+    indices = [ind for _, _, (_, ind) in blocks]
+    assert all(ptr.dtype == np.int64 and ind.dtype == np.int32 for _, _, (ptr, ind) in blocks)
+    return np.concatenate([[0]] + lengths).cumsum(), np.concatenate([np.zeros(0, np.int32)] + indices)
+
+
+def _gather(csr, rows, rank=None):
+    """Rows of csr (with repeats) as a CSR; with rank, rank[j] for j, sorted."""
+    indptr, indices = csr
+    parts = [indices[indptr[a] : indptr[a + 1]] for a in rows]
+    if rank is not None:
+        parts = [np.sort(rank[p]).astype(np.int32) for p in parts]
+    return np.concatenate([[0]] + [[p.size] for p in parts]).cumsum(), np.concatenate([np.zeros(0, np.int32)] + parts)
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@PROPS
+@given(instances(), st.data())
+def test_pair_lists_equal_the_query_pairs_oracle(inst, data):
+    """``self_lists``, plain and ranked ``rows_of`` and ``cross_pairs`` give
+    the arrays, dtypes too, of the whole-sweep query_pairs builder, on tree
+    and matrix twins and for every pair budget."""
+    coords, weights, _, subset, radius, budget = inst
+    n = coords.shape[0]
+    other = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    centres = subset[np.array(data.draw(st.lists(st.integers(0, subset.size - 1), max_size=30)), dtype=int)]
+    rank = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(subset.size)
+    union = np.union1d(subset, other)
+    for matrix in (False, True):
+        space = _space(coords, weights, matrix)
+        want = oquery_pairs_lists(space, subset, radius)
+        whole = oquery_pairs_lists(space, union, radius)
+        a_at, b_at = np.searchsorted(union, subset), np.searchsorted(union, other)
+        b_pos = np.full(union.size, -1)
+        b_pos[b_at] = np.arange(other.size)
+        ia, ib = [], []
+        for a, u in enumerate(a_at):
+            row = b_pos[whole[1][whole[0][u] : whole[0][u + 1]]]
+            ib += sorted(row[row >= 0].tolist())
+            ia += [a] * int(np.count_nonzero(row >= 0))
+        with mock.patch.object(nb, "PAIR_BLOCK", budget):
+            nbrs = nb.subset_neighbors(space, subset)
+            pos = np.searchsorted(subset, centres)
+            _assert_same(_joined(list(nbrs.rows_of(centres, radius))), _gather(want, pos))
+            _assert_same(_joined(list(nbrs.rows_of(centres, radius, rank=rank))), _gather(want, pos, rank))
+            _assert_same(nbrs.self_lists(radius), want)
+            _assert_same(nbrs.cross_pairs(nb.subset_neighbors(space, other), radius),
+                         (np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)))
+
+
+def test_self_lists_memory_per_stored_pair():
+    """The sweep is filled block by block: its peak allocation is its own
+    int32 indices plus a bounded block, not a whole-sweep int64 key array."""
+    space, pw = mt.generate(mt.difficult_case_spec(1 / 64), verify=False)
+    nbrs = nb.SubsetNeighbors(space, pw.pieces[0].ids)
+    tracemalloc.start()
+    try:
+        indptr, indices = nbrs.self_lists(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert indices.size == 3_139_149
+    assert peak <= 5 * indices.size + 2e6
