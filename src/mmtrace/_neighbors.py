@@ -42,17 +42,6 @@ class SubsetNeighbors:
         self._lists_cache: dict[float, tuple] = {}
         self.porosity_masks: dict[tuple, list] = {}  # porosity_scan's, per (sigma, r_grid)
 
-    def members_of(self, center, radius: float) -> np.ndarray:
-        """Positions (into ids) of subset points within radius of center,
-        where center is a space point id or a coordinate vector."""
-        r = _pad(radius)
-        if self._tree is not None:
-            vec = self.space._center_vector(center)
-            idx = self._tree.query_ball_point(self.space.coords[int(center)] if vec is None else vec, r)
-            return np.sort(np.asarray(idx, dtype=int))
-        d = self.space.distances_from(center)[self.ids]
-        return np.flatnonzero(d <= r)
-
     def _cached(self, centres: np.ndarray, radius: float):
         """The cached sweep at radius and the positions of centres in it;
         (None, None) unless it is cached and every centre is in the subset."""
@@ -99,12 +88,16 @@ class SubsetNeighbors:
             if self._tree is None:
                 keys = np.flatnonzero(self.space.dist_matrix[np.ix_(centres[lo:hi], cols)] <= r)
             else:
-                block = cKDTree(self.space.coords[centres[lo:hi]])
-                found = block.sparse_distance_matrix(self._tree, r, output_type="ndarray")
-                keys = found["i"] * n
-                keys += found["j"] if rank is None else rank[found["j"]]
-                del found
-                keys.sort()
+                # the block's tree holds only the centres of non-empty rows
+                rows = np.flatnonzero(counts[lo:hi])
+                keys = np.zeros(0, dtype=np.int64)
+                if rows.size:
+                    block = cKDTree(self.space.coords[centres[lo + rows]])
+                    found = block.sparse_distance_matrix(self._tree, r, output_type="ndarray")
+                    keys = rows[found["i"]] * n
+                    keys += found["j"] if rank is None else rank[found["j"]]
+                    del found
+                    keys.sort()
             indptr = np.searchsorted(keys, np.arange(hi - lo + 1, dtype=np.int64) * n)
             yield lo, hi, (indptr, np.remainder(keys, n, out=keys).astype(np.int32))
 

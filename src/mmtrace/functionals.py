@@ -21,10 +21,12 @@ from .errors import (
     InvalidFamily,
     InvalidPair,
     InvalidParameter,
+    InvalidPoint,
     ParameterError,
     ResolutionError,
     ZeroMass,
 )
+# weighted_stats is unused here but stays bound: perfbench/smoke.py checks it
 from .measures import MeasureSequence, default_k_max, weighted_stats
 from .regularity import PiecewiseSet, SubsetPiece, porosity_scan
 from .space import _EPS, Ball, dyadic_radii, k_of_r, separated_net
@@ -102,8 +104,8 @@ def averaging_double(space, piece_i: SubsetPiece, piece_j: SubsetPiece, f, k: in
     if space.distance(int(y), int(z)) > r * (1 + _EPS) + _EPS:
         raise InvalidPair(f"d({y},{z}) exceeds 2^-{k}")
     vals = _values(f)
-    mi = subset_neighbors(space, piece_i.ids).members_of(int(y), r)
-    mj = subset_neighbors(space, piece_j.ids).members_of(int(z), r)
+    (_, _, (_, mi)), = subset_neighbors(space, piece_i.ids).rows_of([int(y)], r)
+    (_, _, (_, mj)), = subset_neighbors(space, piece_j.ids).rows_of([int(z)], r)
     wi, wj = piece_i.weights[mi], piece_j.weights[mj]
     gi, gj = vals[piece_i.ids[mi]], vals[piece_j.ids[mj]]
     num = float(np.sum(wi[:, None] * wj[None, :] * np.abs(gi[:, None] - gj[None, :])))
@@ -290,13 +292,28 @@ def gluing(
 # ----------------------------------------------------------------------
 
 
+def _tilde_es(seq: MeasureSequence, f_on_s: np.ndarray, k: int, centres, radius: float) -> np.ndarray:
+    """E~ per space point id in centres: the m_k deviation of f|S on the
+    doubled ball, or zero where the radius-ball misses S.  A point of S lies
+    in its own ball, so only the other centres are probed."""
+    centres = np.asarray(centres, dtype=int)
+    meets = np.isin(centres, seq.support_ids)
+    probe = np.flatnonzero(~meets)
+    meets[probe] = seq.neighbors.counts_of(centres[probe], radius) > 0
+    live = np.flatnonzero(meets)
+    out = np.zeros(centres.size)
+    if live.size:
+        out[live] = seq.neighbors.deviations_of(centres[live], 2.0 * radius, seq.weights_per_k[k], f_on_s)
+    return out
+
+
 def tilde_e(seq: MeasureSequence, f, k: int, center, radius: float) -> float:
-    """Deviation on the doubled ball, or zero when the ball misses S."""
-    probe = seq.neighbors.members_of(center, radius)
-    if probe.size == 0:
-        return 0.0
-    f_on_s = _values(f)[seq.support_ids]
-    return seq.e_ball(k, f_on_s, center, 2.0 * radius)
+    """Deviation on the doubled ball, or zero when the ball misses S; the
+    center is a point id."""
+    if not isinstance(center, (int, np.integer)):
+        raise InvalidPoint(f"tilde_e needs a point id center, got {center!r}")
+    centres = [seq.space.check_id(center)]
+    return float(_tilde_es(seq, _values(f)[seq.support_ids], int(k), centres, radius)[0])
 
 
 def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarray:
@@ -308,17 +325,12 @@ def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarra
     ids = seq.support_ids if eval_ids is None else np.asarray(eval_ids, dtype=int)
     f_on_s = _values(f)[seq.support_ids]
     bound = np.ptp(f_on_s) / 2.0 * (1.0 + 1e-9) if np.all(np.isfinite(f_on_s)) else math.inf
-    off_s = ~np.isin(ids, seq.support_ids)
     out = np.zeros(ids.size)
     for j in range(seq.k_max, -1, -1):
-        live = out < 2.0**j * bound
-        if not live.any():
+        live = np.flatnonzero(out < 2.0**j * bound)
+        if not live.size:
             break
-        # the empty-ball probe: a point of S lies in its own ball
-        probe = np.flatnonzero(live & off_s)
-        live[probe] = seq.neighbors.counts_of(ids[probe], 2.0 ** (-j)) > 0
-        live = np.flatnonzero(live)
-        e = 2.0**j * seq.neighbors.deviations_of(ids[live], 2.0 ** (1 - j), seq.weights_per_k[j], f_on_s)
+        e = 2.0**j * _tilde_es(seq, f_on_s, j, ids[live], 2.0 ** (-j))
         out[live] = np.maximum(out[live], e)
     return out
 
@@ -385,13 +397,19 @@ def bn_functional(
 # ----------------------------------------------------------------------
 
 
-def _meets(space, subset_ids, balls, scale: float) -> np.ndarray:
-    """Per ball (centred at a point id): whether its scale-dilation meets
-    the subset, from one count query per radius."""
-    nbrs = subset_neighbors(space, subset_ids)
-    centres = np.array([b.center for b in balls], dtype=int)
-    radii = np.array([b.radius for b in balls])
-    out = np.zeros(len(balls), dtype=bool)
+def _ball_arrays(space, balls) -> tuple:
+    """The balls' centres and radii as arrays; a centre that is no point id
+    of the space (a coordinate vector, or out of range) is rejected."""
+    for ball in balls:
+        if not isinstance(ball.center, (int, np.integer)) or not 0 <= ball.center < space.n:
+            raise InvalidFamily(f"family ball center {ball.center!r} is not a point id")
+    return np.array([b.center for b in balls], dtype=int), np.array([b.radius for b in balls], dtype=float)
+
+
+def _meets(nbrs, centres: np.ndarray, radii: np.ndarray, scale: float) -> np.ndarray:
+    """Per ball: whether its scale-dilation meets the subset of nbrs, from
+    one count query per radius."""
+    out = np.zeros(centres.size, dtype=bool)
     for r in np.unique(radii):
         out[radii == r] = nbrs.counts_of(centres[radii == r], scale * r) > 0
     return out
@@ -401,13 +419,13 @@ def validate_nice_family(space, subset_ids, family: NiceFamily):
     """Assert the defining family conditions exactly on the cloud."""
     if family.c < 1:
         raise InvalidFamily("family constant c must be >= 1")
-    subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
-    for b in family.balls:
-        if b.radius > 1.0 + _EPS:
-            raise InvalidFamily(f"ball radius {b.radius} exceeds 1")
-    if not _meets(space, subset_ids, family.balls, family.c).all():
+    nbrs = subset_neighbors(space, subset_ids)
+    centres, radii = _ball_arrays(space, family.balls)
+    if np.any(radii > 1.0 + _EPS):
+        raise InvalidFamily(f"ball radius {radii[radii > 1.0 + _EPS][0]} exceeds 1")
+    if not _meets(nbrs, centres, radii, family.c).all():
         raise InvalidFamily("a dilated ball misses the subset")
-    if family.kind == "whitney" and _meets(space, subset_ids, family.balls, 1.0).any():
+    if family.kind == "whitney" and _meets(nbrs, centres, radii, 1.0).any():
         raise InvalidFamily("a whitney ball meets the subset")
     owner = np.full(space.n, -1)
     for a, b in enumerate(family.balls):
@@ -423,7 +441,7 @@ def enumerate_or_search_nice_family(
     subset_ids,
     c: float,
     budget: int,
-    term_fn: Optional[Callable[[Ball], float]] = None,
+    term_fn: Optional[Callable[[list], np.ndarray]] = None,
     kind: str = "nice",
     candidates: Optional[Sequence[Ball]] = None,
     method: str = "greedy",
@@ -431,6 +449,9 @@ def enumerate_or_search_nice_family(
 ) -> NiceFamily:
     """Build a valid family maximizing the sum of per-ball terms.
 
+    ``term_fn(balls)`` takes the list of pool balls (the candidates whose
+    c-dilation meets the subset) and returns their terms as one array, in
+    list order; the default is each ball's mass ``space.ball_mass``.
     Candidates default to balls on separated nets of the subset with
     matching dyadic radii (pass ``radii`` to pin the scale range, e.g. for
     cross-resolution comparisons).  Greedy adds the best-scoring disjoint
@@ -445,7 +466,7 @@ def enumerate_or_search_nice_family(
     if budget <= 0:
         return NiceFamily(balls=[], c=float(c), kind=kind)
     if term_fn is None:
-        term_fn = lambda b: space.ball_mass(b.center, b.radius)
+        term_fn = lambda balls: np.array([space.ball_mass(b.center, b.radius) for b in balls])
     if candidates is None:
         if radii is None:
             radii = [2.0 ** (-j) for j in range(default_k_max(space) + 1)]
@@ -454,12 +475,13 @@ def enumerate_or_search_nice_family(
             net = separated_net(space, subset_ids, k_of_r(r), maximal=False)
             for x in net.points:
                 candidates.append(Ball(int(x), float(r)))
-    pool = [b for b in candidates if b.radius <= 1.0 + _EPS]
-    keep = _meets(space, subset_ids, pool, c)
+    nbrs = subset_neighbors(space, subset_ids)
+    centres, sizes = _ball_arrays(space, candidates)
+    keep = (sizes <= 1.0 + _EPS) & _meets(nbrs, centres, sizes, c)
     if kind == "whitney":
-        keep &= ~_meets(space, subset_ids, pool, 1.0)
-    pool = [b for b, k in zip(pool, keep) if k]
-    terms = np.array([term_fn(b) for b in pool])
+        keep &= ~_meets(nbrs, centres, sizes, 1.0)
+    pool = [b for b, k in zip(candidates, keep) if k]
+    terms = np.asarray(term_fn(pool), dtype=float)
     member_sets = [space.members(b.center, b.radius) for b in pool]
 
     if method == "exact":
@@ -505,16 +527,21 @@ def enumerate_or_search_nice_family(
     return NiceFamily(balls=[pool[i] for i in chosen], c=float(c), kind=kind)
 
 
-def bsn_term(space, seq: MeasureSequence, f, p: float, c: float, ball: Ball) -> float:
-    """One family term: mu(B)/r^p times the p-th power of the dilated-ball
-    deviation at the scale matched to the radius."""
-    r = ball.radius
-    if r < space.scale_floor - _EPS:
-        raise ResolutionError(f"family radius {r} below scale_floor")
-    k = min(k_of_r(r), seq.k_max)
-    e = tilde_e(seq, f, k, ball.center, c * r)
-    mu = space.ball_mass(ball.center, r)
-    return mu / r**p * e**p
+def bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls) -> np.ndarray:
+    """Per ball: mu(B)/r^p times the p-th power of the dilated-ball
+    deviation E~ at the scale matched to the radius, from one E~ call per
+    radius.  mu(B) is ``space.ball_mass``, whose rounding the greedy
+    family search has always ordered its ties by."""
+    centres, radii = _ball_arrays(space, balls)
+    if np.any(radii < space.scale_floor - _EPS):
+        raise ResolutionError(f"family radius {radii.min()} below scale_floor")
+    f_on_s = _values(f)[seq.support_ids]
+    e = np.zeros(radii.size)
+    for r in np.unique(radii):
+        at = np.flatnonzero(radii == r)
+        e[at] = _tilde_es(seq, f_on_s, min(k_of_r(r), seq.k_max), centres[at], c * r)
+    mu = np.array([space.ball_mass(b.center, b.radius) for b in balls], dtype=float)
+    return mu / radii**p * e**p
 
 
 def bsn_functional(
@@ -545,15 +572,12 @@ def bsn_functional(
             S,
             c,
             budget=search_budget,
-            term_fn=lambda b: bsn_term(space, seq, f, p, c, b),
+            term_fn=lambda balls: bsn_terms(space, seq, f, p, c, balls),
             radii=search_radii,
         )
     else:
         validate_nice_family(space, S, family)
-    total = 0.0
-    for b in family.balls:
-        total += bsn_term(space, seq, f, p, c, b)
-    sup_part = total ** (1.0 / p)
+    sup_part = float(np.sum(bsn_terms(space, seq, f, p, c, family.balls))) ** (1.0 / p)
     return FunctionalReport(
         name="bsn",
         value=lp + sup_part,

@@ -94,20 +94,6 @@ class MeasureSequence:
     def neighbors(self) -> SubsetNeighbors:
         return subset_neighbors(self.space, self.support_ids)
 
-    def mass_on(self, k: int, positions: np.ndarray) -> float:
-        return float(np.sum(self.weights_per_k[int(k)][positions]))
-
-    def ball_mass(self, k: int, center, radius: float) -> float:
-        """m_k(B_radius(center))."""
-        pos = self.neighbors.members_of(center, radius)
-        return self.mass_on(k, pos)
-
-    def e_ball(self, k: int, f_on_s: np.ndarray, center, radius: float) -> float:
-        """Best-constant deviation of f over B_radius(center) against m_k;
-        f_on_s is aligned with support_ids."""
-        pos = self.neighbors.members_of(center, radius)
-        return weighted_stats(f_on_s[pos], self.weights_per_k[int(k)][pos]).best_dev
-
 
 def default_k_max(space: FiniteMetricMeasureSpace) -> int:
     """Largest k with 2^-k >= scale_floor."""
@@ -282,30 +268,29 @@ def measure_comparison_check(
     overall_min, overall_max = math.inf, 0.0
     for k in range(seq.k_max + 1):
         r = 2.0 ** (-k)
-        lo, hi = math.inf, 0.0
-        found = False
-        for i, pc in enumerate(piecewise.pieces):
+        ratios = []
+        for pc in piecewise.pieces:
             centers = pc.ids
             if centers.size > max_centers_per_piece:
                 sel = np.unique(np.linspace(0, centers.size - 1, max_centers_per_piece).astype(int))
                 centers = centers[sel]
-            scale_k = 2.0 ** (k * (seq.theta - pc.theta))
-            for x in centers:
-                denom = scale_k * pc.weight_on(space.members(int(x), r))
-                if denom <= 0:
-                    continue
-                # xbar candidates: x itself plus the lowest-id points with
-                # B_k(x) inside c B_k(xbar)
-                anchors = space.members(int(x), (c - 1.0) * r)[:3]
-                for xbar in ([int(x)] + [int(a) for a in anchors if int(a) != int(x)])[:3]:
-                    num = seq.ball_mass(k, xbar, c * r)
-                    ratio = num / denom
-                    lo, hi = min(lo, ratio), max(hi, ratio)
-                    found = True
-        if found:
-            per_scale[k] = (lo, hi)
-            overall_min = min(overall_min, lo)
-            overall_max = max(overall_max, hi)
+            denom = 2.0 ** (k * (seq.theta - pc.theta)) * subset_neighbors(space, pc.ids).ball_sums(
+                centers, r, pc.weights[None])[0]
+            # xbar candidates: x itself plus the lowest-id points with
+            # B_k(x) inside c B_k(xbar)
+            xbars, at = [], []
+            for a in np.flatnonzero(denom > 0):
+                x = int(centers[a])
+                near = ([x] + [int(y) for y in space.members(x, (c - 1.0) * r)[:3] if y != x])[:3]
+                xbars += near
+                at += [a] * len(near)
+            num = seq.neighbors.ball_sums(np.array(xbars, dtype=int), c * r, seq.weights_per_k[k][None])[0]
+            ratios.append(num / denom[at])
+        ratios = np.concatenate(ratios)
+        if ratios.size:
+            per_scale[k] = (float(ratios.min()), float(ratios.max()))
+            overall_min = min(overall_min, per_scale[k][0])
+            overall_max = max(overall_max, per_scale[k][1])
         else:
             skipped.append(k)
     return ComparisonReport(

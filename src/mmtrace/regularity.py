@@ -45,13 +45,6 @@ class SubsetPiece:
         self.ids = self.ids[order]
         self.weights = self.weights[order]
 
-    def weight_on(self, member_ids: np.ndarray) -> float:
-        """Sum of piece weights over the given (sorted) member ids."""
-        pos = np.searchsorted(self.ids, member_ids)
-        pos = np.clip(pos, 0, self.ids.size - 1)
-        hit = self.ids[pos] == member_ids
-        return float(np.sum(self.weights[pos[hit]]))
-
     def dense_weights(self, n: int) -> np.ndarray:
         out = np.zeros(n)
         out[self.ids] = self.weights

@@ -25,6 +25,7 @@ from oracles import (
     obn,
     oball,
     obsn_family,
+    ok_of_r,
     ogl,
     omass,
     osearch_family,
@@ -409,7 +410,8 @@ class TestNiceFamilies:
         coords, subset, cands, terms, budget, kind = inst
         space = mt.FiniteMetricMeasureSpace(weights=np.ones(len(coords)), coords=coords, resolution=1 / 8)
         fam = mt.enumerate_or_search_nice_family(
-            space, subset, c, budget, term_fn=lambda b: terms[(b.center, b.radius)], kind=kind, candidates=cands
+            space, subset, c, budget, term_fn=lambda balls: np.array([terms[(b.center, b.radius)] for b in balls]),
+            kind=kind, candidates=cands,
         )
         s_set = set(map(int, subset))
         pool = [b for b in cands if b.radius <= 1.0 and s_set & set(oball(coords, b.center, c * b.radius))
@@ -494,15 +496,16 @@ class TestNiceFamilies:
         cands = [mt.Ball(int(c), r) for c, r in
                  zip(rng.integers(0, 11, 8), rng.choice([0.125, 0.25, 0.5], 8))]
         terms = {(b.center, b.radius): float(t) for b, t in zip(cands, rng.uniform(0.1, 1.0, 8))}
-        term_fn = lambda b: terms[(b.center, b.radius)]
+        term = lambda b: terms[(b.center, b.radius)]
+        term_fn = lambda balls: np.array([term(b) for b in balls])
         greedy = mt.enumerate_or_search_nice_family(
             grid1d_11, subset, 2.0, budget=8, term_fn=term_fn, candidates=cands
         )
         exact = mt.enumerate_or_search_nice_family(
             grid1d_11, subset, 2.0, budget=8, term_fn=term_fn, candidates=cands, method="exact"
         )
-        v_greedy = sum(term_fn(b) for b in greedy.balls)
-        v_exact = sum(term_fn(b) for b in exact.balls)
+        v_greedy = sum(term(b) for b in greedy.balls)
+        v_exact = sum(term(b) for b in exact.balls)
         assert v_greedy == pytest.approx(v_exact, rel=1e-12)
 
 
@@ -564,6 +567,40 @@ class TestBsn:
                     taken[m] = True
             rep = mt.bsn_functional(space, seq, f, 2.5, 6.0, family=mt.NiceFamily(balls, c=6.0))
             assert rep.parts["sup"] <= 20.0 * lp
+
+    def test_bsn_terms_of_a_mixed_list(self):
+        """One call with centres on and off S, several radii and a ball
+        whose c-dilation misses S: each term against the oracle E~ times
+        the oracle mass."""
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        f = mt.make_sample_function(space, pw, "random", seed=0).values
+        c, s_ids = 2.0, set(map(int, pw.union_ids))
+        d_s = np.min(np.linalg.norm(space.coords[:, None] - space.coords[pw.union_ids][None], axis=2), axis=1)
+        far = int(np.argmax(d_s))
+        near = int(np.flatnonzero((d_s > 0) & (d_s <= c * 0.125))[0])
+        assert d_s[far] > c * 0.125
+        balls = [mt.Ball(int(pw.union_ids[0]), 0.125), mt.Ball(near, 0.125), mt.Ball(far, 0.125),
+                 mt.Ball(int(pw.union_ids[-1]), 0.5), mt.Ball(near, 1.0), mt.Ball(int(pw.union_ids[5]), 0.125)]
+        got = functionals.bsn_terms(space, seq, f, 2.5, c, balls)
+        mk = mk_dense_per_k(seq, space)
+        for term, b in zip(got, balls):
+            e = otilde_e(space.coords, s_ids, mk[min(ok_of_r(b.radius), seq.k_max)], f, b.center, c * b.radius)
+            want = omass(space.coords, space.weights, b.center, b.radius) / b.radius**2.5 * e**2.5
+            assert term == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got[2] == 0.0 and np.all(np.delete(got, 2) > 0)
+
+    def test_coordinate_centre_rejected(self):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        for centre in (np.array([0.5, 0.5, 0.5]), space.n):
+            fam = mt.NiceFamily([mt.Ball(centre, 0.125)], c=6)
+            with pytest.raises(InvalidFamily, match="not a point id"):
+                mt.validate_nice_family(space, pw.union_ids, fam)
+            with pytest.raises(InvalidFamily, match="not a point id"):
+                mt.bsn_functional(space, seq, np.zeros(space.n), 2.5, 6.0, family=fam)
+            with pytest.raises(InvalidFamily, match="not a point id"):
+                mt.enumerate_or_search_nice_family(space, pw.union_ids, 6.0, 4, candidates=fam.balls)
 
 
 class TestSharpS1:

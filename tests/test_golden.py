@@ -25,7 +25,7 @@ import pytest
 
 import mmtrace as mt
 from mmtrace.experiments import ExperimentConfig, evaluate_functional
-from mmtrace.functionals import bsn_term
+from mmtrace.functionals import bsn_terms
 
 GOLDEN = Path(__file__).parent / "golden" / "h8.json"
 GOLDEN_COVERS = Path(__file__).parent / "golden" / "h8_covers.json"
@@ -120,7 +120,7 @@ def compute_covers() -> dict:
             f = mt.make_sample_function(space, pw, fam, seed=0)
             family = mt.enumerate_or_search_nice_family(
                 space, seq.support_ids, C, budget=256,
-                term_fn=lambda b: bsn_term(space, seq, f, P, C, b),
+                term_fn=lambda balls: bsn_terms(space, seq, f, P, C, balls),
             )
             out[f"{inst}|{fam}|bsn_family"] = _ball_list(family.balls)
     space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)

@@ -3,7 +3,7 @@ import pytest
 
 import mmtrace as mt
 from mmtrace.errors import ParameterError
-from oracles import oE, oOSC
+from oracles import oball, oE, oOSC
 
 
 class TestBuild:
@@ -60,7 +60,7 @@ class TestBuild:
         with mock.patch.object(measures, "subset_neighbors", wraps=measures.subset_neighbors) as spy:
             first = seq.neighbors
             assert all(seq.neighbors is first for _ in range(3))
-            seq.ball_mass(1, int(seq.support_ids[0]), 0.25)
+            mt.tilde_e(seq, np.zeros(space.n), 1, int(seq.support_ids[0]), 0.25)
         assert spy.call_count == 1
         np.testing.assert_array_equal(first.ids, seq.support_ids)
 
@@ -178,6 +178,24 @@ class TestComparison:
         rep = mt.measure_comparison_check(space, seq, single, c=2.0, max_centers_per_piece=17)
         assert rep.overall_min >= 1.0 - 1e-12
         assert rep.overall_max < 50.0
+
+    def test_per_scale_equals_a_brute_force_loop(self):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        c, cap = 2.0, 17
+        rep = mt.measure_comparison_check(space, seq, pw, c=c, max_centers_per_piece=cap)
+        for k in range(seq.k_max + 1):
+            r, mk, ratios = 2.0 ** (-k), seq.dense(k), []
+            for pc in pw.pieces:
+                h = dict(zip(pc.ids.tolist(), pc.weights))
+                centers = pc.ids[np.unique(np.linspace(0, pc.ids.size - 1, cap).astype(int))]
+                for x in centers.tolist():
+                    h_ball = sum(h[i] for i in oball(space.coords, x, r) if i in h)
+                    denom = 2.0 ** (k * (seq.theta - pc.theta)) * h_ball
+                    near = [x] + [y for y in oball(space.coords, x, (c - 1.0) * r)[:3] if y != x]
+                    ratios += [sum(mk[i] for i in oball(space.coords, y, c * r)) / denom for y in near[:3]]
+            assert rep.per_scale[k] == pytest.approx((min(ratios), max(ratios)), rel=1e-12, abs=0.0)
+        assert rep.skipped_scales == []
 
 
 class TestLpTail:

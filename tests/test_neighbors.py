@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import mmtrace as mt
 from mmtrace import _neighbors as nb
@@ -278,6 +279,27 @@ def test_porosity_masks_shared_per_sigma_and_grid():
     assert not first.porous_points_per_scale[0].flags.writeable
     other = mt.porosity_scan(space, line, 0.5, [0.5, 0.25])
     assert other.porous_points_per_scale[0] is not first.porous_points_per_scale[0]
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_rows_of_block_mixing_empty_and_non_empty_rows(matrix):
+    """A block whose centres have empty and non-empty rows: its tree holds
+    only the centres of the non-empty rows, and every row equals the
+    brute-force scan."""
+    coords = np.stack(np.meshgrid(np.arange(9) / 8, np.arange(9) / 8, indexing="ij"), -1).reshape(-1, 2)
+    space = _space(coords, np.ones(81), matrix)
+    subset = np.flatnonzero(coords[:, 0] == 0.0)
+    nbrs = nb.SubsetNeighbors(space, subset)
+    centres = np.array([80, 0, 40, 9, 72, 18, 4, 44])
+    want = _oracle_rows(coords, subset, 0.2, centres)
+    sizes = []
+    with mock.patch.object(nb, "cKDTree", side_effect=lambda pts: sizes.append(len(pts)) or cKDTree(pts)):
+        blocks = list(nbrs.rows_of(centres, 0.2))
+    assert len(blocks) == 1
+    ptr, ind = blocks[0][2]
+    assert [ind[ptr[a] : ptr[a + 1]].tolist() for a in range(centres.size)] == want
+    assert 0 < sum(map(bool, want)) < centres.size
+    assert sizes == ([] if matrix else [sum(map(bool, want))])
 
 
 def test_long_row_split_from_its_block():
