@@ -12,6 +12,7 @@ every pair list and the kernels reduce rows, both in blocks of at most
 
 from __future__ import annotations
 
+import hashlib
 import weakref
 
 import numpy as np
@@ -40,6 +41,7 @@ class SubsetNeighbors:
         if space.coords is not None:
             self._tree = cKDTree(space.coords[self.ids])
         self._lists_cache: dict[float, tuple] = {}
+        self._sums_cache: dict[tuple, np.ndarray] = {}
         self.porosity_masks: dict[tuple, list] = {}  # porosity_scan's, per (sigma, r_grid)
 
     def _cached(self, centres: np.ndarray, radius: float):
@@ -136,6 +138,16 @@ class SubsetNeighbors:
         if key not in self._lists_cache:
             self._lists_cache[key] = self._sweep(self.ids, radius)
         return self._lists_cache[key]
+
+    def self_sums(self, radius: float, w: np.ndarray) -> np.ndarray:
+        """``row_sums`` of ``self_lists(radius)`` for the weight vector w
+        over the subset; cached per radius and the digest of w's bytes."""
+        key = (float(radius), hashlib.blake2b(np.ascontiguousarray(w, dtype=float).tobytes(), digest_size=16).digest())
+        if key not in self._sums_cache:
+            sums = row_sums(self.self_lists(radius), w)
+            sums.flags.writeable = False
+            self._sums_cache[key] = sums
+        return self._sums_cache[key]
 
     def _sweep(self, centres: np.ndarray, radius: float) -> tuple:
         """CSR of the radius-balls around centres, filled from ``rows_of``."""

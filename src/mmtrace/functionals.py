@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import centred_means, pair_abs_diffs, row_deviations, row_sums, subset_neighbors
+from ._neighbors import centred_means, pair_abs_diffs, row_deviations, subset_neighbors
 from .errors import (
     InvalidFamily,
     InvalidPair,
@@ -253,7 +253,7 @@ def gluing(
             ref = float(vals[pieces[0].ids[0]])
             shifted = [pv - ref for pv in piece_vals]
             balls = [nb.self_lists(r) for nb in cfg.nbrs]
-            masses = [row_sums(b, pc.weights) for b, pc in zip(balls, pieces)]
+            masses = [nb.self_sums(r, pc.weights) for nb, pc in zip(cfg.nbrs, pieces)]
         k_term = 0.0
         for i in range(piecewise.N):
             for j in range(i + 1, piecewise.N):
@@ -441,7 +441,7 @@ def enumerate_or_search_nice_family(
     subset_ids,
     c: float,
     budget: int,
-    term_fn: Optional[Callable[[list], np.ndarray]] = None,
+    term_fn: Optional[Callable[[list, np.ndarray], np.ndarray]] = None,
     kind: str = "nice",
     candidates: Optional[Sequence[Ball]] = None,
     method: str = "greedy",
@@ -449,9 +449,11 @@ def enumerate_or_search_nice_family(
 ) -> NiceFamily:
     """Build a valid family maximizing the sum of per-ball terms.
 
-    ``term_fn(balls)`` takes the list of pool balls (the candidates whose
-    c-dilation meets the subset) and returns their terms as one array, in
-    list order; the default is each ball's mass ``space.ball_mass``.
+    ``term_fn(balls, masses)`` takes the list of pool balls (the candidates
+    whose c-dilation meets the subset) and their masses mu(B), summed over
+    the member sets the search reads anyway as ``space.ball_mass`` sums
+    them, and returns their terms as one array, in list order; the default
+    term is the mass.
     Candidates default to balls on separated nets of the subset with
     matching dyadic radii (pass ``radii`` to pin the scale range, e.g. for
     cross-resolution comparisons).  Greedy adds the best-scoring disjoint
@@ -465,8 +467,6 @@ def enumerate_or_search_nice_family(
     subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
     if budget <= 0:
         return NiceFamily(balls=[], c=float(c), kind=kind)
-    if term_fn is None:
-        term_fn = lambda balls: np.array([space.ball_mass(b.center, b.radius) for b in balls])
     if candidates is None:
         if radii is None:
             radii = [2.0 ** (-j) for j in range(default_k_max(space) + 1)]
@@ -481,8 +481,9 @@ def enumerate_or_search_nice_family(
     if kind == "whitney":
         keep &= ~_meets(nbrs, centres, sizes, 1.0)
     pool = [b for b, k in zip(candidates, keep) if k]
-    terms = np.asarray(term_fn(pool), dtype=float)
     member_sets = [space.members(b.center, b.radius) for b in pool]
+    masses = np.array([float(np.sum(space.weights[m])) for m in member_sets])
+    terms = masses if term_fn is None else np.asarray(term_fn(pool, masses), dtype=float)
 
     if method == "exact":
         if len(pool) > 16:
@@ -532,6 +533,12 @@ def bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls) -> np.n
     deviation E~ at the scale matched to the radius, from one E~ call per
     radius.  mu(B) is ``space.ball_mass``, whose rounding the greedy
     family search has always ordered its ties by."""
+    mu = np.array([space.ball_mass(b.center, b.radius) for b in balls], dtype=float)
+    return _bsn_terms(space, seq, f, p, c, balls, mu)
+
+
+def _bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls, mu: np.ndarray) -> np.ndarray:
+    """``bsn_terms`` with the balls' masses given."""
     centres, radii = _ball_arrays(space, balls)
     if np.any(radii < space.scale_floor - _EPS):
         raise ResolutionError(f"family radius {radii.min()} below scale_floor")
@@ -540,7 +547,6 @@ def bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls) -> np.n
     for r in np.unique(radii):
         at = np.flatnonzero(radii == r)
         e[at] = _tilde_es(seq, f_on_s, min(k_of_r(r), seq.k_max), centres[at], c * r)
-    mu = np.array([space.ball_mass(b.center, b.radius) for b in balls], dtype=float)
     return mu / radii**p * e**p
 
 
@@ -572,7 +578,7 @@ def bsn_functional(
             S,
             c,
             budget=search_budget,
-            term_fn=lambda balls: bsn_terms(space, seq, f, p, c, balls),
+            term_fn=lambda balls, masses: _bsn_terms(space, seq, f, p, c, balls, masses),
             radii=search_radii,
         )
     else:

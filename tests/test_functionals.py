@@ -409,10 +409,12 @@ class TestNiceFamilies:
     def test_search_equals_the_set_oracle(self, inst, c):
         coords, subset, cands, terms, budget, kind = inst
         space = mt.FiniteMetricMeasureSpace(weights=np.ones(len(coords)), coords=coords, resolution=1 / 8)
-        fam = mt.enumerate_or_search_nice_family(
-            space, subset, c, budget, term_fn=lambda balls: np.array([terms[(b.center, b.radius)] for b in balls]),
-            kind=kind, candidates=cands,
-        )
+        def term_fn(balls, masses):
+            # the masses come from the search's member sets, as ball_mass sums them
+            assert masses.tolist() == [space.ball_mass(b.center, b.radius) for b in balls]
+            return np.array([terms[(b.center, b.radius)] for b in balls])
+
+        fam = mt.enumerate_or_search_nice_family(space, subset, c, budget, term_fn=term_fn, kind=kind, candidates=cands)
         s_set = set(map(int, subset))
         pool = [b for b in cands if b.radius <= 1.0 and s_set & set(oball(coords, b.center, c * b.radius))
                 and not (kind == "whitney" and s_set & set(oball(coords, b.center, b.radius)))]
@@ -497,7 +499,7 @@ class TestNiceFamilies:
                  zip(rng.integers(0, 11, 8), rng.choice([0.125, 0.25, 0.5], 8))]
         terms = {(b.center, b.radius): float(t) for b, t in zip(cands, rng.uniform(0.1, 1.0, 8))}
         term = lambda b: terms[(b.center, b.radius)]
-        term_fn = lambda balls: np.array([term(b) for b in balls])
+        term_fn = lambda balls, masses: np.array([term(b) for b in balls])
         greedy = mt.enumerate_or_search_nice_family(
             grid1d_11, subset, 2.0, budget=8, term_fn=term_fn, candidates=cands
         )

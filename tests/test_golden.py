@@ -120,7 +120,7 @@ def compute_covers() -> dict:
             f = mt.make_sample_function(space, pw, fam, seed=0)
             family = mt.enumerate_or_search_nice_family(
                 space, seq.support_ids, C, budget=256,
-                term_fn=lambda balls: bsn_terms(space, seq, f, P, C, balls),
+                term_fn=lambda balls, masses: bsn_terms(space, seq, f, P, C, balls),
             )
             out[f"{inst}|{fam}|bsn_family"] = _ball_list(family.balls)
     space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)

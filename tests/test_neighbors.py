@@ -281,6 +281,24 @@ def test_porosity_masks_shared_per_sigma_and_grid():
     assert other.porous_points_per_scale[0] is not first.porous_points_per_scale[0]
 
 
+def test_gl3_masses_cached_per_radius_and_weights():
+    space, pw = mt.generate(mt.difficult_case_spec(1 / 16), verify=False)
+    seg = pw.pieces[1]
+    nbrs = nb.subset_neighbors(space, seg.ids)
+    sums = nbrs.self_sums(0.25, seg.weights)
+    np.testing.assert_array_equal(sums, nb.row_sums(nbrs.self_lists(0.25), seg.weights))
+    assert nbrs.self_sums(0.25, seg.weights.copy()) is sums and not sums.flags.writeable
+    other = nbrs.self_sums(0.25, 2.0 * seg.weights)
+    np.testing.assert_array_equal(other, nb.row_sums(nbrs.self_lists(0.25), 2.0 * seg.weights))
+    # once one gl3 call has filled them, another function reuses every mass
+    first = mt.gluing(space, pw, mt.make_sample_function(space, pw, "random"), 2.5, which=3)
+    with mock.patch("mmtrace._neighbors.row_sums", side_effect=AssertionError("recomputed")):
+        again = mt.gluing(space, pw, mt.make_sample_function(space, pw, "linear"), 2.5, which=3)
+    fresh, _ = mt.generate(mt.difficult_case_spec(1 / 16), verify=False)
+    want = mt.gluing(fresh, pw, mt.make_sample_function(fresh, pw, "linear"), 2.5, which=3)
+    assert again.value == want.value and first.value > 0
+
+
 @pytest.mark.parametrize("matrix", [False, True])
 def test_rows_of_block_mixing_empty_and_non_empty_rows(matrix):
     """A block whose centres have empty and non-empty rows: its tree holds

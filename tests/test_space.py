@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mmtrace as mt
 from mmtrace.errors import EmptySet, InsufficientData, InvalidPoint, InvalidScale, ResolutionError
-from oracles import ogreedy_net
+from oracles import ogreedy_net, omass
 
 
 class TestBalls:
@@ -282,3 +282,121 @@ class TestMassesAtCentres:
         assert space._mass_cache
         for masses in space._mass_cache.values():
             assert set(np.flatnonzero(~np.isnan(masses)).tolist()) <= set(pw.union_ids.tolist())
+
+
+GRID_SIDES = {1: (2, 700), 2: (2, 30), 3: (2, 12)}
+
+
+def _kd_twin(space):
+    """The same cloud and weights at a resolution no grid side matches, so
+    every mass is a KD count."""
+    twin = mt.FiniteMetricMeasureSpace(weights=space.weights, coords=space.coords, resolution=2.0)
+    assert twin._lattice is None
+    return twin
+
+
+def _grid_points(dim, m):
+    """Lattice ids of the corners, edge, face and interior points: every
+    combination of the indices 0, 1, m // 2, m - 1 and m per axis."""
+    ticks = sorted({0, 1, m // 2, m - 1, m})
+    grid = np.stack(np.meshgrid(*[ticks] * dim, indexing="ij"), -1).reshape(-1, dim)
+    return np.ravel_multi_index(grid.T, (m + 1,) * dim)
+
+
+class TestLatticeCounts:
+    """On a full grid the ball masses come from integer lattice counts,
+    equal bit for bit to the KD count, and no KD tree is built."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from(["cell", "uniform", "merged"]), st.data())
+    def test_equal_to_the_kd_count(self, dim, mode, data):
+        m = data.draw(st.integers(*GRID_SIDES[dim]), label="m")
+        h = 1.0 / m
+        space = mt.build_grid_space(f"grid{dim}d", h, mu_weights="uniform" if mode == "uniform" else "cell")
+        if mode == "merged":
+            # one weight per number of boundary coordinates, some of them equal
+            per_class = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=dim + 1, max_size=dim + 1)))
+            bound = sum(np.isin(space.coords[:, a], (0.0, 1.0)).astype(int) for a in range(dim))
+            space = mt.FiniteMetricMeasureSpace(weights=per_class[bound] * h**dim, coords=space.coords, resolution=h)
+        twin = _kd_twin(space)
+        assert space._lattice is not None and space._lattice[0] == m
+        # the lattice path serves uniform weights and the class branch of n > 512
+        lattice_path = space._uniform_weight is not None or space._weight_classes is not None
+        js = data.draw(st.lists(st.integers(0, dim * m * m + 2), min_size=1, max_size=6), label="j")
+        radii = [math.sqrt(j) * h for j in js] + [2.0**-k for k in range(math.ceil(math.log2(m)) + 2)]
+        centres = np.concatenate([_grid_points(dim, m), data.draw(st.lists(st.integers(0, space.n - 1), max_size=20))])
+        for r in radii:
+            got = space.masses_at_radius(r, centres)
+            np.testing.assert_array_equal(got, twin.masses_at_radius(r, centres))
+            for x in centres[:: max(1, centres.size // 4)]:
+                assert got[centres == x][0] == pytest.approx(omass(space.coords, space.weights, int(x), r), rel=1e-12)
+        r = radii[0]
+        np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
+        assert (space._tree is None and space._class_trees is None) == lattice_path
+
+    def _cell_grid(self, h=1 / 24):
+        space = mt.build_grid_space("grid2d", h)
+        assert space._lattice is not None and space._weight_classes is not None
+        return space
+
+    def test_nudged_coordinate_is_no_lattice(self):
+        grid = self._cell_grid()
+        coords = grid.coords.copy()
+        coords[30, 1] = np.nextafter(coords[30, 1], 1.0)
+        space = mt.FiniteMetricMeasureSpace(weights=grid.weights, coords=coords, resolution=1 / 24)
+        assert space._lattice is None
+        np.testing.assert_array_equal(space.masses_at_radius(0.25), _kd_twin(space).masses_at_radius(0.25))
+
+    def test_weights_off_the_boundary_count_are_no_lattice(self):
+        grid = self._cell_grid()
+        weights = grid.weights.copy()
+        # an interior point and an edge point swap weights: still three values
+        weights[[26, 1]] = weights[[1, 26]]
+        space = mt.FiniteMetricMeasureSpace(weights=weights, coords=grid.coords, resolution=1 / 24)
+        assert space._lattice is None and space._weight_classes is not None
+        np.testing.assert_array_equal(space.masses_at_radius(0.25), _kd_twin(space).masses_at_radius(0.25))
+
+    def test_ambiguous_radius_takes_the_kd_count(self):
+        space = self._cell_grid()
+        twin = _kd_twin(space)
+        # padded, this radius lands on sqrt(5) h up to round-off
+        r = (math.sqrt(5) / 24 - 1e-12) / (1 + 1e-12)
+        np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
+        assert space._class_trees is not None
+
+    def test_loaded_grid_keeps_the_lattice(self, tmp_path):
+        from mmtrace import io as mio
+
+        space = mt.build_grid_space("grid3d", 1 / 10)
+        mio.save_space(space, str(tmp_path / "g.mmspace"))
+        loaded = mio.load_space(str(tmp_path / "g.mmspace"))
+        assert loaded._lattice is not None and loaded._weight_classes is not None
+        for r in (0.5, math.sqrt(3) / 10, 0.1):
+            np.testing.assert_array_equal(loaded.masses_at_radius(r), _kd_twin(space).masses_at_radius(r))
+        assert loaded._tree is None and loaded._class_trees is None
+
+    @pytest.mark.parametrize("h", [5e-324, 2.225073858507201e-308, 1e-300, 1e300, math.nan])
+    def test_any_resolution_answers(self, h):
+        space = mt.FiniteMetricMeasureSpace(weights=np.ones(8), coords=np.arange(16.0).reshape(8, 2), resolution=h)
+        assert space._lattice is None
+
+    @pytest.mark.parametrize("coords", [[[0.0], [math.nan]], [[0.0], [math.inf]], [0.0, 1.0], np.zeros((2, 0))])
+    def test_coords_a_tree_rejects_still_raise(self, coords):
+        # no tree is built at construction any more; the same coords fail there
+        with pytest.raises(ValueError):
+            mt.FiniteMetricMeasureSpace(weights=np.ones(2), coords=coords, resolution=0.5)
+
+    def test_detection_allocates_no_cloud_sized_temporary(self):
+        import tracemalloc
+
+        grid = mt.build_grid_space("grid3d", 1 / 48)
+        weights, coords = grid.weights.copy(), grid.coords.copy()
+        tracemalloc.start()
+        try:
+            space = mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=1 / 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space._lattice is not None
+        # an n x dim float comparison would take coords.nbytes (2.8 MB) alone
+        assert peak < coords.nbytes / 4
