@@ -1,6 +1,6 @@
 """Codimensional Hausdorff contents and regularity verifiers.
 
-Computes set-cover contents (greedy against the exact branch-and-bound),
+Computes set-cover contents (greedy against the exact 0-1 program),
 traces the delta-limit toward the codimensional measure, and certifies
 two-sided regularity and porosity of a segment inside the unit cube.
 """

@@ -18,15 +18,11 @@ import weakref
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .space import _EPS, FiniteMetricMeasureSpace
+from .space import FiniteMetricMeasureSpace, _pad
 
 # a block's float64 temporaries (64 KiB) stay below glibc's default 128 KiB
 # mmap threshold, so successive blocks reuse heap pages, not fresh mappings
 PAIR_BLOCK = 1 << 13
-
-
-def _pad(radius: float) -> float:
-    return radius * (1 + _EPS) + _EPS
 
 
 class SubsetNeighbors:

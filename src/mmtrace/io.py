@@ -164,8 +164,6 @@ def load_pieces(path: str) -> PiecewiseSet:
     try:
         pieces = []
         for entry in json.loads(_read_text(path, "pieces"))["pieces"]:
-            if min(entry["ids"], default=0) < 0:
-                raise ValueError(f"negative point id {min(entry['ids'])}")
             pc = SubsetPiece(
                 ids=np.asarray(entry["ids"], dtype=int),
                 theta=float(entry["theta"]),
@@ -175,7 +173,7 @@ def load_pieces(path: str) -> PiecewiseSet:
             if entry.get("adr_constants"):
                 pc.adr_constants = tuple(entry["adr_constants"])
             pieces.append(pc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
         raise IoError(f"cannot read pieces from {path}: {exc!r}") from exc
     return compose_piecewise(pieces)
 

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._neighbors import _pad, subset_neighbors
+from ._neighbors import subset_neighbors
 from .content import _candidate_pool, _greedy_cover
 from .errors import EmptySet, InvalidGrid, InvalidParameter, ResolutionError
-from .space import _EPS, FiniteMetricMeasureSpace, dyadic_radii
+from .space import _EPS, FiniteMetricMeasureSpace, _pad, dyadic_radii
 
 
 @dataclass
@@ -39,11 +39,16 @@ class SubsetPiece:
             raise EmptySet("piece must be nonempty")
         if self.ids.size != self.weights.size:
             raise InvalidParameter("ids/weights length mismatch")
-        if np.any(self.weights <= 0):
-            raise InvalidParameter("piece weights must be strictly positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise InvalidParameter("piece weights must be finite and strictly positive")
         order = np.argsort(self.ids)
         self.ids = self.ids[order]
         self.weights = self.weights[order]
+        if self.ids[0] < 0:
+            raise InvalidParameter(f"negative point id {self.ids[0]}")
+        repeated = self.ids[1:][np.diff(self.ids) == 0]
+        if repeated.size:
+            raise InvalidParameter(f"point id {repeated[0]} given more than once")
 
     def dense_weights(self, n: int) -> np.ndarray:
         out = np.zeros(n)

@@ -32,6 +32,11 @@ Center = Union[int, np.integer, Sequence[float], np.ndarray]
 _EPS = 1e-12
 
 
+def _pad(radius: float) -> float:
+    """The closed-ball radius padded against float round-off."""
+    return radius * (1 + _EPS) + _EPS
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball; ``center`` is a point id or a coordinate vector."""
@@ -234,11 +239,10 @@ class FiniteMetricMeasureSpace:
         vec = self._center_vector(center)
         if self.coords is not None:
             query = self.coords[self.check_id(center)] if vec is None else vec
-            # pad the closed-ball boundary against float round-off
-            idx = self._cloud_tree().query_ball_point(query, radius * (1 + _EPS) + _EPS)
+            idx = self._cloud_tree().query_ball_point(query, _pad(radius))
             return np.sort(np.asarray(idx, dtype=int))
         dists = self.distances_from(center)
-        return np.flatnonzero(dists <= radius * (1 + _EPS) + _EPS)
+        return np.flatnonzero(dists <= _pad(radius))
 
     def ball_mass(self, center: Center, radius: float) -> float:
         m = self.members(center, radius)
@@ -255,7 +259,7 @@ class FiniteMetricMeasureSpace:
         centres = self.ids if ids is None else np.asarray(ids, dtype=int)
         todo = np.unique(centres[np.isnan(masses[centres])])
         if todo.size:
-            masses[todo] = self._count_masses(todo, radius * (1 + _EPS) + _EPS)
+            masses[todo] = self._count_masses(todo, _pad(radius))
         return masses if ids is None else masses[centres]
 
     def _count_masses(self, centres: np.ndarray, r: float) -> np.ndarray:

@@ -9,6 +9,7 @@ computational paths beyond the closed-ball float tolerance, which is a
 modeling convention rather than an algorithm.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -233,6 +234,35 @@ def ogreedy_cover(n_target, covers, weights):
         chosen.append(best)
         uncovered -= {int(e) for e in covers[best]}
     return chosen
+
+
+def oexact_cover(n_target, covers, weights):
+    """Cheapest cover by plain enumeration of every candidate subset (at
+    most 12 candidates): its summed weight, or None when no subset covers."""
+    assert len(covers) <= 12
+    sets = [set(map(int, cov)) for cov in covers]
+    best = None
+    for size in range(len(sets) + 1):
+        for sub in itertools.combinations(range(len(sets)), size):
+            if set().union(*(sets[i] for i in sub)) >= set(range(n_target)):
+                value = sum(weights[i] for i in sub)
+                if best is None or value < best:
+                    best = value
+    return best
+
+
+def oexact_family(member_sets, terms, budget):
+    """Largest summed term over the pairwise disjoint subsets of at most
+    ``budget`` candidates, by plain enumeration (at most 12 candidates);
+    the empty family counts 0."""
+    assert len(member_sets) <= 12
+    sets = [set(map(int, m)) for m in member_sets]
+    best = 0.0
+    for size in range(1, min(budget, len(sets)) + 1):
+        for sub in itertools.combinations(range(len(sets)), size):
+            if all(not sets[a] & sets[b] for a, b in itertools.combinations(sub, 2)):
+                best = max(best, sum(terms[i] for i in sub))
+    return best
 
 
 def ogreedy_net(dist, ids, sep):

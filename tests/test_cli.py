@@ -145,6 +145,17 @@ class TestExitCodes:
         assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
         assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
 
+    @pytest.mark.parametrize("ids, weights", [([1, 1, 2], [1.0, 2.0, 3.0]), ([0, 1], [1.0, float("nan")])],
+                             ids=["repeated_id", "nan_weight"])
+    def test_malformed_pieces_are_4(self, instance_dir, tmp_path, ids, weights):
+        pieces = tmp_path / "pieces.json"
+        pieces.write_text(json.dumps({"pieces": [{"ids": ids, "theta": 1.0, "weights": weights}]}))
+        f = tmp_path / "f.txt"
+        f.write_text("0 1.0\n")
+        space = str(instance_dir / "space.mmspace")
+        assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
+        assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
+
     def test_malformed_space_file_is_4(self, instance_dir, tmp_path):
         lines = (instance_dir / "space.mmspace").read_text().splitlines()
         lines[2] += " 0.5"

@@ -452,6 +452,12 @@ class TestNiceFamilies:
         with pytest.raises(InvalidFamily):
             mt.validate_nice_family(space, pw.union_ids, mt.NiceFamily([], c=0.5))
 
+    @pytest.mark.parametrize("option", [{"method": "Exact"}, {"method": "both"}, {"kind": "witney"}])
+    def test_unknown_method_or_kind_rejected(self, tiny_instance, option):
+        space, pw, _ = tiny_instance
+        with pytest.raises(InvalidParameter, match="unknown"):
+            mt.enumerate_or_search_nice_family(space, pw.union_ids, 2.0, budget=3, **option)
+
     def test_one_ball_family_valid(self, tiny_instance):
         space, pw, _ = tiny_instance
         fam = mt.NiceFamily([mt.Ball(int(pw.union_ids[0]), 0.25)], c=2.0)

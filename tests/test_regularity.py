@@ -171,6 +171,24 @@ class TestCompose:
             mt.compose_piecewise([a, b])
 
 
+class TestSubsetPiece:
+    def test_sorted_by_id(self):
+        piece = mt.SubsetPiece(ids=[3, 0, 2], theta=1.0, weights=[3.0, 1.0, 2.0])
+        assert piece.ids.tolist() == [0, 2, 3] and piece.weights.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("ids, weights, match", [
+        ([1, 1, 2], [1.0, 1.0, 1.0], "point id 1 given more than once"),
+        ([2, 0, 2], [1.0, 2.0, 3.0], "point id 2 given more than once"),
+        ([-1, 2], [1.0, 1.0], "negative point id -1"),
+        ([0, 1], [1.0, float("nan")], "finite"),
+        ([0, 1], [float("inf"), 1.0], "finite"),
+        ([0, 1], [1.0, 0.0], "strictly positive"),
+    ], ids=["repeated", "repeated_unsorted", "negative", "nan", "inf", "zero"])
+    def test_rejected(self, ids, weights, match):
+        with pytest.raises(InvalidParameter, match=match):
+            mt.SubsetPiece(ids=ids, theta=1.0, weights=weights)
+
+
 class TestPorosityProduct:
     def test_two_factors(self):
         assert mt.porosity_product_sigma([0.75, 0.75]) == pytest.approx(0.25)
