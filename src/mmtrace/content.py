@@ -113,10 +113,11 @@ def _zero_one_program(c, sets, n_rows: int, lb, ub):
     column j of the n_rows x m matrix A is the indicator of the row ids
     ``sets[j]``; the chosen j in increasing order, or None if no x is
     feasible.  Solved by HiGHS through ``scipy.optimize.milp`` with
-    mip_rel_gap 0.  Its absolute gap stop (1e-6) is not exposed, so the
-    costs go in divided by the smallest nonzero |c_j| (or by 1e-12 of the
-    largest, if that is more): the search ends within 1e-6 of that cost,
-    and optima closer than that are not told apart."""
+    mip_rel_gap 0.  HiGHS prunes within an absolute 1e-6 that milp does
+    not expose, so the costs go in divided by 1e-7 of the smallest nonzero
+    |c_j|, which finds the optimum to 1e-13 of that cost; the divisor is at
+    least 1e-16 of the largest |c_j|, keeping scaled costs below 1e16 (HiGHS
+    takes 1e20 as infinite).  Among tied optima the choice is HiGHS's."""
     # scipy.optimize costs every import of the package 0.2 s and 9 MB
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -124,7 +125,7 @@ def _zero_one_program(c, sets, n_rows: int, lb, ub):
     if c.size == 0:
         return [] if np.all(np.asarray(lb) <= 0) else None
     nonzero = np.abs(c[c != 0])
-    scale = max(nonzero.min(), 1e-12 * nonzero.max()) if nonzero.size else 1.0
+    scale = max(1e-7 * nonzero.min(), 1e-16 * nonzero.max()) if nonzero.size else 1.0
     indptr = np.cumsum([0] + [len(s) for s in sets])
     A = csc_array((np.ones(indptr[-1]), np.concatenate(sets).astype(int), indptr), shape=(n_rows, c.size))
     res = milp(c / scale, integrality=np.ones(c.size), bounds=Bounds(0, 1),
@@ -150,9 +151,9 @@ def hausdorff_content(space: FiniteMetricMeasureSpace, query: ContentQuery) -> C
     Greedy picks the ball minimizing cost per newly covered point; the
     exact method solves the cover as a 0-1 program with HiGHS when the pool
     has at most ``EXACT_CANDIDATE_LIMIT`` candidates, returning its balls in
-    pool order; the tests hold its value to a subset enumeration at rel
-    1e-12.  ``both`` returns the greedy cover with its gap against the
-    exact optimum.
+    pool order (of tied optima, the one HiGHS picks); the tests hold its
+    value to a subset enumeration at rel 1e-12, near ties included.
+    ``both`` returns the greedy cover with its gap against the optimum.
     """
     if query.delta <= space.scale_floor:
         raise ResolutionError(
@@ -173,7 +174,7 @@ def hausdorff_content(space: FiniteMetricMeasureSpace, query: ContentQuery) -> C
     chosen, value = _greedy_cover(target.size, covers, weights)
     gap = None
     if method == "both":
-        _, exact_value = _exact_cover(target.size, covers, weights)
+        exact_value = min(_exact_cover(target.size, covers, weights)[1], value)
         gap = (value - exact_value) / exact_value if exact_value > 0 else 0.0
     return CoverSolution([balls[i] for i in chosen], value, method, gap)
 

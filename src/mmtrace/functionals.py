@@ -463,8 +463,8 @@ def enumerate_or_search_nice_family(
     each chosen ball it meets scores at least as much.  ``method='exact'``
     (pools of at most 16 candidates) maximises the summed positive terms
     as a 0-1 program solved by HiGHS, each cloud point in at most one ball
-    and at most ``budget`` balls, returning the balls in pool order; the
-    tests hold its value to a subset enumeration at rel 1e-12.
+    and at most ``budget`` balls, returning the balls in pool order (of tied
+    optima, HiGHS's pick); the tests hold it to an enumeration at rel 1e-12.
     """
     if c < 1:
         raise InvalidParameter("nice families need c >= 1")

@@ -35,7 +35,7 @@ import warnings
 
 import numpy as np
 
-from .errors import InvalidParameter, IoError
+from .errors import InvalidParameter, IoError, ParameterError
 from .experiments import ExperimentConfig
 from .generators import GeneratorSpec, PieceSpec
 from .regularity import PiecewiseSet, SubsetPiece, compose_piecewise
@@ -173,7 +173,7 @@ def load_pieces(path: str) -> PiecewiseSet:
             if entry.get("adr_constants"):
                 pc.adr_constants = tuple(entry["adr_constants"])
             pieces.append(pc)
-    except (KeyError, TypeError, ValueError, InvalidParameter) as exc:
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise IoError(f"cannot read pieces from {path}: {exc!r}") from exc
     return compose_piecewise(pieces)
 

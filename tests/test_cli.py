@@ -145,8 +145,8 @@ class TestExitCodes:
         assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
         assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
 
-    @pytest.mark.parametrize("ids, weights", [([1, 1, 2], [1.0, 2.0, 3.0]), ([0, 1], [1.0, float("nan")])],
-                             ids=["repeated_id", "nan_weight"])
+    @pytest.mark.parametrize("ids, weights", [([1, 1, 2], [1.0, 2.0, 3.0]), ([0, 1], [1.0, float("nan")]), ([], [])],
+                             ids=["repeated_id", "nan_weight", "empty_ids"])
     def test_malformed_pieces_are_4(self, instance_dir, tmp_path, ids, weights):
         pieces = tmp_path / "pieces.json"
         pieces.write_text(json.dumps({"pieces": [{"ids": ids, "theta": 1.0, "weights": weights}]}))

@@ -1,11 +1,12 @@
 """The exact cover and the exact nice family, both 0-1 programs solved by
 HiGHS, against plain subset enumeration at rel 1e-12.
 
-HiGHS stops its search within an absolute gap of the scaled costs, so
-optima closer than that are not told apart; these tests are what hold
-"exact" to 1e-12.  Hypothesis draws weights and terms as dyadic
-rationals, tied or spread over decades, whose distinct sums lie far
-apart; continuous weights come from fixed seeds.
+HiGHS prunes and stops within an absolute 1e-6 of the costs it is given,
+and the helper scales the costs so that this is 1e-13 of the smallest
+one; these tests are what hold "exact" to 1e-12.  Hypothesis draws
+weights and terms as dyadic rationals, tied or spread over decades;
+continuous weights come from fixed seeds, and the near-tie pools space
+their weights from 1e-5 down to 1e-11 apart, below the unscaled stop.
 """
 
 import numpy as np
@@ -31,6 +32,15 @@ def dyadic(lo_k: int):
 
 # whole pools at round-off scale, at unit scale and far above it
 MAGNITUDES = st.sampled_from([2.0**-30, 1.0, 2.0**20])
+
+# tied weights 2^-18 and 2^-30 apart, and 1 + spread * U
+NEAR_TIES = [2.0**-18, 2.0**-30, 1e-5, 1e-7, 1e-9, 1e-11]
+
+
+def near_ties(rng, spread, size):
+    if spread in (2.0**-18, 2.0**-30):
+        return 1.0 + rng.integers(0, 40, size) * spread
+    return 1.0 + spread * rng.random(size)
 
 
 class TestExactCover:
@@ -82,16 +92,30 @@ class TestExactCover:
         else:
             assert _exact_cover(n_target, covers, weights)[1] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("seed", range(200))
-    def test_near_ties_equal_the_enumeration(self, seed):
-        # weights 2^-18 apart: a relative gap stop of 1e-4 misses the optimum on some
+    @pytest.mark.parametrize("spread", NEAR_TIES)
+    @pytest.mark.parametrize("seed", range(60))
+    def test_near_ties_equal_the_enumeration(self, seed, spread):
+        # unscaled, HiGHS's 1e-6 stop misses the optimum on some of these
         rng = np.random.default_rng(seed)
         n_target = int(rng.integers(4, 9))
         covers = [c for c in (np.flatnonzero(rng.random(n_target) < 0.4) for _ in range(12)) if c.size]
-        weights = list(1.0 + rng.integers(0, 40, len(covers)) * 2.0**-18)
+        weights = list(near_ties(rng, spread, len(covers)))
         want = oexact_cover(n_target, covers, weights)
         if want is not None:
             assert _exact_cover(n_target, covers, weights)[1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_both_gap_is_not_negative(self, seed, theta):
+        # masses 1e-9 apart: where greedy is optimal, an exact value above it shows as a negative gap
+        rng = np.random.default_rng(seed)
+        weights = 1.0 + 1e-9 * rng.random(9)
+        space = mt.FiniteMetricMeasureSpace(weights=weights, coords=np.arange(9.0).reshape(-1, 1) / 8, resolution=1 / 8)
+        target = rng.choice(9, 6, replace=False)
+        both = mt.hausdorff_content(space, mt.ContentQuery(target, theta, 0.3, "both"))
+        exact = mt.hausdorff_content(space, mt.ContentQuery(target, theta, 0.3, "exact"))
+        assert both.optimality_gap >= 0
+        assert both.value >= exact.value * (1 - 1e-14)
 
     def test_uncoverable_pool(self):
         with pytest.raises(InvalidParameter, match="cannot cover"):
@@ -166,6 +190,19 @@ class TestExactFamily:
             rng.choice(11, 8, replace=False), rng.choice([0.1, 0.2, 0.3], 8))]
         terms = {(b.center, b.radius): scale * float(t) for b, t in zip(cands, rng.normal(0.5, 1.0, 8))}
         budget = int(rng.integers(1, 5))
+        fam = exact_family(grid1d_11, np.arange(11), 2.0, budget, terms, cands)
+        want = oexact_family([oball(grid1d_11.coords, b.center, b.radius) for b in cands],
+                             [terms[(b.center, b.radius)] for b in cands], budget)
+        assert sum(terms[(b.center, b.radius)] for b in fam.balls) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("spread", NEAR_TIES)
+    @pytest.mark.parametrize("seed", range(15))
+    def test_near_tied_terms_equal_the_enumeration(self, seed, spread, grid1d_11):
+        rng = np.random.default_rng(seed)
+        cands = [mt.Ball(int(c), float(r)) for c, r in zip(
+            rng.choice(11, 10, replace=False), rng.choice([0.1, 0.2, 0.3], 10))]
+        terms = dict(zip(((b.center, b.radius) for b in cands), near_ties(rng, spread, 10).tolist()))
+        budget = int(rng.integers(2, 6))
         fam = exact_family(grid1d_11, np.arange(11), 2.0, budget, terms, cands)
         want = oexact_family([oball(grid1d_11.coords, b.center, b.radius) for b in cands],
                              [terms[(b.center, b.radius)] for b in cands], budget)

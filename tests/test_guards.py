@@ -11,6 +11,7 @@ import pytest
 import mmtrace as mt
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+assert DEMOS, "no demos found"
 
 IMPORT_GUARD = """
 import sys
@@ -36,10 +37,6 @@ def run_python(args, cwd):
 def test_greedy_paths_do_not_import_scipy_optimize(tmp_path):
     out = run_python(["-c", IMPORT_GUARD], tmp_path)
     assert out.returncode == 0, out.stderr
-
-
-def test_five_demos():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

@@ -248,6 +248,7 @@ class TestPiecesFiles:
         '{"pieces": [{"ids": ["a"], "theta": 1, "weights": [1]}]}',
         '{"pieces": [{"ids": [1, 1, 2], "theta": 1, "weights": [1, 1, 1]}]}',
         '{"pieces": [{"ids": [0, 1], "theta": 1, "weights": [1, NaN]}]}',
+        '{"pieces": [{"ids": [], "theta": 1, "weights": []}]}',
     ])
     def test_malformed(self, tmp_path, payload):
         path = tmp_path / "pieces.json"
