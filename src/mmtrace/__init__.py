@@ -27,7 +27,6 @@ from .experiments import (
 )
 from .functionals import (
     FunctionalReport,
-    GluingConfig,
     NiceFamily,
     SampleFunction,
     averaging_double,

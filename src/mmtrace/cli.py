@@ -15,16 +15,9 @@ from . import io as mio
 from .errors import IoError, MMTraceError, ParameterError, ResolutionError
 from .experiments import report_emit, run_equivalence
 from .functionals import SampleFunction
-from .generators import GeneratorSpec, generate
+from .generators import generate
 from .measures import build_measure_sequence, verify_regular_sequence
-from .regularity import (
-    adr_report_json,
-    check_adr,
-    check_lcr,
-    default_r_grid,
-    lcr_report_json,
-    porosity_scan,
-)
+from .regularity import check_adr, check_lcr, default_r_grid, porosity_scan
 
 
 def _cmd_generate(args) -> int:
@@ -46,15 +39,16 @@ def _pieces_path(args) -> str:
 def _cmd_verify(args) -> int:
     space, piecewise = mio.load_instance(args.space, _pieces_path(args), c_res=args.c_res)
     grid = default_r_grid(space)
+    r = list(map(float, grid))
     out = {}
     if args.what == "adr":
         for i, pc in enumerate(piecewise.pieces):
             k1, k2, ok = check_adr(space, pc, grid)
-            out[f"piece_{i + 1}"] = adr_report_json(pc, grid, k1, k2, ok)
+            out[f"piece_{i + 1}"] = {"r": r, "kappa1": float(k1), "kappa2": float(k2), "ok": bool(ok)}
     elif args.what == "lcr":
         for i, pc in enumerate(piecewise.pieces):
             lam = check_lcr(space, pc.ids, pc.theta, grid)
-            out[f"piece_{i + 1}"] = lcr_report_json(grid, lam)
+            out[f"piece_{i + 1}"] = {"r": r, "lambda": float(lam), "ok": bool(lam > 0)}
     elif args.what == "porosity":
         rep = porosity_scan(space, piecewise.union_ids, args.sigma, grid)
         out = rep.to_json()
@@ -69,24 +63,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    from .experiments import ExperimentConfig, evaluate_functional
+    from .experiments import evaluate_functional
 
     space, piecewise = mio.load_instance(args.space, _pieces_path(args), c_res=args.c_res)
     values = mio.load_function(args.f, space.n)
     f = SampleFunction(values=values, domain=piecewise)
     seq = build_measure_sequence(space, piecewise, piecewise.theta_S, p=args.p)
-    cfg = ExperimentConfig(
-        generator=GeneratorSpec(kind="grid1d", h=0.5, pieces=[]),
-        resolutions=[space.resolution],
-        functionals=args.which.split(","),
-        functions=[],
-        p=args.p,
-        c=args.c,
-        sigma=args.sigma,
-    )
     out = {}
     for name in args.which.split(","):
-        rep = evaluate_functional(name, space, piecewise, seq, f, cfg)
+        # the parsed arguments carry the p, c and sigma the functionals read
+        rep = evaluate_functional(name, space, piecewise, seq, f, args)
         out[name] = rep.to_json()
     print(json.dumps(out, sort_keys=True, indent=1))
     return 0

@@ -87,13 +87,16 @@ def _candidate_pool(space, target: np.ndarray, theta: float, delta: float, ball_
 def _greedy_cover(n_target: int, covers, weights):
     """Lazy greedy (Minoux): a heap of (weight/gain, index, gain).  Scores
     only rise as coverage grows, so the first top whose gain is current is
-    the first minimizer a full scan in (center, radius) order would take."""
+    the first minimizer a full scan in (center, radius) order would take.
+    Each cover lists distinct target positions, so a pick of current gain g
+    leaves g fewer targets uncovered."""
     uncovered = np.ones(n_target, dtype=bool)
+    left = n_target
     heap = [(w / cov.size, i, cov.size) for i, (cov, w) in enumerate(zip(covers, weights)) if cov.size]
     heapq.heapify(heap)
     chosen = []
     total = 0.0
-    while uncovered.any():
+    while left:
         if not heap:
             raise InvalidParameter("candidate pool cannot cover the target")
         _, i, gain = heapq.heappop(heap)
@@ -105,6 +108,7 @@ def _greedy_cover(n_target: int, covers, weights):
         chosen.append(i)
         total += weights[i]
         uncovered[covers[i]] = False
+        left -= now
     return chosen, total
 
 

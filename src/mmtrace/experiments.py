@@ -31,11 +31,9 @@ from .functionals import (
     trace_norm_simple,
 )
 from .generators import GeneratorSpec, generate, make_sample_function
-from .measures import MeasureSequence, build_measure_sequence
+from .measures import EPSILON, MeasureSequence, build_measure_sequence
 from .regularity import PiecewiseSet
 from .space import FiniteMetricMeasureSpace
-
-EPSILON = 0.5   # dyadic scale convention used throughout
 
 
 @dataclass
@@ -147,7 +145,8 @@ def evaluate_functional(
     f: SampleFunction,
     cfg: ExperimentConfig,
 ) -> FunctionalReport:
-    """Dispatch a requested functional by name (see _parse_functional)."""
+    """Dispatch a requested functional by name (see _parse_functional);
+    ``cfg`` supplies p, c and sigma (the CLI passes its parsed arguments)."""
     base, arg = _parse_functional(name)
     p = cfg.p
     if base in ("besov", "besov_alt"):

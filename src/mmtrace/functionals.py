@@ -28,7 +28,7 @@ from .errors import (
     ZeroMass,
 )
 # weighted_stats is unused here but stays bound: perfbench/smoke.py checks it
-from .measures import MeasureSequence, default_k_max, weighted_stats
+from .measures import EPSILON, MeasureSequence, default_k_max, weighted_stats
 from .regularity import PiecewiseSet, SubsetPiece, porosity_scan
 from .space import _EPS, Ball, _pad, dyadic_radii, k_of_r, separated_net
 
@@ -187,34 +187,6 @@ def besov_norm_alt(space, piece: SubsetPiece, f, s: float, p: float, k_max: Opti
 # ----------------------------------------------------------------------
 
 
-class GluingConfig:
-    """Cached proximity sets between pieces across scales."""
-
-    def __init__(self, space, piecewise: PiecewiseSet, p: float, k_max: int):
-        if not (1 < p < math.inf):
-            raise ParameterError("p must lie in (1, inf)")
-        self.space = space
-        self.piecewise = piecewise
-        self.p = float(p)
-        self.k_max = int(k_max)
-        self.nbrs = [subset_neighbors(space, pc.ids) for pc in piecewise.pieces]
-        self._pairs: dict = {}
-
-    def sigma_pairs(self, i: int, j: int, k: int):
-        """Position pairs (piece i, piece j) at distance <= 2^-k."""
-        key = (i, j, k)
-        if key not in self._pairs:
-            self._pairs[key] = self.nbrs[i].cross_pairs(self.nbrs[j], 2.0 ** (-k))
-        return self._pairs[key]
-
-    def s_set_mask(self, i: int, j: int, k: int) -> np.ndarray:
-        """Mask over piece i of points whose 2^-k ball meets piece j."""
-        ia, _ = self.sigma_pairs(i, j, k)
-        mask = np.zeros(self.piecewise.pieces[i].ids.size, dtype=bool)
-        mask[ia] = True
-        return mask
-
-
 def gluing(
     space,
     piecewise: PiecewiseSet,
@@ -222,10 +194,10 @@ def gluing(
     p: float,
     which: int,
     k_max: Optional[int] = None,
-    config: Optional[GluingConfig] = None,
 ) -> FunctionalReport:
     """Cross-piece gluing functional; ``which`` selects the raw (1),
-    averaged (2), or doubly averaged (3) mismatch term."""
+    averaged (2), or doubly averaged (3) mismatch term.  The cross-piece
+    pairs within 2^-k are found once per scale and piece pair."""
     if which not in (1, 2, 3):
         raise InvalidParameter("which must be 1, 2, or 3")
     if k_max is None:
@@ -236,9 +208,11 @@ def gluing(
             name=f"gl{which}", value=0.0,
             parts={"total_p": 0.0}, params={**params, "note": "single piece, no cross pairs"},
         )
-    cfg = config or GluingConfig(space, piecewise, p, k_max)
+    if not (1 < p < math.inf):
+        raise ParameterError("p must lie in (1, inf)")
     vals = _values(f)
     pieces = piecewise.pieces
+    nbrs = [subset_neighbors(space, pc.ids) for pc in pieces]
     total_p = 0.0
     last_k_term = 0.0
     piece_vals = [vals[pc.ids] for pc in pieces]
@@ -253,12 +227,12 @@ def gluing(
             # constants then cancel exactly in the prefix sums
             ref = float(vals[pieces[0].ids[0]])
             shifted = [pv - ref for pv in piece_vals]
-            balls = [nb.self_lists(r) for nb in cfg.nbrs]
-            masses = [nb.self_sums(r, pc.weights) for nb, pc in zip(cfg.nbrs, pieces)]
+            balls = [nb.self_lists(r) for nb in nbrs]
+            masses = [nb.self_sums(r, pc.weights) for nb, pc in zip(nbrs, pieces)]
         k_term = 0.0
         for i in range(piecewise.N):
             for j in range(i + 1, piecewise.N):
-                ia, ib = cfg.sigma_pairs(i, j, k)
+                ia, ib = nbrs[i].cross_pairs(nbrs[j], r)
                 if ia.size == 0:
                     continue
                 w_pair = 1.0 / np.sqrt(mu_r[i][ia] * mu_r[j][ib])
@@ -350,9 +324,9 @@ def bn_functional(
     porous-set deviation scale sum."""
     if not (0 < sigma <= 1):
         raise InvalidParameter(f"sigma must lie in (0, 1], got {sigma}")
-    if c is not None and sigma >= seq.epsilon**2 / (4.0 * c):
+    if c is not None and sigma >= EPSILON**2 / (4.0 * c):
         warnings.warn(
-            f"sigma={sigma} outside the admissible range (0, {seq.epsilon ** 2 / (4 * c):.4g}) for c={c}",
+            f"sigma={sigma} outside the admissible range (0, {EPSILON ** 2 / (4 * c):.4g}) for c={c}",
             stacklevel=2,
         )
     if k_max is None:
@@ -556,8 +530,8 @@ def bsn_functional(
     keeps the lower bound comparable across resolutions."""
     if c < 1:
         raise InvalidParameter("c must be >= 1")
-    if c < 3.0 / seq.epsilon - _EPS:
-        warnings.warn(f"c={c} below the admissible threshold {3.0 / seq.epsilon}", stacklevel=2)
+    if c < 3.0 / EPSILON - _EPS:
+        warnings.warn(f"c={c} below the admissible threshold {3.0 / EPSILON}", stacklevel=2)
     S = seq.support_ids
     vals = _values(f)
     lp = float(np.sum(seq.weights_per_k[0] * np.abs(vals[S]) ** p) ** (1.0 / p))

@@ -164,8 +164,12 @@ def load_pieces(path: str) -> PiecewiseSet:
     try:
         pieces = []
         for entry in json.loads(_read_text(path, "pieces"))["pieces"]:
+            ids = entry["ids"]
+            # json reads an integer as int; a float, bool or string id is an error
+            if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+                raise ValueError(f"piece ids must be a list of integers, got {ids!r:.80}")
             pc = SubsetPiece(
-                ids=np.asarray(entry["ids"], dtype=int),
+                ids=np.asarray(ids, dtype=int),
                 theta=float(entry["theta"]),
                 weights=np.asarray(entry["weights"], dtype=float),
                 label=entry.get("label", ""),
@@ -173,7 +177,7 @@ def load_pieces(path: str) -> PiecewiseSet:
             if entry.get("adr_constants"):
                 pc.adr_constants = tuple(entry["adr_constants"])
             pieces.append(pc)
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ParameterError) as exc:
         raise IoError(f"cannot read pieces from {path}: {exc!r}") from exc
     return compose_piecewise(pieces)
 

@@ -3,14 +3,15 @@
 The concrete sequence assigns point x at scale k the mass
 ``sum_i 2^(k(theta - theta_i)) * h^i_x`` over the pieces containing x.
 Certification scans the four defining axioms (full support, upper bound
-below scale epsilon^k, lower bound above it, controlled densities) plus a
-density-point spot check on declared Borel test sets.
+below scale EPSILON^k, lower bound above it, controlled densities) plus a
+density-point spot check on declared Borel test sets.  Scales follow the
+dyadic convention EPSILON = 1/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -20,6 +21,8 @@ from ._neighbors import SubsetNeighbors, row_deviations, row_sums, subset_neighb
 from .errors import ParameterError, ResolutionError
 from .regularity import PiecewiseSet
 from .space import _EPS, FiniteMetricMeasureSpace
+
+EPSILON = 0.5   # dyadic scale convention: the k-th scale is EPSILON^k = 2^-k
 
 
 @dataclass
@@ -74,21 +77,16 @@ class MeasureSequence:
     space: FiniteMetricMeasureSpace
     piecewise: PiecewiseSet
     theta: float
-    epsilon: float
     k_max: int
     support_ids: np.ndarray
     weights_per_k: np.ndarray      # (k_max+1, |S|)
     density_per_k: np.ndarray      # w_k = m_k / m_0, same shape
-    _dense: dict = field(default_factory=dict, repr=False)
 
     def dense(self, k: int) -> np.ndarray:
         """m_k as a dense vector over all space points."""
-        k = int(k)
-        if k not in self._dense:
-            out = np.zeros(self.space.n)
-            out[self.support_ids] = self.weights_per_k[k]
-            self._dense[k] = out
-        return self._dense[k]
+        out = np.zeros(self.space.n)
+        out[self.support_ids] = self.weights_per_k[int(k)]
+        return out
 
     @cached_property
     def neighbors(self) -> SubsetNeighbors:
@@ -106,7 +104,6 @@ def build_measure_sequence(
     theta: float,
     k_max: Optional[int] = None,
     p: Optional[float] = None,
-    epsilon: float = 0.5,
 ) -> MeasureSequence:
     """Construct m_k = sum_i 2^(k(theta-theta_i)) h^i on the union.
 
@@ -136,7 +133,6 @@ def build_measure_sequence(
         space=space,
         piecewise=piecewise,
         theta=float(theta),
-        epsilon=float(epsilon),
         k_max=int(k_max),
         support_ids=support,
         weights_per_k=weights,
@@ -179,9 +175,7 @@ def verify_regular_sequence(
     the smallest relative ball masses of each test set at the deepest
     scale.
     """
-    eps, theta, k_max = seq.epsilon, seq.theta, seq.k_max
-    if eps != 0.5:
-        raise ParameterError("verification assumes the dyadic convention epsilon = 1/2")
+    eps, theta, k_max = EPSILON, seq.theta, seq.k_max
     S = seq.support_ids
     nbrs = seq.neighbors
     m1 = bool(np.all(seq.weights_per_k > 0))
@@ -315,6 +309,6 @@ def lp_tail_check(seq: MeasureSequence, f: np.ndarray, L: int, p: float) -> floa
     total = 0.0
     for k in range(L + 1):
         mk = seq.weights_per_k[k]
-        e = row_deviations(seq.neighbors.self_lists(seq.epsilon**k), mk, f_s)
+        e = row_deviations(seq.neighbors.self_lists(EPSILON**k), mk, f_s)
         total += float(np.sum(mk * e**p))
     return total / denom

@@ -10,6 +10,7 @@ with a set-cover content; the porosity scan searches for empty holes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -41,6 +42,8 @@ class SubsetPiece:
             raise InvalidParameter("ids/weights length mismatch")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
             raise InvalidParameter("piece weights must be finite and strictly positive")
+        if not 0 <= self.theta < math.inf:
+            raise InvalidParameter(f"piece codimension must be finite and >= 0, got {self.theta}")
         order = np.argsort(self.ids)
         self.ids = self.ids[order]
         self.weights = self.weights[order]
@@ -74,10 +77,6 @@ class PiecewiseSet:
         self.theta_S = float(thetas[-1])
         self.union_ids = np.unique(np.concatenate([p.ids for p in self.pieces]))
         self.N = len(self.pieces)
-
-    @property
-    def thetas(self):
-        return [p.theta for p in self.pieces]
 
 
 @dataclass
@@ -229,15 +228,3 @@ def porosity_product_sigma(sigmas: Sequence[float]) -> float:
         out *= 2.0 * s / 3.0
     return out
 
-
-def adr_report_json(piece: SubsetPiece, r_grid, kappa1, kappa2, ok) -> dict:
-    return {
-        "r": list(map(float, r_grid)),
-        "kappa1": float(kappa1),
-        "kappa2": float(kappa2),
-        "ok": bool(ok),
-    }
-
-
-def lcr_report_json(r_grid, lam) -> dict:
-    return {"r": list(map(float, r_grid)), "lambda": float(lam), "ok": bool(lam > 0)}

@@ -71,12 +71,11 @@ def test_criterion_01_deviation_oscillation_sandwich():
 def test_criterion_02_gluing_order(simple_sweep):
     t0 = time.time()
     space, pw, _ = simple_sweep[1 / 16]
-    cfg = mt.GluingConfig(space, pw, P, mt.default_k_max(space))
     rng = np.random.default_rng(202)
     for trial in range(50):
         f = rng.uniform(-1.0, 1.0, space.n)
-        g2 = mt.gluing(space, pw, f, P, 2, config=cfg).value
-        g3 = mt.gluing(space, pw, f, P, 3, config=cfg).value
+        g2 = mt.gluing(space, pw, f, P, 2).value
+        g3 = mt.gluing(space, pw, f, P, 3).value
         assert g2 <= g3 * (1 + 1e-12), f"trial {trial}: GL2={g2} > GL3={g3}"
     dt = time.time() - t0
     assert dt < 60.0

@@ -83,6 +83,27 @@ class TestCliRoundTrip:
             payload["gl3"]["value"], rel=1e-12
         )
 
+        # bn and bsn read p, c and sigma from the command line
+        import mmtrace as mt
+        from mmtrace.io import load_instance
+
+        p, c, sigma = 3.0, 8.0, 0.005
+        rc = main([
+            "norms", "--space", str(instance_dir / "space.mmspace"),
+            "--pieces", str(instance_dir / "pieces.json"),
+            "--f", str(f), "--which", "bn,bsn",
+            "--p", str(p), "--c", str(c), "--sigma", str(sigma),
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        space, pw = load_instance(str(instance_dir / "space.mmspace"), str(instance_dir / "pieces.json"))
+        fs = mt.SampleFunction(values=np.linspace(0, 1, space.n), domain=pw)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=p)
+        bn = mt.bn_functional(space, seq, pw, fs, p, sigma, c=c)
+        bsn = mt.bsn_functional(space, seq, fs, p, c)
+        assert payload["bn"] == bn.to_json() and payload["bn"]["params"]["sigma"] == sigma
+        assert payload["bsn"] == bsn.to_json()
+
     def test_experiment_and_report(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(EXP_CONFIG)
@@ -145,11 +166,22 @@ class TestExitCodes:
         assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
         assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
 
-    @pytest.mark.parametrize("ids, weights", [([1, 1, 2], [1.0, 2.0, 3.0]), ([0, 1], [1.0, float("nan")]), ([], [])],
-                             ids=["repeated_id", "nan_weight", "empty_ids"])
+    @pytest.mark.parametrize("ids, weights", [([1, 1, 2], [1.0, 2.0, 3.0]), ([0, 1], [1.0, float("nan")]), ([], []),
+                                              ([0.7, 1.2], [1.0, 1.0]), ([True, 2], [1.0, 1.0]), (["3", 2], [1.0, 1.0])],
+                             ids=["repeated_id", "nan_weight", "empty_ids", "fractional_ids", "bool_id", "string_id"])
     def test_malformed_pieces_are_4(self, instance_dir, tmp_path, ids, weights):
         pieces = tmp_path / "pieces.json"
         pieces.write_text(json.dumps({"pieces": [{"ids": ids, "theta": 1.0, "weights": weights}]}))
+        f = tmp_path / "f.txt"
+        f.write_text("0 1.0\n")
+        space = str(instance_dir / "space.mmspace")
+        assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
+        assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -1.0])
+    def test_bad_piece_theta_is_4(self, instance_dir, tmp_path, theta):
+        pieces = tmp_path / "pieces.json"
+        pieces.write_text(json.dumps({"pieces": [{"ids": [0, 1], "theta": theta, "weights": [1.0, 1.0]}]}))
         f = tmp_path / "f.txt"
         f.write_text("0 1.0\n")
         space = str(instance_dir / "space.mmspace")

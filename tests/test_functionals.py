@@ -221,6 +221,14 @@ class TestGluing:
         rep = mt.gluing(space, single, f, 2.0, 1, k_max=3)
         assert rep.value == 0.0 and "note" in rep.params
 
+    @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, np.inf, np.nan])
+    def test_p_outside_one_to_infinity(self, tiny_instance, p):
+        space, pw, f = tiny_instance
+        assert pw.N >= 2
+        for which in (1, 2, 3):
+            with pytest.raises(ParameterError, match="p must lie in"):
+                mt.gluing(space, pw, f, p, which, k_max=3)
+
     def test_gl2_le_gl3(self):
         for seed in range(10):
             space, pw, f = build_tiny_instance(200 + seed)
@@ -252,15 +260,16 @@ class TestGluing:
 
     def test_cache_monotone(self, tiny_instance):
         space, pw, f = tiny_instance
-        cfg = mt.GluingConfig(space, pw, 2.0, 3)
+        # the cross-piece pairs gluing reads at scale 2^-k
+        n0, n1 = (subset_neighbors(space, pc.ids) for pc in pw.pieces[:2])
         for k in (1, 2):
-            ia1, ib1 = cfg.sigma_pairs(0, 1, k)
-            ia2, ib2 = cfg.sigma_pairs(0, 1, k + 1)
+            ia1, ib1 = n0.cross_pairs(n1, 2.0 ** (-k))
+            ia2, ib2 = n0.cross_pairs(n1, 2.0 ** (-k - 1))
             pairs_k = set(zip(ia1.tolist(), ib1.tolist()))
             pairs_k1 = set(zip(ia2.tolist(), ib2.tolist()))
             assert pairs_k1 <= pairs_k
-            s_k = cfg.s_set_mask(0, 1, k)
-            s_k1 = cfg.s_set_mask(0, 1, k + 1)
+            s_k = np.isin(np.arange(pw.pieces[0].ids.size), ia1)
+            s_k1 = np.isin(np.arange(pw.pieces[0].ids.size), ia2)
             assert np.all(s_k1 <= s_k)
 
 

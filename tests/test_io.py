@@ -249,6 +249,15 @@ class TestPiecesFiles:
         '{"pieces": [{"ids": [1, 1, 2], "theta": 1, "weights": [1, 1, 1]}]}',
         '{"pieces": [{"ids": [0, 1], "theta": 1, "weights": [1, NaN]}]}',
         '{"pieces": [{"ids": [], "theta": 1, "weights": []}]}',
+        '{"pieces": [{"ids": [0.7, 1.2], "theta": 1, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [true, 2], "theta": 1, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": ["3", 2], "theta": 1, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [0, 1.0], "theta": 1, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": 3, "theta": 1, "weights": [1]}]}',
+        '{"pieces": [{"ids": [0, 100000000000000000000000], "theta": 1, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": NaN, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": Infinity, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": -0.5, "weights": [1, 1]}]}',
     ])
     def test_malformed(self, tmp_path, payload):
         path = tmp_path / "pieces.json"

@@ -3,6 +3,7 @@ import pytest
 
 import mmtrace as mt
 from mmtrace.errors import ParameterError
+from mmtrace.measures import EPSILON
 from oracles import oball, oE, oOSC
 
 
@@ -77,7 +78,7 @@ class TestVerify:
         space, pw, seq = simple_instance_16
         cert = mt.verify_regular_sequence(space, seq)
         assert cert.C3 == pytest.approx(1.0, abs=1e-12)
-        eps, theta = seq.epsilon, seq.theta
+        eps, theta = EPSILON, seq.theta
         for k in range(seq.k_max):
             for j in range(seq.k_max + 1 - k):
                 ratio = seq.density_per_k[k] / seq.density_per_k[k + j]
@@ -90,7 +91,7 @@ class TestVerify:
 
         weights = seq.weights_per_k.copy()
         weights[2, 7] = 0.0
-        broken = replace(seq, weights_per_k=weights, _dense={})
+        broken = replace(seq, weights_per_k=weights)
         cert = mt.verify_regular_sequence(space, broken)
         assert not cert.passes["M1"]
 

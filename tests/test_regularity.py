@@ -188,6 +188,11 @@ class TestSubsetPiece:
         with pytest.raises(InvalidParameter, match=match):
             mt.SubsetPiece(ids=ids, theta=1.0, weights=weights)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.5])
+    def test_theta_rejected(self, theta):
+        with pytest.raises(InvalidParameter, match="codimension"):
+            mt.SubsetPiece(ids=[0, 1], theta=theta, weights=[1.0, 1.0])
+
 
 class TestPorosityProduct:
     def test_two_factors(self):
