@@ -16,9 +16,9 @@ import hashlib
 import weakref
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .space import FiniteMetricMeasureSpace, _pad
+from ._lattice import _box_counts, _box_of, _box_rows, _budget, _indices
+from .space import FiniteMetricMeasureSpace, _kd_tree, _pad
 
 # a block's float64 temporaries (64 KiB) stay below glibc's default 128 KiB
 # mmap threshold, so successive blocks reuse heap pages, not fresh mappings
@@ -33,9 +33,9 @@ class SubsetNeighbors:
     def __init__(self, space: FiniteMetricMeasureSpace, ids):
         self.space = space
         self.ids = np.unique(np.asarray(ids, dtype=int))
-        self._tree = None
-        if space.coords is not None:
-            self._tree = cKDTree(space.coords[self.ids])
+        self._tree = None   # built on the first KD query (``_kd``)
+        # on a full grid, the box of lattice indices the ids fill, if any
+        self._box = None if space._lattice is None else _box_of(self.ids, space._lattice[0], space.dim)
         self._lists_cache: dict[float, tuple] = {}
         self._sums_cache: dict[tuple, np.ndarray] = {}
         self.porosity_masks: dict[tuple, list] = {}  # porosity_scan's, per (sigma, r_grid)
@@ -50,6 +50,20 @@ class SubsetNeighbors:
                 return csr, pos
         return None, None
 
+    def _kd(self):
+        """The subset's KD tree, built on first use."""
+        if self._tree is None:
+            self._tree = _kd_tree(self.space.coords[self.ids])
+        return self._tree
+
+    def _stencil(self, build, centres: np.ndarray, radius: float):
+        """``build`` (``_box_counts`` or ``_box_rows``) of the balls around centres; None off a box."""
+        if self._box is None:
+            return None
+        m, d = self.space._lattice[0], self.space.dim
+        q = _budget(_pad(radius), m, d)   # None at an ambiguous radius
+        return None if q is None else build(_indices(centres, m, d), q, *self._box)
+
     def counts_of(self, centres, radius: float) -> np.ndarray:
         """Per space point id in centres: the number of subset points within
         radius (the row lengths of the cached sweep, if it serves)."""
@@ -57,9 +71,12 @@ class SubsetNeighbors:
         csr, pos = self._cached(centres, radius)
         if csr is not None:
             return csr[0][pos + 1] - csr[0][pos]
-        if self._tree is None:
+        counts = self._stencil(_box_counts, centres, radius)
+        if counts is not None:
+            return counts
+        if self.space.coords is None:
             return np.count_nonzero(self.space.dist_matrix[np.ix_(centres, self.ids)] <= _pad(radius), axis=1)
-        return self._tree.query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
+        return self._kd().query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
 
     def rows_of(self, centres, radius: float, counts=None, rank=None):
         """CSR rows of the radius-balls around the space point ids in
@@ -68,7 +85,7 @@ class SubsetNeighbors:
         ``counts`` are their ``counts_of``, if known.  With ``rank`` (a
         permutation of subset positions) a row lists rank[j] for j, sorted.
         Rows are gathered from the cached sweep if it serves, else built
-        without caching them."""
+        uncached: as integer stencils on a box subset, else by KD queries."""
         centres = np.asarray(centres, dtype=int)
         n, r = self.ids.size, _pad(radius)
         csr, pos = self._cached(centres, radius)
@@ -83,15 +100,22 @@ class SubsetNeighbors:
         # column c of a matrix block is the position of rank c
         cols = self.ids if rank is None else self.ids[np.argsort(rank)]
         for lo, hi in _blocks(np.concatenate(([0], np.cumsum(counts)))):
-            if self._tree is None:
+            stencil = self._stencil(_box_rows, centres[lo:hi], radius)
+            if stencil is not None:
+                indptr, found = stencil
+                if rank is not None:
+                    found = _ranked(found, np.diff(indptr), rank) % n
+                yield lo, hi, (indptr, found.astype(np.int32))
+                continue
+            if self.space.coords is None:
                 keys = np.flatnonzero(self.space.dist_matrix[np.ix_(centres[lo:hi], cols)] <= r)
             else:
                 # the block's tree holds only the centres of non-empty rows
                 rows = np.flatnonzero(counts[lo:hi])
                 keys = np.zeros(0, dtype=np.int64)
                 if rows.size:
-                    block = cKDTree(self.space.coords[centres[lo + rows]])
-                    found = block.sparse_distance_matrix(self._tree, r, output_type="ndarray")
+                    block = _kd_tree(self.space.coords[centres[lo + rows]])
+                    found = block.sparse_distance_matrix(self._kd(), r, output_type="ndarray")
                     keys = rows[found["i"]] * n
                     keys += found["j"] if rank is None else rank[found["j"]]
                     del found

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from ._neighbors import SubsetNeighbors
 from .errors import InvalidParameter, MissingMetadata, MMTraceError, ResolutionError
@@ -122,8 +121,9 @@ def _zero_one_program(c, sets, n_rows: int, lb, ub):
     |c_j|, which finds the optimum to 1e-13 of that cost; the divisor is at
     least 1e-16 of the largest |c_j|, keeping scaled costs below 1e16 (HiGHS
     takes 1e20 as infinite).  Among tied optima the choice is HiGHS's."""
-    # scipy.optimize costs every import of the package 0.2 s and 9 MB
+    # imported for an exact program only: scipy.optimize alone takes 0.2 s and 9 MB
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_array
 
     c = np.asarray(c, dtype=float)
     if c.size == 0:

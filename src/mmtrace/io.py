@@ -168,6 +168,9 @@ def load_pieces(path: str) -> PiecewiseSet:
             # json reads an integer as int; a float, bool or string id is an error
             if not isinstance(ids, list) or any(type(i) is not int for i in ids):
                 raise ValueError(f"piece ids must be a list of integers, got {ids!r:.80}")
+            # theta, weights and adr_constants likewise: JSON numbers, never coerced
+            if any(type(v) not in (int, float) for v in [entry["theta"], *entry["weights"], *(entry.get("adr_constants") or [])]):
+                raise ValueError(f"theta, weights and adr_constants must be JSON numbers in {entry!r:.80}")
             pc = SubsetPiece(
                 ids=np.asarray(ids, dtype=int),
                 theta=float(entry["theta"]),

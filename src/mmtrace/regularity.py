@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._neighbors import subset_neighbors
 from .content import _candidate_pool, _greedy_cover
 from .errors import EmptySet, InvalidGrid, InvalidParameter, ResolutionError
-from .space import _EPS, FiniteMetricMeasureSpace, _pad, dyadic_radii
+from .space import _EPS, FiniteMetricMeasureSpace, _kd_tree, _pad, dyadic_radii
 
 
 @dataclass
@@ -190,7 +189,7 @@ def porosity_scan(
         if space.coords is None:
             d_to_s = np.min(space.dist_matrix[:, nbrs.ids], axis=1)
         else:
-            d_to_s = nbrs._tree.query(space.coords, distance_upper_bound=2.0 * max(holes))[0]
+            d_to_s = nbrs._kd().query(space.coords, distance_upper_bound=2.0 * max(holes))[0]
         masks = []
         for r, hole in zip(r_grid, holes):
             far = np.flatnonzero(d_to_s > hole)
@@ -199,7 +198,7 @@ def porosity_scan(
                 mask = np.any(space.dist_matrix[np.ix_(nbrs.ids, far)] <= reach, axis=1)
             else:
                 # a tree for one query: a quick build beats a balanced one
-                far_tree = cKDTree(space.coords[far], balanced_tree=False, compact_nodes=False)
+                far_tree = _kd_tree(space.coords[far], balanced_tree=False, compact_nodes=False)
                 mask = far_tree.query(space.coords[nbrs.ids])[0] <= reach
             # read-only: every scan of this subset, sigma and grid shares it
             mask.flags.writeable = False

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from ._lattice import _LATTICE_ROWS, _ball_counts, _box_rows, _budget, _indices, _lattice_of
 from .errors import (
     EmptySet,
     InsufficientData,
@@ -35,6 +35,14 @@ _EPS = 1e-12
 def _pad(radius: float) -> float:
     """The closed-ball radius padded against float round-off."""
     return radius * (1 + _EPS) + _EPS
+
+
+def _kd_tree(points: np.ndarray, **kwargs):
+    """A ``scipy.spatial.cKDTree`` of the points; scipy.spatial (0.5 s and
+    38 MB at import, with scipy.sparse and scipy.linalg) is loaded here."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -124,10 +132,10 @@ class FiniteMetricMeasureSpace:
         self._class_trees = None
         self._uniform_weight = float(self.weights[0]) if np.all(self.weights == self.weights[0]) else None
         self._lattice = None if self.coords is None else _lattice_of(self.coords, self.weights, self.resolution, self._uniform_weight)
-        # few distinct weight values (e.g. boundary cell corrections): count
-        # per class instead of summing per ball
+        # few distinct weight values (e.g. boundary cell corrections): clouds
+        # of more than 512 points count per class instead of summing per ball
         self._weight_classes = None
-        if self.coords is not None and self._uniform_weight is None and self.n > 512:
+        if self.coords is not None and self._uniform_weight is None:
             distinct = np.unique(self.weights if self._lattice is None else self._lattice[1])
             if distinct.size <= 8:
                 self._weight_classes = distinct
@@ -226,10 +234,10 @@ class FiniteMetricMeasureSpace:
                 self._diameter = float(np.linalg.norm(span))
         return self._diameter
 
-    def _cloud_tree(self) -> cKDTree:
+    def _cloud_tree(self):
         """The KD tree of the whole cloud, built on first use."""
         if self._tree is None:
-            self._tree = cKDTree(self.coords)
+            self._tree = _kd_tree(self.coords)
         return self._tree
 
     def members(self, center: Center, radius: float) -> np.ndarray:
@@ -267,157 +275,35 @@ class FiniteMetricMeasureSpace:
             # a row-wise sum: a BLAS matrix product rounds a row differently
             # depending on how many rows one call holds
             return np.where(self.dist_matrix[centres] <= r, self.weights, 0.0).sum(axis=1)
-        counts = self._lattice_counts(centres, r)
-        if counts is not None:
+        m, d = (self._lattice[0] if self._lattice else 0), self.dim
+        # the lattice budget of r, None where the KD tree must count
+        q = None if self._lattice is None else _budget(r, m, d)
+        if self._uniform_weight is None and (self._weight_classes is None or self.n <= 512):
+            # per ball, a sum over its members in increasing id order (the
+            # order of a multi-point KD query), on a lattice off its stencil
+            if q is None:
+                rows = self._cloud_tree().query_ball_point(self.coords[centres], r)
+            else:
+                ptr, ids = _box_rows(_indices(centres, m, d), q, np.zeros(d, dtype=np.int64), np.full(d, m))
+                rows = np.split(ids, ptr[1:-1])
+            return np.array([float(np.sum(self.weights[np.asarray(ix, dtype=int)])) for ix in rows])
+        if q is not None:
+            counts = np.concatenate([_ball_counts(_indices(at, m, d), np.full(at.size, q, dtype=np.int64), m)
+                                     for at in np.split(centres, range(_LATTICE_ROWS, centres.size, _LATTICE_ROWS))])
             if self._uniform_weight is not None:
                 return counts.sum(axis=1) * self._uniform_weight
             # the KD class sum below, over the same integers in the same order
             per_class = self._lattice[1]
             return sum(v * counts[:, per_class == v].sum(axis=1) for v in self._weight_classes.tolist())
-        q = self.coords[centres]
+        at = self.coords[centres]
         tree = self._cloud_tree()
         # counting is order-free, so parallel workers stay deterministic
         if self._uniform_weight is not None:
-            return tree.query_ball_point(q, r, return_length=True, workers=-1) * self._uniform_weight
-        if self._weight_classes is not None:
-            if self._class_trees is None:
-                self._class_trees = [cKDTree(self.coords[self.weights == v]) for v in self._weight_classes]
-            return sum(v * t.query_ball_point(q, r, return_length=True, workers=-1)
-                       for v, t in zip(self._weight_classes.tolist(), self._class_trees))
-        return np.array([float(np.sum(self.weights[np.asarray(ix, dtype=int)])) for ix in tree.query_ball_point(q, r)])
-
-    def _lattice_counts(self, centres: np.ndarray, r: float) -> Optional[np.ndarray]:
-        """Per centre, the lattice points within r by their number of
-        boundary coordinates, (k, dim + 1) integers; None where the KD count
-        must run instead: no lattice, the per-member sum of small clouds, or
-        a radius whose ball boundary passes within round-off of a lattice
-        point, where only the KD tree's own float comparison gives its
-        answer."""
-        if self._lattice is None or (self._uniform_weight is None and self._weight_classes is None):
-            return None
-        m, d = self._lattice[0], self.dim
-        t = (r * m) ** 2
-        full = d * m * m
-        if not t >= 0:
-            return None
-        if t >= full + 1:
-            q = full
-        else:
-            q = math.floor(t)
-            # float distances to lattice points carry a relative error of a
-            # few 1e-16 plus an absolute one from the coordinates' rounding
-            if min(t - q, q + 1 - t) <= 1e-13 * t + 1e-14 * m * math.sqrt(d * t):
-                return None
-        out = np.empty((centres.size, d + 1), dtype=np.int64)
-        for lo in range(0, centres.size, _LATTICE_ROWS):
-            at = centres[lo : lo + _LATTICE_ROWS]
-            idx = np.stack(np.unravel_index(at, (m + 1,) * d), axis=1).astype(np.int64)
-            out[lo : lo + at.size] = _ball_counts(idx, np.full(at.size, q, dtype=np.int64), m)
-        return out
-
-
-# -- lattice ball counts ---------------------------------------------------
-
-# rows per block of centres and per table of inner counts
-_LATTICE_ROWS = 1 << 14
-
-
-def _lattice_of(coords: np.ndarray, weights: np.ndarray, h: float, uniform: Optional[float]):
-    """``(m, weight per number of boundary coordinates)`` when the cloud is
-    the full grid {0, 1/m, ..., 1}^dim in 'ij' order with m = round(1/h),
-    coordinates i/m exactly as ``build_grid_space`` makes them, and the
-    weights uniform or one value per number of coordinates equal to 0 or 1;
-    None otherwise.  Reads the cloud in blocks of ids, never a whole n x dim
-    temporary."""
-    n, d = coords.shape
-    if not 1.0 / h <= n:   # also rejects 1/h = inf
-        return None
-    m = int(round(1.0 / h))
-    if m < 1 or (m + 1) ** d != n:
-        return None
-    axis = np.arange(m + 1) / m
-    edge = np.zeros(m + 1, dtype=np.int64)
-    edge[[0, m]] = 1
-    if uniform is not None:
-        per_class = np.full(d + 1, uniform)
-    else:
-        # a point with c boundary coordinates, the rest (if any) interior
-        if m < 2:
-            return None
-        probes = [np.ravel_multi_index((0,) * c + (1,) * (d - c), (m + 1,) * d) for c in range(d + 1)]
-        per_class = weights[probes]
-    for lo in range(0, n, _LATTICE_ROWS):
-        ids = np.arange(lo, min(lo + _LATTICE_ROWS, n))
-        bound = np.zeros(ids.size, dtype=np.int64)
-        for a in range(d):
-            i = ids // (m + 1) ** (d - 1 - a) % (m + 1)
-            if not np.array_equal(coords[lo : lo + ids.size, a], axis[i]):
-                return None
-            bound += edge[i]
-        if uniform is None and not np.array_equal(weights[lo : lo + ids.size], per_class[bound]):
-            return None
-    return m, per_class
-
-
-def _isqrt(s: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(s)) of nonnegative integers."""
-    r = np.sqrt(s.astype(float)).astype(np.int64)
-    r -= r * r > s
-    r += (r + 1) * (r + 1) <= s
-    return r
-
-
-def _ball_counts(idx: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
-    """Per row of idx (lattice indices in 0..m, one column per axis) and
-    integer budget s: the lattice points j in {0..m}^d with |j - idx|^2 <= s,
-    split by how many of their coordinates are 0 or m; (k, d + 1) int64.
-
-    One axis is peeled off: an offset e along it leaves the budget s - e^2
-    to the other d - 1 axes, whose counts come from one recursive call per
-    distinct (projection, budget) and offset |e| <= R.  Prefix sums over
-    |e| give a row's sum over its offset range in O(1) gathers, and the two
-    offsets that land on index 0 or m move their points up one class.  In
-    one dimension the count is a clipped interval."""
-    k, d = idx.shape
-    s = np.maximum(s, -1)
-    out = np.zeros((k, d + 1), dtype=np.int64)
-    if d == 1:
-        reach = _isqrt(np.maximum(s, 0))
-        lo, hi = np.maximum(idx[:, 0] - reach, 0), np.minimum(idx[:, 0] + reach, m)
-        ends = (lo == 0).astype(np.int64) + (hi == m)
-        live = s >= 0
-        out[:, 0] = (hi - lo + 1 - ends) * live
-        out[:, 1] = ends * live
-        return out
-    top = int(s.max())
-    if top < 0:
-        return out
-    R = min(math.isqrt(top), m)
-    # peel the axis whose projections leave the fewest distinct rows
-    peeled = []
-    for a in range(d):
-        key = np.ravel_multi_index(np.delete(idx, a, axis=1).T, (m + 1,) * (d - 1)) * (top + 2) + (s + 1)
-        peeled.append((a, *np.unique(key, return_index=True, return_inverse=True)[1:]))
-    a, first, inv = min(peeled, key=lambda p: p[1].size)
-    proj, budget = np.delete(idx[first], a, axis=1), s[first]
-    i0 = idx[:, a]
-    down, up = np.minimum(i0, R), np.minimum(m - i0, R)
-    e2 = np.arange(R + 1, dtype=np.int64) ** 2
-    group = max(1, _LATTICE_ROWS // (R + 1))
-    order = np.argsort(inv, kind="stable")
-    cuts = np.searchsorted(inv[order], np.arange(0, first.size + group, group))
-    for g, u0 in enumerate(range(0, first.size, group)):
-        rows = order[cuts[g] : cuts[g + 1]]
-        u1 = min(u0 + group, first.size)
-        inner = _ball_counts(np.repeat(proj[u0:u1], R + 1, axis=0), (budget[u0:u1, None] - e2).ravel(), m)
-        inner = inner.reshape(u1 - u0, R + 1, d)
-        prefix = np.cumsum(inner, axis=1)
-        u = inv[rows] - u0
-        total = prefix[u, down[rows]] + prefix[u, up[rows]] - inner[u, 0]
-        edges = inner[u, down[rows]] * (i0[rows] <= R)[:, None] + inner[u, up[rows]] * (m - i0[rows] <= R)[:, None]
-        out[rows, :d] = total - edges
-        out[rows, 1:] += edges
-    return out
+            return tree.query_ball_point(at, r, return_length=True, workers=-1) * self._uniform_weight
+        if self._class_trees is None:
+            self._class_trees = [_kd_tree(self.coords[self.weights == v]) for v in self._weight_classes]
+        return sum(v * t.query_ball_point(at, r, return_length=True, workers=-1)
+                   for v, t in zip(self._weight_classes.tolist(), self._class_trees))
 
 
 # -- operations ----------------------------------------------------------
@@ -461,7 +347,7 @@ def separated_net(
             covering = max(float(space.dist_matrix[np.ix_(ids[lo : lo + step], chosen)].min(axis=1).max())
                            for lo in range(0, ids.size, step))
         else:
-            covering = float(cKDTree(space.coords[chosen]).query(space.coords[ids])[0].max())
+            covering = float(_kd_tree(space.coords[chosen]).query(space.coords[ids])[0].max())
     return SeparatedNet(
         scale_k=int(k),
         points=np.asarray(chosen, dtype=int),
@@ -476,7 +362,7 @@ def _greedy_net(space, ids: np.ndarray, sep: float) -> list:
     """One scan in id order: each kept point blocks the later points
     closer than sep * (1 - _EPS) to it."""
     blocked = np.zeros(ids.size, dtype=bool)
-    tree = None if space.coords is None else cKDTree(space.coords[ids])
+    tree = None if space.coords is None else _kd_tree(space.coords[ids])
     chosen = []
     for a, i in enumerate(ids):
         if blocked[a]:

@@ -188,6 +188,14 @@ class TestExitCodes:
         assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
         assert main(["norms", "--space", space, "--pieces", str(pieces), "--f", str(f), "--which", "gl1"]) == 4
 
+    @pytest.mark.parametrize("field, value", [("theta", "1.5"), ("weights", ["1", True]), ("adr_constants", ["a", "b"])])
+    def test_piece_numbers_given_as_strings_or_bools_are_4(self, instance_dir, tmp_path, field, value):
+        entry = {"ids": [0, 1], "theta": 1.0, "weights": [1.0, 1.0], field: value}
+        pieces = tmp_path / "pieces.json"
+        pieces.write_text(json.dumps({"pieces": [entry]}))
+        space = str(instance_dir / "space.mmspace")
+        assert main(["verify", "--space", space, "--pieces", str(pieces), "--what", "adr"]) == 4
+
     def test_malformed_space_file_is_4(self, instance_dir, tmp_path):
         lines = (instance_dir / "space.mmspace").read_text().splitlines()
         lines[2] += " 0.5"

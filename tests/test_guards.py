@@ -1,5 +1,11 @@
-"""Subprocess guards: the package keeps ``scipy.optimize`` (0.2 s and 9 MB
-at import) off every path but the exact searches, and the demos run."""
+"""Subprocess guards on what the package imports, and the demos run.
+
+``import mmtrace`` loads no scipy module.  ``scipy.optimize`` (0.2 s and
+9 MB at import) stays off every path but the exact searches.
+``scipy.spatial`` (about 0.5 s and 38 MB, with the scipy.sparse and
+scipy.linalg it loads) is imported only when a KD tree is built, so a
+difficult-case experiment, whose pieces are boxes of a full grid, runs
+without it."""
 
 import os
 import subprocess
@@ -28,6 +34,37 @@ assert "scipy.optimize" in sys.modules
 """
 
 
+SCIPY_GUARD = """
+import sys
+import mmtrace as mt
+from mmtrace import io as mio
+
+def loaded(prefix):
+    return [m for m in sys.modules if m == prefix or m.startswith(prefix + ".")]
+
+assert not loaded("scipy"), loaded("scipy")
+cfg = mio.parse_config(
+    "kind = grid2d\\n"
+    "pieces = region theta=0 halfspace=0,0.5,le ; segment theta=1 axis=1 anchor=0.5\\n"
+    "resolutions = 1/16\\nfunctions = linear random\\nfunctionals = trace_difficult\\nseeds = 0\\n"
+)
+report = mt.run_equivalence(cfg)
+space, pw = mt.generate(mt.difficult_case_spec(1 / 16))
+f = mt.make_sample_function(space, pw, "hoelder:0.6")
+assert mt.trace_norm_difficult(space, pw, f, 2.5).value > 0
+mt.report_emit(report, "csv", "report.csv", cfg)
+mt.report_emit(report, "json", "report.json", cfg)
+for name in ("scipy.spatial", "scipy.sparse"):
+    assert not loaded(name), loaded(name)
+
+space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+f = mt.make_sample_function(space, pw, "random", seed=0)
+mt.bn_functional(space, seq, pw, f, 2.5, 0.01, c=6.0)
+assert "scipy.spatial" in sys.modules
+"""
+
+
 def run_python(args, cwd):
     src = str(Path(mt.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -36,6 +73,11 @@ def run_python(args, cwd):
 
 def test_greedy_paths_do_not_import_scipy_optimize(tmp_path):
     out = run_python(["-c", IMPORT_GUARD], tmp_path)
+    assert out.returncode == 0, out.stderr
+
+
+def test_difficult_case_loads_no_kd_tree_module(tmp_path):
+    out = run_python(["-c", SCIPY_GUARD], tmp_path)
     assert out.returncode == 0, out.stderr
 
 

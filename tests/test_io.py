@@ -258,6 +258,11 @@ class TestPiecesFiles:
         '{"pieces": [{"ids": [0, 1], "theta": NaN, "weights": [1, 1]}]}',
         '{"pieces": [{"ids": [0, 1], "theta": Infinity, "weights": [1, 1]}]}',
         '{"pieces": [{"ids": [0, 1], "theta": -0.5, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": "1.5", "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": true, "weights": [1, 1]}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": 1, "weights": ["1", true]}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": 1, "weights": "11"}]}',
+        '{"pieces": [{"ids": [0, 1], "theta": 1, "weights": [1, 1], "adr_constants": ["a", "b"]}]}',
     ])
     def test_malformed(self, tmp_path, payload):
         path = tmp_path / "pieces.json"

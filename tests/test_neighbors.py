@@ -2,6 +2,7 @@
 maximal functions and porosity scan built on them) against
 ``weighted_stats`` and the naive-loop oracles."""
 
+import math
 import tracemalloc
 import weakref
 from unittest import mock
@@ -273,7 +274,7 @@ def test_porosity_masks_shared_per_sigma_and_grid():
     space = mt.FiniteMetricMeasureSpace(weights=np.full(81, 1 / 81), coords=coords, resolution=1 / 8)
     line = np.flatnonzero(coords[:, 1] == 0.5)
     first = mt.porosity_scan(space, line, 0.25, [0.5, 0.25])
-    with mock.patch("mmtrace.regularity.cKDTree", side_effect=AssertionError("rebuilt")):
+    with mock.patch("mmtrace.regularity._kd_tree", side_effect=AssertionError("rebuilt")):
         again = mt.porosity_scan(space, line, 0.25, [0.5, 0.25])
     assert all(a is b for a, b in zip(first.porous_points_per_scale, again.porous_points_per_scale))
     assert not first.porous_points_per_scale[0].flags.writeable
@@ -311,7 +312,9 @@ def test_rows_of_block_mixing_empty_and_non_empty_rows(matrix):
     centres = np.array([80, 0, 40, 9, 72, 18, 4, 44])
     want = _oracle_rows(coords, subset, 0.2, centres)
     sizes = []
-    with mock.patch.object(nb, "cKDTree", side_effect=lambda pts: sizes.append(len(pts)) or cKDTree(pts)):
+    # the subset's own tree is built on its first KD query, before the patch
+    nbrs.counts_of(centres, 0.2)
+    with mock.patch.object(nb, "_kd_tree", side_effect=lambda pts: sizes.append(len(pts)) or cKDTree(pts)):
         blocks = list(nbrs.rows_of(centres, 0.2))
     assert len(blocks) == 1
     ptr, ind = blocks[0][2]
@@ -483,6 +486,71 @@ def test_pair_lists_equal_the_query_pairs_oracle(inst, data):
             _assert_same(nbrs.self_lists(radius), want)
             _assert_same(nbrs.cross_pairs(nb.subset_neighbors(space, other), radius),
                          (np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)))
+
+
+GRID_SIDES = {1: (2, 30), 2: (2, 10), 3: (2, 5)}
+
+
+@st.composite
+def grid_boxes(draw, dim, m):
+    """The ids of a box of the grid {0..m}^dim: per axis all of it, one
+    index, the lower half or an interval, so single points, segments,
+    faces, half-planes and the whole grid all occur."""
+    sides = []
+    for _ in range(dim):
+        kind = draw(st.sampled_from(["all", "one", "half", "interval"]))
+        lo = draw(st.integers(0, m))
+        hi = {"all": (0, m), "one": (lo, lo), "half": (0, m // 2), "interval": (lo, draw(st.integers(lo, m)))}[kind]
+        sides.append(np.arange(hi[0], hi[1] + 1))
+    grid = np.meshgrid(*sides, indexing="ij")
+    return np.sort(np.ravel_multi_index([g.ravel() for g in grid], (m + 1,) * dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_box_stencils_equal_the_kd_rows(data):
+    """On a box of a full grid, counts, plain and ranked rows with their
+    block bounds, the sweep and cross pairs come from integer stencils
+    without a KD tree, equal, dtypes too, to the KD builder's on a twin
+    cloud that is no lattice (and the sweep to the query_pairs oracle);
+    at ambiguous radii the KD tree answers."""
+    from mmtrace._lattice import _budget
+    from mmtrace.space import _pad
+
+    dim = data.draw(st.integers(1, 3), label="dim")
+    m = data.draw(st.integers(*GRID_SIDES[dim]), label="m")
+    space = mt.build_grid_space(f"grid{dim}d", 1.0 / m)
+    twin = mt.FiniteMetricMeasureSpace(weights=space.weights, coords=space.coords, resolution=2.0)
+    assert space._lattice is not None and twin._lattice is None
+    ids, other = data.draw(grid_boxes(dim, m), label="box"), data.draw(grid_boxes(dim, m), label="other")
+    j = data.draw(st.integers(0, dim * m * m + 2), label="j")
+    kind = data.draw(st.sampled_from(["root", "dyadic", "ambiguous"]), label="kind")
+    radius = {
+        "root": math.sqrt(j) / m,
+        "dyadic": 2.0 ** -data.draw(st.integers(-1, 6), label="k"),
+        # padded, this radius lands on a lattice distance up to round-off
+        "ambiguous": (math.sqrt(min(max(j, 1), dim * m * m)) / m - 1e-12) / (1 + 1e-12)
+        * (1 + data.draw(st.integers(-8, 8), label="ulps") * 2.0**-52),
+    }[kind]
+    centres = np.array(data.draw(st.lists(st.sampled_from(ids) | st.integers(0, space.n - 1), max_size=40)), dtype=int)
+    rank = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(ids.size)
+    budget = data.draw(st.sampled_from([1, 3, 7, nb.PAIR_BLOCK]), label="budget")
+    got, want = (nb.SubsetNeighbors(s, ids) for s in (space, twin))
+    assert got._box is not None
+    stencil = _budget(_pad(radius), m, dim) is not None
+    assert stencil == (kind != "ambiguous")
+    with mock.patch.object(nb, "PAIR_BLOCK", budget):
+        for r in (None, rank):
+            a, b = (list(x.rows_of(centres, radius, rank=r)) for x in (got, want))
+            assert [blk[:2] for blk in a] == [blk[:2] for blk in b]
+            for (_, _, csr_a), (_, _, csr_b) in zip(a, b):
+                _assert_same(csr_a, csr_b)
+        _assert_same([got.counts_of(centres, radius)], [want.counts_of(centres, radius)])
+        _assert_same(got.self_lists(radius), want.self_lists(radius))
+        _assert_same(got.self_lists(radius), oquery_pairs_lists(space, ids, radius))
+        _assert_same(got.cross_pairs(nb.SubsetNeighbors(space, other), radius),
+                     want.cross_pairs(nb.SubsetNeighbors(twin, other), radius))
+    assert (got._tree is None) == stencil
 
 
 def test_self_lists_memory_per_stored_pair():

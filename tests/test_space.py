@@ -334,6 +334,22 @@ class TestLatticeCounts:
         np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
         assert (space._tree is None and space._class_trees is None) == lattice_path
 
+    @pytest.mark.parametrize("dim, m", [(1, 40), (1, 511), (2, 16), (2, 21), (3, 7)])
+    def test_small_clouds_sum_their_stencil_members(self, dim, m):
+        """A non-uniform lattice cloud of at most 512 points sums each ball
+        over its members, read off the lattice stencil in increasing id
+        order: the KD twin's per-member sums bit for bit, and no tree."""
+        space = mt.build_grid_space(f"grid{dim}d", 1 / m)
+        assert space.n <= 512 and space._uniform_weight is None and space._lattice is not None
+        twin = _kd_twin(space)
+        for r in (0.0, 1 / m, math.sqrt(2) / m, 0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0):
+            np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
+        assert space._tree is None and space._class_trees is None
+        # an ambiguous radius takes the KD tree's per-member sum
+        r = (math.sqrt(5 if dim > 1 else 4) / m - 1e-12) / (1 + 1e-12)
+        np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
+        assert space._tree is not None and space._class_trees is None
+
     def _cell_grid(self, h=1 / 24):
         space = mt.build_grid_space("grid2d", h)
         assert space._lattice is not None and space._weight_classes is not None
