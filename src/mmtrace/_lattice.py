@@ -5,7 +5,7 @@ budget q (``_budget``) that whole-cloud counts and rows on boxes share."""
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def _ball_counts(idx: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
         out[:, 0] = (hi - lo + 1 - ends) * live
         out[:, 1] = ends * live
         return out
-    top = int(s.max())
+    top = int(s.max(initial=-1))
     if top < 0:
         return out
     R = min(math.isqrt(top), m)
@@ -134,53 +134,102 @@ def _ball_counts(idx: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _box_of(ids: np.ndarray, m: int, d: int):
-    """``(lo, hi)``, lattice index corners, when the sorted unique ids are
-    exactly the 'ij' box [lo, hi] of the grid; None otherwise."""
-    lo, hi = _indices(ids[[0, -1]], m, d) if ids.size else (np.ones(d), np.zeros(d))
-    if np.any(lo > hi) or ids.size != math.prod((hi - lo + 1).tolist()):
-        return None
-    # as many distinct ids as the box holds, so all inside means all of it
-    blocks = (_indices(ids[a : a + _LATTICE_ROWS], m, d) for a in range(0, ids.size, _LATTICE_ROWS))
-    return (lo, hi) if all(np.all((lo <= idx) & (idx <= hi)) for idx in blocks) else None
+# a subset splits into at most this many boxes before its rows take the KD
+# path: one per piece of the difficult instance, three for simple3d's face
+# union segment (the face, then the segment below and above the point it
+# shares with the face)
+_MAX_BOXES = 8
 
 
-def _box_runs(idx: np.ndarray, q: int, lo: np.ndarray, hi: np.ndarray):
-    """The balls |j - c|^2 <= q around the rows c of idx within the box
-    [lo, hi] as runs of consecutive box positions ('ij' order), per block of
-    about _LATTICE_ROWS runs: ``(starts, lengths)``, (centres, runs) int64.
+class _Box(NamedTuple):
+    """An 'ij' box [lo, hi] of lattice indices, the constants ``_box_runs``
+    reads (see ``_box``) and ``at``, box position -> position in the union
+    of boxes, None for a lone box."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    run: int
+    outer: list
+    fixed: list
+    at: Optional[np.ndarray] = None
+
+
+def _box(lo: np.ndarray, hi: np.ndarray, at: Optional[np.ndarray] = None) -> _Box:
+    """The axis runs lie along, ``(axis, stride, extent)`` of the other axes
+    of extent > 1, and the axes of extent 1 that only spend budget."""
+    ext = (hi - lo + 1).tolist()
+    free = [a for a, e in enumerate(ext) if e > 1]
+    run = (free or [len(ext) - 1])[-1]
+    outer = [(a, math.prod(ext[a + 1 :]), ext[a]) for a in free[:-1]]
+    return _Box(lo, hi, run, outer, [a for a in range(len(ext)) if ext[a] == 1 and a != run], at)
+
+
+def _boxes_of(ids: np.ndarray, m: int, d: int) -> Optional[list]:
+    """The sorted unique ids as disjoint boxes, found greedily: from the
+    lowest id left, a box grows along the last axis, then along each earlier
+    one, as far as every point it gains is left; None past _MAX_BOXES."""
+    left = np.ones(ids.size, dtype=bool)
+
+    def held(lo, hi):
+        """Positions in ids of the box's points ('ij' order); which are left."""
+        box_ids = np.ravel_multi_index(np.indices((hi - lo + 1).tolist()).reshape(d, -1) + lo[:, None], (m + 1,) * d)
+        pos = np.minimum(np.searchsorted(ids, box_ids), ids.size - 1)
+        return pos, (ids[pos] == box_ids) & left[pos]
+
+    boxes = []
+    while left.any():
+        if len(boxes) == _MAX_BOXES:
+            return None
+        lo = _indices(ids[left.argmax()][None], m, d)[0]
+        hi = lo.copy()
+        for a in reversed(range(d)):
+            top = hi.copy()
+            top[a] = m
+            # per layer along a of the box stretched to the grid's edge: all left?
+            full = held(lo, top)[1].reshape((top - lo + 1).tolist()).all(axis=tuple(b for b in range(d) if b != a))
+            hi[a] = lo[a] + np.argmin(np.append(full, False)) - 1
+        pos = held(lo, hi)[0]
+        left[pos] = False
+        boxes.append((lo, hi, pos))
+    if len(boxes) == 1:
+        boxes[0] = boxes[0][:2]   # a lone box maps its positions to themselves
+    return [_box(*b) for b in boxes] or None
+
+
+def _box_runs(idx: np.ndarray, q: int, box: _Box):
+    """The balls |j - c|^2 <= q around the rows c of idx within the box as
+    runs of consecutive box positions ('ij' order), per block of about
+    _LATTICE_ROWS runs: ``(starts, lengths)``, (centres, runs) int64.
     Runs lie along the last axis of extent > 1 (every later axis has extent
     1), one per coordinate of the other axes of extent > 1 in lexicographic
     order, from a window of min(2R + 1, extent) around the centre (R =
     isqrt(q)), so a row comes out sorted; axes of extent 1 only use budget."""
-    d = idx.shape[1]
-    ext = hi - lo + 1
-    free = np.flatnonzero(ext > 1).tolist()
-    run, outer, R = (free or [d - 1])[-1], free[:-1], math.isqrt(q)
-    widths = [min(2 * R + 1, int(ext[a])) for a in outer]
+    lo, hi, run = box.lo, box.hi, box.run
+    R = math.isqrt(q)
+    widths = [min(2 * R + 1, ext) for _, _, ext in box.outer]
     step = max(1, _LATTICE_ROWS // math.prod(widths))
     for c in (idx[c0 : c0 + step] for c0 in range(0, idx.shape[0], step)):
         k = c.shape[0]
-        left = np.full((k, 1), q, dtype=np.int64) - sum((lo[a] - c[:, a, None]) ** 2 for a in set(range(d)) - set(free) - {run})
+        left = np.full((k, 1), q, dtype=np.int64) - sum((lo[a] - c[:, a, None]) ** 2 for a in box.fixed)
         start = np.zeros((k, 1), dtype=np.int64)
-        for a, width in zip(outer, widths):
-            j = np.clip(c[:, a] - R, lo[a], hi[a] - width + 1)[:, None] + np.arange(width)
+        for (a, stride, _), width in zip(box.outer, widths):
+            j = np.minimum(np.maximum(c[:, a] - R, lo[a]), hi[a] - width + 1)[:, None] + np.arange(width)
             left = (left[:, :, None] - ((j - c[:, a, None]) ** 2)[:, None, :]).reshape(k, -1)
-            start = (start[:, :, None] + ((j - lo[a]) * math.prod(ext[a + 1 :].tolist()))[:, None, :]).reshape(k, -1)
+            start = (start[:, :, None] + ((j - lo[a]) * stride)[:, None, :]).reshape(k, -1)
         reach = _isqrt(np.maximum(left, 0))
         first, last = np.maximum(c[:, run, None] - reach, lo[run]), np.minimum(c[:, run, None] + reach, hi[run])
         yield start + (first - lo[run]), np.where(left >= 0, np.maximum(last - first + 1, 0), 0)
 
 
-def _box_counts(idx: np.ndarray, q: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _box_counts(idx: np.ndarray, q: int, box: _Box) -> np.ndarray:
     """Per centre, the number of box points in its ball, int64."""
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + [n.sum(axis=1) for _, n in _box_runs(idx, q, lo, hi)])
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [n.sum(axis=1) for _, n in _box_runs(idx, q, box)])
 
 
-def _box_rows(idx: np.ndarray, q: int, lo: np.ndarray, hi: np.ndarray):
+def _box_rows(idx: np.ndarray, q: int, box: _Box):
     """CSR ``(indptr, positions)``, int64, of the balls within the box."""
     counts, positions = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for starts, lengths in _box_runs(idx, q, lo, hi):
+    for starts, lengths in _box_runs(idx, q, box):
         counts.append(lengths.sum(axis=1))
         starts, lengths = starts[lengths > 0], lengths[lengths > 0]
         # run t fills its lengths[t] slots from starts[t] on

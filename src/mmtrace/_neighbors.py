@@ -17,12 +17,16 @@ import weakref
 
 import numpy as np
 
-from ._lattice import _box_counts, _box_of, _box_rows, _budget, _indices
+from ._lattice import _box_counts, _box_rows, _boxes_of, _budget, _indices
 from .space import FiniteMetricMeasureSpace, _kd_tree, _pad
 
 # a block's float64 temporaries (64 KiB) stay below glibc's default 128 KiB
 # mmap threshold, so successive blocks reuse heap pages, not fresh mappings
 PAIR_BLOCK = 1 << 13
+# sorted stencil keys are built per run of whole blocks of up to this many
+# pairs: a box's stencil has a fixed cost per call, which blocks of a few
+# long rows would pay once per box each
+STENCIL_PAIRS = 1 << 16
 
 
 class SubsetNeighbors:
@@ -34,8 +38,8 @@ class SubsetNeighbors:
         self.space = space
         self.ids = np.unique(np.asarray(ids, dtype=int))
         self._tree = None   # built on the first KD query (``_kd``)
-        # on a full grid, the box of lattice indices the ids fill, if any
-        self._box = None if space._lattice is None else _box_of(self.ids, space._lattice[0], space.dim)
+        # on a full grid, the few disjoint boxes of lattice indices the ids fill, if any
+        self._boxes = None if space._lattice is None else _boxes_of(self.ids, space._lattice[0], space.dim)
         self._lists_cache: dict[float, tuple] = {}
         self._sums_cache: dict[tuple, np.ndarray] = {}
         self.porosity_masks: dict[tuple, list] = {}  # porosity_scan's, per (sigma, r_grid)
@@ -56,13 +60,42 @@ class SubsetNeighbors:
             self._tree = _kd_tree(self.space.coords[self.ids])
         return self._tree
 
-    def _stencil(self, build, centres: np.ndarray, radius: float):
-        """``build`` (``_box_counts`` or ``_box_rows``) of the balls around centres; None off a box."""
-        if self._box is None:
+    def _stencil_budget(self, radius: float):
+        """The lattice budget of the padded radius on a union of boxes; None
+        where the KD path answers (other subsets and clouds, ambiguous radii)."""
+        if self._boxes is None:
             return None
-        m, d = self.space._lattice[0], self.space.dim
-        q = _budget(_pad(radius), m, d)   # None at an ambiguous radius
-        return None if q is None else build(_indices(centres, m, d), q, *self._box)
+        return _budget(_pad(radius), self.space._lattice[0], self.space.dim)
+
+    def _stencil_blocks(self, centres: np.ndarray, q: int, rank, ptr: np.ndarray):
+        """The blocks of ``rows_of`` (row bounds ptr) from the boxes'
+        stencils.  A lone box yields each block's own rows, which come out
+        sorted.  Otherwise, as a KD block forms them, keys local row * n +
+        union position (or its rank) are built and sorted once per run of
+        whole blocks holding at most STENCIL_PAIRS pairs: sorted together,
+        each block's keys come out as its own sort orders them."""
+        idx, n = _indices(centres, self.space._lattice[0], self.space.dim), self.ids.size
+        edges = np.array([0] + [hi for _, hi in _blocks(ptr)])
+        if len(self._boxes) == 1 and rank is None:
+            for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+                indptr, cols = _box_rows(idx[lo:hi], q, self._boxes[0])
+                yield lo, hi, (indptr, cols.astype(np.int32))
+            return
+        for g0, g1 in _blocks(ptr[edges], STENCIL_PAIRS):
+            lo, hi = int(edges[g0]), int(edges[g1])
+            keys = []
+            for box in self._boxes:
+                indptr, cols = _box_rows(idx[lo:hi], q, box)
+                cols = cols if box.at is None else box.at[cols]
+                keys.append(np.repeat(np.arange(hi - lo, dtype=np.int64) * n, np.diff(indptr))
+                            + (cols if rank is None else rank[cols]))
+            keys = np.concatenate(keys)
+            keys.sort()
+            indptr = np.searchsorted(keys, np.arange(hi - lo + 1, dtype=np.int64) * n)
+            cols = np.remainder(keys, n, out=keys).astype(np.int32)
+            for b0, b1 in zip(edges[g0:g1].tolist(), edges[g0 + 1 : g1 + 1].tolist()):
+                at = indptr[b0 - lo : b1 - lo + 1]
+                yield b0, b1, (at - at[0], cols[at[0] : at[-1]])
 
     def counts_of(self, centres, radius: float) -> np.ndarray:
         """Per space point id in centres: the number of subset points within
@@ -71,9 +104,10 @@ class SubsetNeighbors:
         csr, pos = self._cached(centres, radius)
         if csr is not None:
             return csr[0][pos + 1] - csr[0][pos]
-        counts = self._stencil(_box_counts, centres, radius)
-        if counts is not None:
-            return counts
+        q = self._stencil_budget(radius)
+        if q is not None:
+            idx = _indices(centres, self.space._lattice[0], self.space.dim)
+            return sum(_box_counts(idx, q, box) for box in self._boxes)
         if self.space.coords is None:
             return np.count_nonzero(self.space.dist_matrix[np.ix_(centres, self.ids)] <= _pad(radius), axis=1)
         return self._kd().query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
@@ -85,7 +119,7 @@ class SubsetNeighbors:
         ``counts`` are their ``counts_of``, if known.  With ``rank`` (a
         permutation of subset positions) a row lists rank[j] for j, sorted.
         Rows are gathered from the cached sweep if it serves, else built
-        uncached: as integer stencils on a box subset, else by KD queries."""
+        uncached: as integer stencils on a union of boxes, else by KD queries."""
         centres = np.asarray(centres, dtype=int)
         n, r = self.ids.size, _pad(radius)
         csr, pos = self._cached(centres, radius)
@@ -99,14 +133,12 @@ class SubsetNeighbors:
             counts = self.counts_of(centres, radius)
         # column c of a matrix block is the position of rank c
         cols = self.ids if rank is None else self.ids[np.argsort(rank)]
-        for lo, hi in _blocks(np.concatenate(([0], np.cumsum(counts)))):
-            stencil = self._stencil(_box_rows, centres[lo:hi], radius)
-            if stencil is not None:
-                indptr, found = stencil
-                if rank is not None:
-                    found = _ranked(found, np.diff(indptr), rank) % n
-                yield lo, hi, (indptr, found.astype(np.int32))
-                continue
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        q = self._stencil_budget(radius)
+        if q is not None:
+            yield from self._stencil_blocks(centres, q, rank, ptr)
+            return
+        for lo, hi in _blocks(ptr):
             if self.space.coords is None:
                 keys = np.flatnonzero(self.space.dist_matrix[np.ix_(centres[lo:hi], cols)] <= r)
             else:
@@ -200,12 +232,13 @@ def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:
 # -- per-row kernels ------------------------------------------------------
 
 
-def _blocks(indptr: np.ndarray):
-    """Row ranges [lo, hi) holding at most PAIR_BLOCK pairs each; a longer
-    row forms a block of its own."""
+def _blocks(indptr: np.ndarray, budget=None):
+    """Row ranges [lo, hi) holding at most budget (default PAIR_BLOCK)
+    pairs each; a longer row forms a block of its own."""
     n_rows, lo = indptr.size - 1, 0
+    budget = PAIR_BLOCK if budget is None else budget
     while lo < n_rows:
-        hi = int(np.searchsorted(indptr, indptr[lo] + PAIR_BLOCK, side="right")) - 1
+        hi = int(np.searchsorted(indptr, indptr[lo] + budget, side="right")) - 1
         hi = min(max(hi, lo + 1), n_rows)
         yield lo, hi
         lo = hi

@@ -173,7 +173,10 @@ def porosity_scan(
     Hole emptiness is tested with the hole radius reduced by one mesh
     cell, which keeps boundary sampling from producing false negatives.
     So x passes when B_((1-sigma)r)(x) holds a point farther than that from
-    the subset: one nearest-point query per scale to those far points.
+    the subset: one nearest-point query per scale to those far points.  On
+    a full grid with a hole under one mesh cell the far points are the
+    grid points off the subset, so x passes when its ball holds more grid
+    points than subset points, both counted from stencils.
     """
     if not (0 < sigma <= 1):
         raise InvalidParameter(f"sigma must lie in (0, 1], got {sigma}")
@@ -184,22 +187,26 @@ def porosity_scan(
     key = (float(sigma), tuple(map(float, r_grid)))
     if key not in nbrs.porosity_masks:
         holes = [max(sigma * r - space.resolution, 0.0) + _EPS for r in r_grid]
-        # distance from every space point to the subset; past twice the largest
-        # hole radius it may read inf, which compares the same
-        if space.coords is None:
-            d_to_s = np.min(space.dist_matrix[:, nbrs.ids], axis=1)
-        else:
-            d_to_s = nbrs._kd().query(space.coords, distance_upper_bound=2.0 * max(holes))[0]
+        d_to_s = None
         masks = []
         for r, hole in zip(r_grid, holes):
-            far = np.flatnonzero(d_to_s > hole)
-            reach = _pad((1.0 - sigma) * r)
-            if space.coords is None:
-                mask = np.any(space.dist_matrix[np.ix_(nbrs.ids, far)] <= reach, axis=1)
+            reach = (1.0 - sigma) * r
+            q = space._grid_budget(_pad(reach))
+            if q is not None and space._grid_budget(hole) == 0:
+                mask = space._grid_counts(nbrs.ids, q).sum(axis=1) > nbrs.counts_of(nbrs.ids, reach)
             else:
-                # a tree for one query: a quick build beats a balanced one
-                far_tree = _kd_tree(space.coords[far], balanced_tree=False, compact_nodes=False)
-                mask = far_tree.query(space.coords[nbrs.ids])[0] <= reach
+                if d_to_s is None:
+                    # distance from every space point to the subset; past twice the
+                    # largest hole radius it may read inf, which compares the same
+                    d_to_s = (np.min(space.dist_matrix[:, nbrs.ids], axis=1) if space.coords is None
+                              else nbrs._kd().query(space.coords, distance_upper_bound=2.0 * max(holes))[0])
+                far = np.flatnonzero(d_to_s > hole)
+                if space.coords is None:
+                    mask = np.any(space.dist_matrix[np.ix_(nbrs.ids, far)] <= _pad(reach), axis=1)
+                else:
+                    # a tree for one query: a quick build beats a balanced one
+                    far_tree = _kd_tree(space.coords[far], balanced_tree=False, compact_nodes=False)
+                    mask = far_tree.query(space.coords[nbrs.ids])[0] <= _pad(reach)
             # read-only: every scan of this subset, sigma and grid shares it
             mask.flags.writeable = False
             masks.append(mask)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._lattice import _LATTICE_ROWS, _ball_counts, _box_rows, _budget, _indices, _lattice_of
+from ._lattice import _LATTICE_ROWS, _ball_counts, _box, _box_rows, _budget, _indices, _lattice_of
 from .errors import (
     EmptySet,
     InsufficientData,
@@ -39,7 +39,11 @@ def _pad(radius: float) -> float:
 
 def _kd_tree(points: np.ndarray, **kwargs):
     """A ``scipy.spatial.cKDTree`` of the points; scipy.spatial (0.5 s and
-    38 MB at import, with scipy.sparse and scipy.linalg) is loaded here."""
+    38 MB at import, with scipy.sparse and scipy.linalg) is loaded here.  On
+    a full grid ball queries read integer stencils instead, so trees are
+    built only for other clouds, ambiguous radii, vector centres, more than
+    ``_lattice._MAX_BOXES`` boxes, a net's covering radius and porosity holes
+    at least one mesh cell wide."""
     from scipy.spatial import cKDTree
 
     return cKDTree(points, **kwargs)
@@ -132,6 +136,9 @@ class FiniteMetricMeasureSpace:
         self._class_trees = None
         self._uniform_weight = float(self.weights[0]) if np.all(self.weights == self.weights[0]) else None
         self._lattice = None if self.coords is None else _lattice_of(self.coords, self.weights, self.resolution, self._uniform_weight)
+        # the whole grid as one box, for stencil rows around any grid point
+        if self._lattice is not None:
+            self._grid = _box(np.zeros(self.dim, dtype=np.int64), np.full(self.dim, self._lattice[0]))
         # few distinct weight values (e.g. boundary cell corrections): clouds
         # of more than 512 points count per class instead of summing per ball
         self._weight_classes = None
@@ -240,11 +247,28 @@ class FiniteMetricMeasureSpace:
             self._tree = _kd_tree(self.coords)
         return self._tree
 
+    def _grid_budget(self, r: float) -> Optional[int]:
+        """The lattice budget of r; None off a lattice or at an ambiguous r."""
+        return None if self._lattice is None else _budget(r, self._lattice[0], self.dim)
+
+    def _grid_rows(self, centres: np.ndarray, q: int):
+        """CSR ``(indptr, ids)`` of the whole-grid stencil rows of budget q."""
+        return _box_rows(_indices(centres, self._lattice[0], self.dim), q, self._grid)
+
+    def _grid_counts(self, centres: np.ndarray, q: int) -> np.ndarray:
+        """Per point id, the grid points of budget q by boundary class, (k, d + 1) int64."""
+        m = self._lattice[0]
+        return np.concatenate([_ball_counts(_indices(at, m, self.dim), np.full(at.size, q, dtype=np.int64), m)
+                               for at in np.split(centres, range(_LATTICE_ROWS, centres.size, _LATTICE_ROWS))])
+
     def members(self, center: Center, radius: float) -> np.ndarray:
         """Sorted ids of the closed ball B_radius(center)."""
         if radius < 0:
             raise InvalidScale("radius must be >= 0")
         vec = self._center_vector(center)
+        q = None if vec is not None else self._grid_budget(_pad(radius))
+        if q is not None:
+            return self._grid_rows(np.array([self.check_id(center)]), q)[1]
         if self.coords is not None:
             query = self.coords[self.check_id(center)] if vec is None else vec
             idx = self._cloud_tree().query_ball_point(query, _pad(radius))
@@ -275,21 +299,18 @@ class FiniteMetricMeasureSpace:
             # a row-wise sum: a BLAS matrix product rounds a row differently
             # depending on how many rows one call holds
             return np.where(self.dist_matrix[centres] <= r, self.weights, 0.0).sum(axis=1)
-        m, d = (self._lattice[0] if self._lattice else 0), self.dim
-        # the lattice budget of r, None where the KD tree must count
-        q = None if self._lattice is None else _budget(r, m, d)
+        q = self._grid_budget(r)   # None where the KD tree must count
         if self._uniform_weight is None and (self._weight_classes is None or self.n <= 512):
             # per ball, a sum over its members in increasing id order (the
             # order of a multi-point KD query), on a lattice off its stencil
             if q is None:
                 rows = self._cloud_tree().query_ball_point(self.coords[centres], r)
             else:
-                ptr, ids = _box_rows(_indices(centres, m, d), q, np.zeros(d, dtype=np.int64), np.full(d, m))
+                ptr, ids = self._grid_rows(centres, q)
                 rows = np.split(ids, ptr[1:-1])
             return np.array([float(np.sum(self.weights[np.asarray(ix, dtype=int)])) for ix in rows])
         if q is not None:
-            counts = np.concatenate([_ball_counts(_indices(at, m, d), np.full(at.size, q, dtype=np.int64), m)
-                                     for at in np.split(centres, range(_LATTICE_ROWS, centres.size, _LATTICE_ROWS))])
+            counts = self._grid_counts(centres, q)
             if self._uniform_weight is not None:
                 return counts.sum(axis=1) * self._uniform_weight
             # the KD class sum below, over the same integers in the same order
@@ -360,18 +381,25 @@ def separated_net(
 
 def _greedy_net(space, ids: np.ndarray, sep: float) -> list:
     """One scan in id order: each kept point blocks the later points
-    closer than sep * (1 - _EPS) to it."""
+    closer than sep * (1 - _EPS) to it, read off the grid's stencil on a
+    lattice, else from a KD tree or a matrix column."""
+    r = math.nextafter(sep * (1 - _EPS), 0)
+    q = space._grid_budget(r)
     blocked = np.zeros(ids.size, dtype=bool)
-    tree = None if space.coords is None else _kd_tree(space.coords[ids])
+    tree = None if space.coords is None or q is not None else _kd_tree(space.coords[ids])
     chosen = []
     for a, i in enumerate(ids):
         if blocked[a]:
             continue
         chosen.append(int(i))
-        if tree is None:
+        if q is not None:
+            near = space._grid_rows(ids[a : a + 1], q)[1]
+            at = np.minimum(np.searchsorted(ids, near), ids.size - 1)
+            blocked[at[ids[at] == near]] = True
+        elif tree is None:
             blocked |= space.dist_matrix[ids, i] < sep * (1 - _EPS)
         else:
-            blocked[tree.query_ball_point(space.coords[i], math.nextafter(sep * (1 - _EPS), 0))] = True
+            blocked[tree.query_ball_point(space.coords[i], r)] = True
     return chosen
 
 

@@ -3,9 +3,12 @@
 ``import mmtrace`` loads no scipy module.  ``scipy.optimize`` (0.2 s and
 9 MB at import) stays off every path but the exact searches.
 ``scipy.spatial`` (about 0.5 s and 38 MB, with the scipy.sparse and
-scipy.linalg it loads) is imported only when a KD tree is built, so a
-difficult-case experiment, whose pieces are boxes of a full grid, runs
-without it."""
+scipy.linalg it loads) is imported only when a KD tree is built.  On a
+full grid every ball query of the canonical instances reads integer
+stencils (the pieces and their union are a few boxes of the grid), so a
+difficult-case experiment, a simple-case ``bn`` and the checks and
+searches on the simple instance run without it; the same ``bn`` on a
+cloud that is no lattice loads it."""
 
 import os
 import subprocess
@@ -36,6 +39,7 @@ assert "scipy.optimize" in sys.modules
 
 SCIPY_GUARD = """
 import sys
+import numpy as np
 import mmtrace as mt
 from mmtrace import io as mio
 
@@ -61,6 +65,19 @@ space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
 seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
 f = mt.make_sample_function(space, pw, "random", seed=0)
 mt.bn_functional(space, seq, pw, f, 2.5, 0.01, c=6.0)
+face, segment = pw.pieces
+mt.check_lcr(space, segment.ids, segment.theta, mt.default_r_grid(space))
+mt.hausdorff_content(space, mt.ContentQuery(face.ids, face.theta, 0.25, "greedy"))
+mt.verify_regular_sequence(space, seq)
+mt.bsn_functional(space, seq, f.values, 2.5, 6.0)
+for name in ("scipy.spatial", "scipy.sparse"):
+    assert not loaded(name), loaded(name)
+
+# the same grid with weights off the boundary classes is no lattice
+twin = mt.FiniteMetricMeasureSpace(weights=space.weights * np.linspace(1.0, 2.0, space.n), coords=space.coords,
+                                   resolution=space.resolution)
+assert twin._lattice is None
+mt.bn_functional(twin, mt.build_measure_sequence(twin, pw, pw.theta_S, p=2.5), pw, f, 2.5, 0.01, c=6.0)
 assert "scipy.spatial" in sys.modules
 """
 

@@ -506,14 +506,32 @@ def grid_boxes(draw, dim, m):
     return np.sort(np.ravel_multi_index([g.ravel() for g in grid], (m + 1,) * dim))
 
 
+def _assert_same_as_kd_twin(got, want, other, centres, radius, rank):
+    """Counts, plain and ranked rows with their block bounds, the sweep
+    (also against the query_pairs oracle) and cross pairs of ``got`` equal
+    those of its KD twin ``want``, dtypes too."""
+    for r in (None, rank):
+        a, b = (list(x.rows_of(centres, radius, rank=r)) for x in (got, want))
+        assert [blk[:2] for blk in a] == [blk[:2] for blk in b]
+        for (_, _, csr_a), (_, _, csr_b) in zip(a, b):
+            _assert_same(csr_a, csr_b)
+    _assert_same([got.counts_of(centres, radius)], [want.counts_of(centres, radius)])
+    _assert_same(got.self_lists(radius), want.self_lists(radius))
+    _assert_same(got.self_lists(radius), oquery_pairs_lists(got.space, got.ids, radius))
+    _assert_same(got.cross_pairs(nb.SubsetNeighbors(got.space, other), radius),
+                 want.cross_pairs(nb.SubsetNeighbors(want.space, other), radius))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_box_stencils_equal_the_kd_rows(data):
-    """On a box of a full grid, counts, plain and ranked rows with their
-    block bounds, the sweep and cross pairs come from integer stencils
-    without a KD tree, equal, dtypes too, to the KD builder's on a twin
-    cloud that is no lattice (and the sweep to the query_pairs oracle);
-    at ambiguous radii the KD tree answers."""
+    """On a union of one to three (possibly overlapping) boxes of a full
+    grid, counts, plain and ranked rows with their block bounds, the sweep
+    and cross pairs come from integer stencils without a KD tree, equal,
+    dtypes too, to the KD builder's on a twin cloud that is no lattice (and
+    the sweep to the query_pairs oracle); at ambiguous radii, and on a
+    union that splits into more than ``_MAX_BOXES`` boxes, the KD tree
+    answers."""
     from mmtrace._lattice import _budget
     from mmtrace.space import _pad
 
@@ -522,7 +540,8 @@ def test_box_stencils_equal_the_kd_rows(data):
     space = mt.build_grid_space(f"grid{dim}d", 1.0 / m)
     twin = mt.FiniteMetricMeasureSpace(weights=space.weights, coords=space.coords, resolution=2.0)
     assert space._lattice is not None and twin._lattice is None
-    ids, other = data.draw(grid_boxes(dim, m), label="box"), data.draw(grid_boxes(dim, m), label="other")
+    parts = data.draw(st.lists(grid_boxes(dim, m), min_size=1, max_size=3), label="boxes")
+    ids, other = np.unique(np.concatenate(parts)), data.draw(grid_boxes(dim, m), label="other")
     j = data.draw(st.integers(0, dim * m * m + 2), label="j")
     kind = data.draw(st.sampled_from(["root", "dyadic", "ambiguous"]), label="kind")
     radius = {
@@ -536,21 +555,71 @@ def test_box_stencils_equal_the_kd_rows(data):
     rank = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(ids.size)
     budget = data.draw(st.sampled_from([1, 3, 7, nb.PAIR_BLOCK]), label="budget")
     got, want = (nb.SubsetNeighbors(s, ids) for s in (space, twin))
-    assert got._box is not None
+    if len(parts) == 1:
+        assert len(got._boxes) == 1 and got._boxes[0].at is None
+    if got._boxes is not None:
+        # disjoint boxes that make up the subset
+        held = np.concatenate([b.at if b.at is not None else np.arange(ids.size) for b in got._boxes])
+        np.testing.assert_array_equal(np.sort(held), np.arange(ids.size))
     stencil = _budget(_pad(radius), m, dim) is not None
     assert stencil == (kind != "ambiguous")
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
-        for r in (None, rank):
-            a, b = (list(x.rows_of(centres, radius, rank=r)) for x in (got, want))
-            assert [blk[:2] for blk in a] == [blk[:2] for blk in b]
-            for (_, _, csr_a), (_, _, csr_b) in zip(a, b):
-                _assert_same(csr_a, csr_b)
-        _assert_same([got.counts_of(centres, radius)], [want.counts_of(centres, radius)])
-        _assert_same(got.self_lists(radius), want.self_lists(radius))
-        _assert_same(got.self_lists(radius), oquery_pairs_lists(space, ids, radius))
-        _assert_same(got.cross_pairs(nb.SubsetNeighbors(space, other), radius),
-                     want.cross_pairs(nb.SubsetNeighbors(twin, other), radius))
-    assert (got._tree is None) == stencil
+        _assert_same_as_kd_twin(got, want, other, centres, radius, rank)
+    assert (got._tree is None) == (stencil and got._boxes is not None)
+
+
+@pytest.mark.parametrize("dim,m,step", [(1, 40, 2), (2, 6, 5), (3, 3, 7)])
+def test_subsets_past_the_box_cap_take_the_kd_path(dim, m, step):
+    """Every step-th grid point makes more than ``_MAX_BOXES`` boxes: the
+    decomposition gives up and the KD rows answer, equal to the twin's;
+    a union of exactly ``_MAX_BOXES`` single points still reads stencils."""
+    from mmtrace._lattice import _MAX_BOXES
+
+    space = mt.build_grid_space(f"grid{dim}d", 1.0 / m)
+    twin = mt.FiniteMetricMeasureSpace(weights=space.weights, coords=space.coords, resolution=2.0)
+    scattered = np.arange(0, space.n, step)
+    assert scattered.size > _MAX_BOXES
+    got, want = (nb.SubsetNeighbors(s, scattered) for s in (space, twin))
+    assert got._boxes is None
+    rank = np.random.default_rng(step).permutation(scattered.size)
+    for radius in (0.5 / m, 1.0 / m, 1.5 / m, 0.5):
+        _assert_same_as_kd_twin(got, want, space.ids[:5], space.ids, radius, rank)
+    assert got._tree is not None
+    few = nb.SubsetNeighbors(space, scattered[:_MAX_BOXES])
+    assert len(few._boxes) == _MAX_BOXES
+    _assert_same_as_kd_twin(few, nb.SubsetNeighbors(twin, scattered[:_MAX_BOXES]), space.ids[:5], space.ids, 1.5 / m,
+                            np.arange(_MAX_BOXES)[::-1])
+    assert few._tree is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_porosity_masks_on_a_grid_equal_the_kd_twin(data):
+    """On a full grid, a hole under one mesh cell (sigma = 0.01 here) makes
+    the far set the grid minus the subset, and each mask compares stencil
+    counts, with no KD tree at unambiguous reaches; wider holes (sigma 0.3
+    and 1) take the KD code.  Masks equal those of a twin with the grid's
+    resolution but no lattice (weights off the classes)."""
+    from mmtrace import regularity as rg
+
+    dim = data.draw(st.integers(1, 3), label="dim")
+    m = data.draw(st.integers(*GRID_SIDES[dim]), label="m")
+    space = mt.build_grid_space(f"grid{dim}d", 1.0 / m)
+    twin = mt.FiniteMetricMeasureSpace(weights=np.arange(1.0, space.n + 1), coords=space.coords, resolution=1.0 / m)
+    assert twin._lattice is None
+    parts = data.draw(st.lists(grid_boxes(dim, m), min_size=1, max_size=3), label="boxes")
+    ids = np.unique(np.concatenate(parts))
+    js = data.draw(st.lists(st.integers(0, dim * m * m + 2), max_size=3), label="j")
+    r_grid = mt.default_r_grid(space) + [math.sqrt(j) / m for j in js]
+    for sigma in (0.01, 0.3, 1.0):
+        with mock.patch.object(rg, "_kd_tree", wraps=rg._kd_tree) as trees:
+            got = mt.porosity_scan(space, ids, sigma, r_grid).porous_points_per_scale
+        want = mt.porosity_scan(twin, ids, sigma, r_grid).porous_points_per_scale
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        if sigma == 0.01 and all(nb._budget(nb._pad((1 - sigma) * r), m, dim) is not None for r in r_grid):
+            assert trees.call_count == 0 and nb.subset_neighbors(space, ids)._tree is None
 
 
 def test_self_lists_memory_per_stored_pair():

@@ -350,6 +350,52 @@ class TestLatticeCounts:
         np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
         assert space._tree is not None and space._class_trees is None
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from(["root", "dyadic", "ambiguous"]), st.data())
+    def test_members_and_nets_read_the_grid_stencil(self, dim, kind, data):
+        """Members of id centres (so ``ball_mass``) and separated nets come
+        off the whole-grid stencil, equal to the KD twin's, dtypes too, and
+        build no tree; vector centres and ambiguous radii ask the tree."""
+        from unittest import mock
+
+        from mmtrace import space as msp
+
+        m = data.draw(st.integers(GRID_SIDES[dim][0], min(GRID_SIDES[dim][1], 64)), label="m")
+        space = mt.build_grid_space(f"grid{dim}d", 1 / m)
+        twin = _kd_twin(space)
+        j = data.draw(st.integers(0, dim * m * m + 2), label="j")
+        radius = {
+            "root": math.sqrt(j) / m,
+            "dyadic": 2.0 ** -data.draw(st.integers(-1, 7), label="k"),
+            # padded, this radius lands on a lattice distance up to round-off
+            "ambiguous": (math.sqrt(min(max(j, 1), dim * m * m)) / m - 1e-12) / (1 + 1e-12),
+        }[kind]
+        centres = data.draw(st.lists(st.integers(0, space.n - 1), min_size=1, max_size=8), label="centres")
+        for x in centres:
+            got, want = space.members(x, radius), twin.members(x, radius)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert space.ball_mass(x, radius) == twin.ball_mass(x, radius)
+        assert (space._tree is None) == (kind != "ambiguous")
+        vec = space.coords[centres[0]] + data.draw(st.floats(-0.5, 0.5), label="shift") / m
+        np.testing.assert_array_equal(space.members(vec, radius), twin.members(vec, radius))
+        assert space._tree is not None
+        # nets need the grid's resolution; weights off the classes make no lattice
+        other = mt.FiniteMetricMeasureSpace(weights=np.arange(1.0, space.n + 1), coords=space.coords, resolution=1 / m)
+        assert other._lattice is None
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        ids = np.sort(rng.choice(space.n, size=int(rng.integers(1, space.n + 1)), replace=False))
+        k = data.draw(st.integers(0, int(math.log2(m))), label="k_net")
+        strict = space._grid_budget(math.nextafter(2.0**-k * (1 - 1e-12), 0)) is not None
+        for maximal in (False, True):
+            with mock.patch.object(msp, "_kd_tree", wraps=msp._kd_tree) as trees:
+                a = mt.separated_net(space, ids, k, maximal=maximal)
+            b = mt.separated_net(other, ids, k, maximal=maximal)
+            assert a.points.tolist() == b.points.tolist()
+            assert a.covering_radius == b.covering_radius
+            # a maximal net's covering radius is one nearest-point KD query
+            assert trees.call_count == (not strict) + maximal
+
     def _cell_grid(self, h=1 / 24):
         space = mt.build_grid_space("grid2d", h)
         assert space._lattice is not None and space._weight_classes is not None
