@@ -23,9 +23,9 @@ from .space import FiniteMetricMeasureSpace, _kd_tree, _pad
 # a block's float64 temporaries (64 KiB) stay below glibc's default 128 KiB
 # mmap threshold, so successive blocks reuse heap pages, not fresh mappings
 PAIR_BLOCK = 1 << 13
-# sorted stencil keys are built per run of whole blocks of up to this many
-# pairs: a box's stencil has a fixed cost per call, which blocks of a few
-# long rows would pay once per box each
+# on several boxes, sorted stencil keys are built per run of whole blocks of
+# up to this many pairs: a box's stencil has a fixed cost per call, which
+# blocks of a few long rows would pay once per box each
 STENCIL_PAIRS = 1 << 16
 
 
@@ -69,18 +69,21 @@ class SubsetNeighbors:
 
     def _stencil_blocks(self, centres: np.ndarray, q: int, rank, ptr: np.ndarray):
         """The blocks of ``rows_of`` (row bounds ptr) from the boxes'
-        stencils.  A lone box yields each block's own rows, which come out
-        sorted.  Otherwise, as a KD block forms them, keys local row * n +
-        union position (or its rank) are built and sorted once per run of
-        whole blocks holding at most STENCIL_PAIRS pairs: sorted together,
-        each block's keys come out as its own sort orders them."""
+        stencils.  A lone box builds each block's own rows, which come out
+        sorted (ranked as a cached sweep's are).  On several boxes, as a KD
+        block forms them, keys local row * n + union position (or its rank)
+        are built and sorted once per run of whole blocks holding at most
+        STENCIL_PAIRS pairs: sorted together, each block's keys come out as
+        its own sort orders them."""
         idx, n = _indices(centres, self.space._lattice[0], self.space.dim), self.ids.size
-        edges = np.array([0] + [hi for _, hi in _blocks(ptr)])
-        if len(self._boxes) == 1 and rank is None:
-            for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        if len(self._boxes) == 1:
+            for lo, hi in _blocks(ptr):
                 indptr, cols = _box_rows(idx[lo:hi], q, self._boxes[0])
+                if rank is not None:
+                    cols = _ranked(cols, np.diff(indptr), rank) % n
                 yield lo, hi, (indptr, cols.astype(np.int32))
             return
+        edges = np.array([0] + [hi for _, hi in _blocks(ptr)])
         for g0, g1 in _blocks(ptr[edges], STENCIL_PAIRS):
             lo, hi = int(edges[g0]), int(edges[g1])
             keys = []

@@ -352,7 +352,7 @@ def separated_net(
     >= 2^-k from every point already kept; scanning the whole subset makes
     the result maximal (covering radius <= 2^-k) automatically.
     """
-    ids = np.sort(np.asarray(list(subset_ids), dtype=int))
+    ids = np.unique(np.asarray(list(subset_ids), dtype=int))
     if ids.size == 0:
         raise EmptySet("cannot build a net of an empty subset")
     sep = 2.0 ** (-int(k))

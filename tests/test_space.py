@@ -395,6 +395,10 @@ class TestLatticeCounts:
             assert a.covering_radius == b.covering_radius
             # a maximal net's covering radius is one nearest-point KD query
             assert trees.call_count == (not strict) + maximal
+        # a repeated id is one point, kept at most once, as on the twin
+        dup = rng.permutation(np.concatenate([ids, rng.choice(ids, size=int(rng.integers(1, ids.size + 1)))]))
+        nets = [mt.separated_net(s, dup, k, maximal=False).points.tolist() for s in (space, other)]
+        assert nets[0] == nets[1] == a.points.tolist()
 
     def _cell_grid(self, h=1 / 24):
         space = mt.build_grid_space("grid2d", h)
