@@ -247,6 +247,12 @@ def _blocks(indptr: np.ndarray, budget=None):
         lo = hi
 
 
+def csr_rows(indptr: np.ndarray, indices: np.ndarray) -> list:
+    """The rows of a CSR pair as a list of views (``np.split`` without its
+    per-row overhead)."""
+    return [indices[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+
+
 def _rows(csr, rows=None):
     """Per block of rows lo..hi-1 of csr, or of the listed rows of csr:
     (lo, hi, pair positions, local row starts, row lengths)."""

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._neighbors import SubsetNeighbors
+from ._neighbors import SubsetNeighbors, csr_rows
 from .errors import InvalidParameter, MissingMetadata, MMTraceError, ResolutionError
 from .space import Ball, FiniteMetricMeasureSpace, dyadic_radii
 
@@ -65,22 +65,22 @@ def _pool_radii(space, delta: float) -> list:
     return radii
 
 
-def _candidate_pool(space, target: np.ndarray, theta: float, delta: float, ball_mass=None):
-    """Dyadic-radius balls centered at the (sorted) target points, with
-    member positions into the target and their cover weights; ``ball_mass``
-    (default ``space.ball_mass``) may be a cached stand-in."""
-    ball_mass = ball_mass or space.ball_mass
+def _candidate_pool(space, target: np.ndarray, theta: float, delta: float):
+    """Dyadic-radius balls centered at the (sorted) target points, in
+    (centre, radius) order, with member positions into the target and
+    their cover weights mu(B)/r^theta, mu(B) as ``space.ball_mass`` sums
+    it: one ``self_lists`` and one ``ball_masses`` per radius."""
     radii = _pool_radii(space, delta)
     # a throwaway layer: one-off targets would pile up in space._neighbors
     nbrs = SubsetNeighbors(space, target)
-    lists = [nbrs.self_lists(r) for r in radii]
-    balls, covers, weights = [], [], []
-    for a, c in enumerate(target):
-        for r, (indptr, indices) in zip(radii, lists):
-            balls.append(Ball(int(c), r))
-            covers.append(indices[indptr[a] : indptr[a + 1]])
-            weights.append(ball_mass(int(c), r) / r**theta)
-    return balls, covers, weights
+    covers = [csr_rows(*nbrs.self_lists(r)) for r in radii]
+    weights = [(space.ball_masses(target, r) / r**theta).tolist() for r in radii]
+    return [Ball(int(c), r) for c in target for r in radii], _by_centre(covers), _by_centre(weights)
+
+
+def _by_centre(per_radius: list) -> list:
+    """Per-radius lists over the centres, flattened in (centre, radius) order."""
+    return [x for at_centre in zip(*per_radius) for x in at_centre]
 
 
 def _greedy_cover(n_target: int, covers, weights):
@@ -241,4 +241,4 @@ def piece_measure_weights(
         raise InvalidParameter(f"unknown mode {mode!r}")
     # a singleton's greedy cover is its cheapest candidate ball
     radii = _pool_radii(space, 2.0 * space.scale_floor)
-    return np.array([min(space.ball_mass(int(x), r) / r**theta for r in radii) for x in target])
+    return np.min([space.ball_masses(target, r) / r**theta for r in radii], axis=0)

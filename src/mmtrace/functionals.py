@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import centred_means, pair_abs_diffs, row_deviations, subset_neighbors
+from ._neighbors import centred_means, csr_rows, pair_abs_diffs, row_deviations, subset_neighbors
 from .content import _zero_one_program
 from .errors import (
     InvalidFamily,
@@ -381,12 +381,30 @@ def _ball_arrays(space, balls) -> tuple:
     return np.array([b.center for b in balls], dtype=int), np.array([b.radius for b in balls], dtype=float)
 
 
+def _by_radius(radii: np.ndarray):
+    """Per distinct radius, increasing: ``(r, positions of the balls of it)``."""
+    for r in np.unique(radii):
+        yield float(r), np.flatnonzero(radii == r)
+
+
+def _member_sets(space, centres: np.ndarray, radii: np.ndarray) -> tuple:
+    """Per ball, its sorted member ids and mu(B) as ``space.ball_mass``
+    sums it, from one ``space.member_blocks`` call per radius."""
+    sets, masses = [None] * radii.size, np.empty(radii.size)
+    for r, at in _by_radius(radii):
+        for block, indptr, ids, mass in space.member_blocks(centres[at], r):
+            masses[at[block]] = mass
+            for a, row in zip(at[block].tolist(), csr_rows(indptr, ids)):
+                sets[a] = row
+    return sets, masses
+
+
 def _meets(nbrs, centres: np.ndarray, radii: np.ndarray, scale: float) -> np.ndarray:
     """Per ball: whether its scale-dilation meets the subset of nbrs, from
     one count query per radius."""
     out = np.zeros(centres.size, dtype=bool)
-    for r in np.unique(radii):
-        out[radii == r] = nbrs.counts_of(centres[radii == r], scale * r) > 0
+    for r, at in _by_radius(radii):
+        out[at] = nbrs.counts_of(centres[at], scale * r) > 0
     return out
 
 
@@ -402,13 +420,33 @@ def validate_nice_family(space, subset_ids, family: NiceFamily):
         raise InvalidFamily("a dilated ball misses the subset")
     if family.kind == "whitney" and _meets(nbrs, centres, radii, 1.0).any():
         raise InvalidFamily("a whitney ball meets the subset")
-    owner = np.full(space.n, -1)
-    for a, b in enumerate(family.balls):
-        members = space.members(b.center, b.radius)
-        hit = owner[members]
-        if np.any(hit >= 0):
-            raise InvalidFamily(f"balls {int(hit[hit >= 0].min())} and {a} share cloud points")
-        owner[members] = a
+    # per point, the two lowest indices of the balls holding it, one block
+    # of member rows at a time; the first overlapping pair (b, a) in family
+    # order has the lowest second index a, and b is the first index there
+    first, second = np.full(space.n, radii.size), np.full(space.n, radii.size)
+    for r, at in _by_radius(radii):
+        for block, indptr, ids, _ in space.member_blocks(centres[at], r):
+            _two_lowest(first, second, np.repeat(at[block], np.diff(indptr)), ids, radii.size + 1)
+    a = int(second.min())
+    if a < radii.size:
+        raise InvalidFamily(f"balls {int(first[second == a].min())} and {a} share cloud points")
+
+
+def _two_lowest(first: np.ndarray, second: np.ndarray, balls: np.ndarray, points: np.ndarray, k: int):
+    """Merge the (ball, point) pairs into each point's two lowest ball
+    indices so far, in place; k - 1 is the fill value, above every ball."""
+    keys = points * k
+    keys += balls
+    keys.sort()
+    at = keys // k
+    head = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+    # per point, its lowest and next lowest ball of the pairs (or k - 1)
+    ids, low, low2 = at[head], keys[head] % k, np.full(head.size, k - 1)
+    two = np.flatnonzero(np.diff(np.append(head, keys.size)) > 1)
+    low2[two] = keys[head[two] + 1] % k
+    was = first[ids]
+    first[ids] = np.minimum(was, low)
+    second[ids] = np.minimum(np.maximum(was, low), np.minimum(second[ids], low2))
 
 
 def enumerate_or_search_nice_family(
@@ -426,9 +464,9 @@ def enumerate_or_search_nice_family(
 
     ``term_fn(balls, masses)`` takes the list of pool balls (the candidates
     whose c-dilation meets the subset) and their masses mu(B), summed over
-    the member sets the search reads anyway as ``space.ball_mass`` sums
-    them, and returns their terms as one array, in list order; the default
-    term is the mass.
+    the member sets the search reads anyway (one ``space.member_blocks``
+    call per radius) as ``space.ball_mass`` sums them, and returns their
+    terms as one array, in list order; the default term is the mass.
     Candidates default to balls on separated nets of the subset with
     matching dyadic radii (pass ``radii`` to pin the scale range, e.g. for
     cross-resolution comparisons).  Greedy adds the best-scoring disjoint
@@ -463,8 +501,7 @@ def enumerate_or_search_nice_family(
     if kind == "whitney":
         keep &= ~_meets(nbrs, centres, sizes, 1.0)
     pool = [b for b, k in zip(candidates, keep) if k]
-    member_sets = [space.members(b.center, b.radius) for b in pool]
-    masses = np.array([float(np.sum(space.weights[m])) for m in member_sets])
+    member_sets, masses = _member_sets(space, centres[keep], sizes[keep])
     terms = masses if term_fn is None else np.asarray(term_fn(pool, masses), dtype=float)
 
     if method == "exact":
@@ -495,9 +532,13 @@ def enumerate_or_search_nice_family(
 def bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls) -> np.ndarray:
     """Per ball: mu(B)/r^p times the p-th power of the dilated-ball
     deviation E~ at the scale matched to the radius, from one E~ call per
-    radius.  mu(B) is ``space.ball_mass``, whose rounding the greedy
-    family search has always ordered its ties by."""
-    mu = np.array([space.ball_mass(b.center, b.radius) for b in balls], dtype=float)
+    radius.  mu(B) comes from one ``space.ball_masses`` call per radius,
+    in the rounding of ``space.ball_mass`` that the greedy family search
+    has always ordered its ties by."""
+    centres, radii = _ball_arrays(space, balls)
+    mu = np.empty(radii.size)
+    for r, at in _by_radius(radii):
+        mu[at] = space.ball_masses(centres[at], r)
     return _bsn_terms(space, seq, f, p, c, balls, mu)
 
 

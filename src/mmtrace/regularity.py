@@ -9,15 +9,14 @@ with a set-cover content; the porosity scan searches for empty holes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import subset_neighbors
-from .content import _candidate_pool, _greedy_cover
+from ._neighbors import csr_rows, subset_neighbors
+from .content import _by_centre, _greedy_cover, _pool_radii
 from .errors import EmptySet, InvalidGrid, InvalidParameter, ResolutionError
 from .space import _EPS, FiniteMetricMeasureSpace, _kd_tree, _pad, dyadic_radii
 
@@ -138,8 +137,9 @@ def check_lcr(
 ) -> float:
     """Lower content regularity constant: min over (x, r) of
     content(B_r(x) cap S; delta=r) * r^theta / mu(B_r(x)), each content the
-    greedy cover ``hausdorff_content`` finds; the local covers share one
-    count per candidate ball."""
+    greedy cover ``hausdorff_content`` finds.  The local candidate pools
+    share the subset's sweeps and ball masses per pool radius: a local
+    cover is the centre's row of ``self_lists`` restricted to B_r(x)."""
     r_grid = list(r_grid)
     if not r_grid:
         raise InvalidGrid("r_grid must be nonempty")
@@ -147,18 +147,37 @@ def check_lcr(
         raise InvalidParameter("theta must be >= 0")
     subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
     nbrs = subset_neighbors(space, subset_ids)
-    ball_mass = functools.cache(space.ball_mass)
+    weights = {}   # per pool radius, the cover weight of each subset point's ball
     lam = np.inf
     for r in r_grid:
         if r <= space.scale_floor:
             raise ResolutionError(f"delta {r} must exceed scale_floor {space.scale_floor}")
+        radii = _pool_radii(space, r)
+        for rp in radii:
+            if rp not in weights:
+                weights[rp] = space.ball_masses(subset_ids, rp) / rp**theta
         indptr, indices = nbrs.self_lists(r)
         for a, mass in enumerate(space.masses_at_radius(r, subset_ids)):
-            local = subset_ids[indices[indptr[a] : indptr[a + 1]]]
-            _, covers, weights = _candidate_pool(space, local, theta, r, ball_mass)
-            _, value = _greedy_cover(local.size, covers, weights)
+            local = indices[indptr[a] : indptr[a + 1]]
+            covers = _by_centre([_restricted(nbrs.self_lists(rp), local) for rp in radii])
+            _, value = _greedy_cover(local.size, covers, _by_centre([weights[rp][local].tolist() for rp in radii]))
             lam = min(lam, value * r**theta / mass)
     return float(lam)
+
+
+def _restricted(csr, local: np.ndarray) -> list:
+    """The rows of csr, a sweep of a subset, at the sorted positions local,
+    each restricted to local, as positions into local."""
+    indptr, indices = csr
+    lengths = indptr[local + 1] - indptr[local]
+    ends = np.concatenate(([0], np.cumsum(lengths)))
+    cols = indices[np.repeat(indptr[local] - ends[:-1], lengths) + np.arange(ends[-1])]
+    where = np.full(indptr.size - 1, -1)
+    where[local] = np.arange(local.size)
+    at = where[cols]
+    # per row, its kept columns end where the running count of kept ones stands
+    kept = np.concatenate(([0], np.cumsum(at >= 0)))
+    return csr_rows(kept[ends], at[at >= 0])
 
 
 def porosity_scan(

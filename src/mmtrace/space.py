@@ -9,6 +9,7 @@ which no analysis radius is accepted.  All ball semantics are closed:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -35,6 +36,18 @@ _EPS = 1e-12
 def _pad(radius: float) -> float:
     """The closed-ball radius padded against float round-off."""
     return radius * (1 + _EPS) + _EPS
+
+
+def _pairwise_sums(w: np.ndarray, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per CSR row, ``np.sum(w[row])`` bit for bit: the rows of one length
+    form a 2-d array, whose ``.sum(axis=1)`` reduces each contiguous row
+    with the pairwise loop ``np.sum`` runs on that row alone."""
+    lengths = np.diff(indptr)
+    out = np.zeros(lengths.size)
+    for n in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == n)
+        out[rows] = w[ids[indptr[rows, None] + np.arange(n)]].sum(axis=1)
+    return out
 
 
 def _kd_tree(points: np.ndarray, **kwargs):
@@ -266,19 +279,58 @@ class FiniteMetricMeasureSpace:
         if radius < 0:
             raise InvalidScale("radius must be >= 0")
         vec = self._center_vector(center)
-        q = None if vec is not None else self._grid_budget(_pad(radius))
-        if q is not None:
-            return self._grid_rows(np.array([self.check_id(center)]), q)[1]
-        if self.coords is not None:
-            query = self.coords[self.check_id(center)] if vec is None else vec
-            idx = self._cloud_tree().query_ball_point(query, _pad(radius))
-            return np.sort(np.asarray(idx, dtype=int))
-        dists = self.distances_from(center)
-        return np.flatnonzero(dists <= _pad(radius))
+        if vec is None:
+            return next(self.member_blocks([center], radius))[2]
+        if self.coords is None:
+            raise ParameterError("vector centers need a coordinate metric")
+        return np.sort(np.asarray(self._cloud_tree().query_ball_point(vec, _pad(radius)), dtype=int))
 
     def ball_mass(self, center: Center, radius: float) -> float:
         m = self.members(center, radius)
         return float(np.sum(self.weights[m]))
+
+    def ball_masses(self, centres, radius: float) -> np.ndarray:
+        """mu(B_radius(x)) per point id x in centres, bit for bit as
+        ``ball_mass`` sums it, one block of ``member_blocks`` at a time."""
+        return np.concatenate([np.zeros(0)] + [mass for *_, mass in self.member_blocks(centres, radius)])
+
+    def member_blocks(self, centres, radius: float):
+        """The closed balls B_radius(x) around the point ids x in centres,
+        in blocks of about ``PAIR_BLOCK`` ids: ``(at, indptr, ids, masses)``
+        for centres[at], a slice; CSR row a (int64) holds the sorted ids of
+        a ball as ``members`` lists them, masses[a] its mass bit for bit as
+        ``ball_mass`` sums it.  Stencil rows on a full grid at an
+        unambiguous radius, else one multi-point KD query, or matrix rows,
+        per block."""
+        from ._neighbors import _blocks   # that module imports this one
+
+        if radius < 0:
+            raise InvalidScale("radius must be >= 0")
+        centres = np.asarray(centres, dtype=np.int64).reshape(-1)
+        bad = centres[(centres < 0) | (centres >= self.n)]
+        if bad.size:
+            raise InvalidPoint(f"point id {bad[0]} out of range [0, {self.n})")
+        r = _pad(radius)
+        q = self._grid_budget(r)
+        if self.coords is None or centres.size < 2:
+            # a matrix block compares whole rows; a lone centre is one block
+            counts = np.full(centres.size, self.n)
+        elif q is not None:
+            # a row holds at most the stencil's bounding cube of side 2 isqrt(q) + 1
+            counts = np.full(centres.size, min((2 * math.isqrt(q) + 1) ** self.dim, self.n))
+        else:
+            counts = self._cloud_tree().query_ball_point(self.coords[centres], r, return_length=True)
+        for lo, hi in _blocks(np.concatenate(([0], np.cumsum(counts)))):
+            if q is not None:
+                indptr, ids = self._grid_rows(centres[lo:hi], q)
+            elif self.coords is None:
+                at, ids = np.nonzero(self.dist_matrix[centres[lo:hi]] <= r)
+                indptr = np.searchsorted(at, np.arange(hi - lo + 1))
+            else:
+                found = self._cloud_tree().query_ball_point(self.coords[centres[lo:hi]], r, return_sorted=True)
+                ids = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64)
+                indptr = np.cumsum([0] + [len(row) for row in found])
+            yield slice(lo, hi), indptr, ids, _pairwise_sums(self.weights, indptr, ids)
 
     def masses_at_radius(self, radius: float, ids=None) -> np.ndarray:
         """mu(B_radius(x)) for every point x, or for the point ids given; the
@@ -291,24 +343,19 @@ class FiniteMetricMeasureSpace:
         centres = self.ids if ids is None else np.asarray(ids, dtype=int)
         todo = np.unique(centres[np.isnan(masses[centres])])
         if todo.size:
-            masses[todo] = self._count_masses(todo, _pad(radius))
+            masses[todo] = self._count_masses(todo, radius)
         return masses if ids is None else masses[centres]
 
-    def _count_masses(self, centres: np.ndarray, r: float) -> np.ndarray:
+    def _count_masses(self, centres: np.ndarray, radius: float) -> np.ndarray:
+        r = _pad(radius)
         if self.coords is None:
             # a row-wise sum: a BLAS matrix product rounds a row differently
             # depending on how many rows one call holds
             return np.where(self.dist_matrix[centres] <= r, self.weights, 0.0).sum(axis=1)
         q = self._grid_budget(r)   # None where the KD tree must count
         if self._uniform_weight is None and (self._weight_classes is None or self.n <= 512):
-            # per ball, a sum over its members in increasing id order (the
-            # order of a multi-point KD query), on a lattice off its stencil
-            if q is None:
-                rows = self._cloud_tree().query_ball_point(self.coords[centres], r)
-            else:
-                ptr, ids = self._grid_rows(centres, q)
-                rows = np.split(ids, ptr[1:-1])
-            return np.array([float(np.sum(self.weights[np.asarray(ix, dtype=int)])) for ix in rows])
+            # per ball, the sum over its members that ``ball_mass`` takes
+            return self.ball_masses(centres, radius)
         if q is not None:
             counts = self._grid_counts(centres, q)
             if self._uniform_weight is not None:

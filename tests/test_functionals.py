@@ -483,6 +483,24 @@ class TestNiceFamilies:
         with pytest.raises(InvalidFamily, match="balls 0 and 2 share"):
             mt.validate_nice_family(grid1d_11, np.arange(11), fam)
 
+    def test_overlapping_whole_space_balls_rejected_in_bounded_memory(self):
+        import tracemalloc
+
+        space = mt.build_grid_space("grid2d", 1 / 200)
+        middle = np.flatnonzero(np.abs(space.coords - 0.5).max(axis=1) < 0.05)[:60]
+        fam = mt.NiceFamily([mt.Ball(int(x), 1.0) for x in middle], c=2.0)
+        subset_neighbors(space, space.ids).counts_of(middle[:1], 2.0)   # the count layer is not under test
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidFamily, match="balls 0 and 1 share"):
+                mt.validate_nice_family(space, space.ids, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every ball holds the whole cloud: all member sets at once would
+        # take 60 n ids, one block of them and its merge about 15 n
+        assert peak < 20 * space.n * 8
+
     def test_radius_above_one_invalid(self, grid1d_11):
         fam = mt.NiceFamily([mt.Ball(3, 1.5)], c=2.0)
         with pytest.raises(InvalidFamily):

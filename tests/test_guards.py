@@ -103,3 +103,34 @@ def test_demo_runs(demo, tmp_path):
     out = run_python([str(demo)], tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout
+
+
+def test_covers_lcr_and_the_family_search_ask_each_ball_question_once():
+    """A greedy content, ``check_lcr`` and a searched ``bsn`` ask their ball
+    questions for whole arrays of centres: no per-point ``members`` or
+    ``ball_mass`` call, and each distinct subset is split into boxes once."""
+    from collections import Counter
+    from unittest import mock
+
+    from mmtrace import _lattice, _neighbors
+
+    space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+    seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+    f = mt.make_sample_function(space, pw, "random", seed=0).values
+    face, segment = pw.pieces
+    split = Counter()
+    boxes_of = _lattice._boxes_of
+
+    def counted(ids, m, d):
+        split[ids.tobytes()] += 1
+        return boxes_of(ids, m, d)
+
+    cls = mt.FiniteMetricMeasureSpace
+    with mock.patch.object(cls, "members", autospec=True, side_effect=cls.members) as members, \
+            mock.patch.object(cls, "ball_mass", autospec=True, side_effect=cls.ball_mass) as ball_mass, \
+            mock.patch.object(_lattice, "_boxes_of", counted), mock.patch.object(_neighbors, "_boxes_of", counted):
+        mt.hausdorff_content(space, mt.ContentQuery(face.ids, face.theta, 0.25, "greedy"))
+        mt.check_lcr(space, segment.ids, segment.theta, mt.default_r_grid(space))
+        assert mt.bsn_functional(space, seq, f, 2.5, 6.0).params["searched"]
+    assert members.call_count == ball_mass.call_count == 0
+    assert split and max(split.values()) == 1

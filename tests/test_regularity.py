@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,32 @@ def lcr_by_contents(space, subset_ids, theta, r_grid):
             local = members[np.isin(members, subset_ids)]
             sol = mt.hausdorff_content(space, mt.ContentQuery(local, theta, r, "greedy"))
             lam = min(lam, sol.value * r**theta / space.ball_mass(int(x), r))
+    return float(lam)
+
+
+def lcr_by_local_pools(space, subset_ids, theta, r_grid):
+    """``check_lcr`` with one candidate pool per (x, r): the dyadic balls
+    around each point of B_r(x) cap S, their covers read from a fresh
+    ``SubsetNeighbors`` of that local set, weighted by ``ball_mass``."""
+    from mmtrace._neighbors import SubsetNeighbors
+    from mmtrace.content import _greedy_cover, _pool_radii
+
+    subset_ids = np.unique(subset_ids)
+    ball_mass = functools.cache(space.ball_mass)
+    lam = np.inf
+    for r in r_grid:
+        radii = _pool_radii(space, r)
+        for x, mass in zip(subset_ids, space.masses_at_radius(r, subset_ids)):
+            local = np.intersect1d(space.members(int(x), r), subset_ids)
+            nbrs = SubsetNeighbors(space, local)
+            lists = [nbrs.self_lists(rp) for rp in radii]
+            covers, weights = [], []
+            for a, c in enumerate(local):
+                for rp, (indptr, indices) in zip(radii, lists):
+                    covers.append(indices[indptr[a] : indptr[a + 1]])
+                    weights.append(ball_mass(int(c), rp) / rp**theta)
+            _, value = _greedy_cover(local.size, covers, weights)
+            lam = min(lam, value * r**theta / mass)
     return float(lam)
 
 
@@ -100,6 +127,25 @@ class TestLcr:
                 want = lcr_by_contents(sp, subset, theta, [0.5, 0.25, 0.125])
                 assert mt.check_lcr(sp, subset, theta, [0.5, 0.25, 0.125]) == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("case", ["simple-8", "simple-12", "half-plane", "twin"])
+    def test_equals_the_pool_per_centre_and_radius(self, case):
+        """Bit for bit the formulation with one candidate pool per (x, r):
+        a fresh ``SubsetNeighbors`` of B_r(x) cap S and one ``ball_mass``
+        per candidate ball."""
+        if case == "half-plane":
+            space, pw = mt.generate(mt.difficult_case_spec(1 / 8), verify=False)
+            cases = [(pw.pieces[0].ids, pw.pieces[0].theta)]
+        else:
+            space, pw = mt.generate(mt.simple_case_spec(1 / 12 if case == "simple-12" else 1 / 8), verify=False)
+            cases = [(pc.ids, pc.theta) for pc in pw.pieces] + [(pw.union_ids, pw.theta_S)]
+        if case == "twin":
+            space = mt.FiniteMetricMeasureSpace(weights=space.weights * np.linspace(1.0, 2.0, space.n), coords=space.coords,
+                                                resolution=space.resolution)
+            assert space._lattice is None
+        grid = mt.default_r_grid(space)
+        for subset, theta in cases:
+            assert mt.check_lcr(space, subset, theta, grid) == lcr_by_local_pools(space, subset, theta, grid)
+
     def test_radius_at_the_floor(self, grid1d_11):
         with pytest.raises(ResolutionError):
             mt.check_lcr(grid1d_11, [4, 5], 1.0, [0.4, grid1d_11.scale_floor])
@@ -123,10 +169,13 @@ class TestPorosity:
         sp = mt.FiniteMetricMeasureSpace(
             weights=np.full(65 * 65, 1 / 65**2), coords=coords, resolution=1 / 64
         )
-        near = np.abs(coords[:, 1] - 0.45) < 1e-9
-        far = np.abs(coords[:, 1] - 0.55) < 1e-9
+        # two grid rows 1/8 apart; the hole radius 0.25 * 0.25 - 1/64 is
+        # three mesh cells, and such a hole fits beside each line
+        near = np.abs(coords[:, 1] - 28 / 64) < 1e-9
+        far = np.abs(coords[:, 1] - 36 / 64) < 1e-9
         ids = np.flatnonzero(near | far)
-        rep = mt.porosity_scan(sp, ids, 0.25, [0.05])
+        assert ids.size == 130
+        rep = mt.porosity_scan(sp, ids, 0.25, [0.25])
         assert rep.is_porous
 
     def test_sigma_monotone(self):

@@ -466,3 +466,94 @@ class TestLatticeCounts:
         assert space._lattice is not None
         # an n x dim float comparison would take coords.nbytes (2.8 MB) alone
         assert peak < coords.nbytes / 4
+
+
+def _per_point_balls(space, centres, radius):
+    """Per centre, the sorted closed padded ball as one single-point query
+    gives it (a KD query, or a distance-matrix row) and its ``np.sum`` mass."""
+    r = radius * (1 + 1e-12) + 1e-12
+    if space.coords is None:
+        rows = [np.flatnonzero(space.dist_matrix[x] <= r) for x in centres]
+    else:
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(space.coords)
+        rows = [np.sort(np.asarray(tree.query_ball_point(space.coords[x], r), dtype=int)) for x in centres]
+    return rows, [float(np.sum(space.weights[row])) for row in rows]
+
+
+class TestBatchedBalls:
+    """``member_blocks`` and ``ball_masses`` ask one ball question for many
+    centres, bit for bit what the per-point queries give."""
+
+    # grid sides with more than 128 points, so a ball holding the cloud
+    # reaches numpy's pairwise summation blocks
+    SIDES = {1: (150, 400), 2: (12, 24), 3: (5, 9)}
+
+    def _space(self, kind, weights, data):
+        if kind.startswith("grid"):
+            dim = int(kind[4])
+            m = data.draw(st.integers(*self.SIDES[dim]), label="m")
+            space = mt.build_grid_space(kind, 1 / m, mu_weights="uniform")
+            if weights == "per-class":
+                per_class = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim + 1, max_size=dim + 1)))
+                bound = sum(np.isin(space.coords[:, a], (0.0, 1.0)).astype(int) for a in range(dim))
+                space = mt.FiniteMetricMeasureSpace(weights=per_class[bound] / m**dim, coords=space.coords, resolution=1 / m)
+            assert space._lattice is not None
+            return space
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        m = data.draw(st.integers(12, 16), label="m")
+        coords = mt.build_grid_space("grid2d", 1 / m).coords + rng.uniform(-0.3, 0.3, ((m + 1) ** 2, 2)) / m
+        w = rng.uniform(0.5, 2.0, coords.shape[0]) / coords.shape[0]
+        if kind == "matrix":
+            return mt.FiniteMetricMeasureSpace(weights=w, dist_matrix=np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1)),
+                                               resolution=1 / m)
+        return mt.FiniteMetricMeasureSpace(weights=w, coords=coords, resolution=1 / m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["grid1d", "grid2d", "grid3d", "jittered", "matrix"]), st.sampled_from(["uniform", "per-class"]),
+           st.sampled_from(["root", "dyadic", "ambiguous"]), st.data())
+    def test_batched_balls_equal_the_per_point_queries(self, kind, weights, radius_kind, data):
+        from unittest import mock
+
+        from mmtrace import _neighbors as nb
+
+        space = self._space(kind, weights, data)
+        m, d = round(1 / space.resolution), max(space.dim, 2)
+        j = data.draw(st.integers(0, d * m * m + 2), label="j")
+        drawn = {
+            "root": math.sqrt(j) / m,
+            "dyadic": 2.0 ** -data.draw(st.integers(-1, 8), label="k"),
+            # padded, this radius lands on a lattice distance up to round-off
+            "ambiguous": (math.sqrt(min(max(j, 1), d * m * m)) / m - 1e-12) / (1 + 1e-12),
+        }[radius_kind]
+        # repeated and unsorted centres
+        centres = np.array(data.draw(st.lists(st.integers(0, space.n - 1), min_size=1, max_size=30), label="centres"))
+        budget = data.draw(st.sampled_from([1, 7, 64, nb.PAIR_BLOCK]), label="budget")
+        for radius in (0.0, 1 / m, drawn, 2.0):
+            rows, masses = _per_point_balls(space, centres, radius)
+            with mock.patch.object(nb, "PAIR_BLOCK", budget):
+                blocks = list(space.member_blocks(centres, radius))
+                got = space.ball_masses(centres, radius)
+            ids = np.concatenate([block_ids for _, _, block_ids, _ in blocks])
+            assert all(indptr.dtype == block_ids.dtype == np.int64 and mass.dtype == np.float64
+                       for _, indptr, block_ids, mass in blocks)
+            assert [row for _, indptr, _, _ in blocks for row in np.diff(indptr).tolist()] == [row.size for row in rows]
+            np.testing.assert_array_equal(ids, np.concatenate(rows))
+            assert got.tolist() == masses == [x for *_, mass in blocks for x in mass.tolist()]
+            # the blocks tile the centres in order, each of at most budget
+            # ids unless it is one row, so a large call spans several
+            stops = [at.stop for at, *_ in blocks]
+            assert [at.start for at, *_ in blocks] == [0] + stops[:-1] and stops[-1] == centres.size
+            assert all(block_ids.size <= budget or indptr.size == 2 for _, indptr, block_ids, _ in blocks)
+            assert budget > 1 or len(blocks) == centres.size
+            x = int(centres[0])
+            assert space.members(x, radius).dtype == rows[0].dtype
+            np.testing.assert_array_equal(space.members(x, radius), rows[0])
+            assert space.ball_mass(x, radius) == masses[0]
+        # rows of one point, of a few and of the whole cloud (past 128)
+        assert [row.size for row in _per_point_balls(space, centres, 0.0)[0]] == [1] * centres.size
+        assert max(row.size for row in _per_point_balls(space, centres, 1 / m)[0]) <= 9
+        assert space.n > 128 and all(row.size == space.n for row in rows)
+        assert list(space.member_blocks(np.zeros(0, dtype=int), drawn)) == []
+        assert space.ball_masses([], drawn).shape == (0,)
