@@ -167,7 +167,10 @@ def _box(lo: np.ndarray, hi: np.ndarray, at: Optional[np.ndarray] = None) -> _Bo
 def _boxes_of(ids: np.ndarray, m: int, d: int) -> Optional[list]:
     """The sorted unique ids as disjoint boxes, found greedily: from the
     lowest id left, a box grows along the last axis, then along each earlier
-    one, as far as every point it gains is left; None past _MAX_BOXES."""
+    one, as far as every point it gains is left; None past _MAX_BOXES.  The
+    full grid is one box, found without a scan."""
+    if ids.size == (m + 1) ** d and ids[0] == 0 and ids[-1] == ids.size - 1:
+        return [_box(np.zeros(d, dtype=np.int64), np.full(d, m, dtype=np.int64))]
     left = np.ones(ids.size, dtype=bool)
 
     def held(lo, hi):

@@ -6,8 +6,9 @@ sweep at one radius is a CSR (compressed sparse row, as in scipy.sparse)
 pair ``(indptr, indices)``: row a, ``indices[indptr[a]:indptr[a + 1]]``,
 holds the int32 positions into the sorted subset ids of the ball around
 subset point a, in increasing order.  One row builder (``rows_of``) makes
-every pair list and the kernels reduce rows, both in blocks of at most
-``PAIR_BLOCK`` stored pairs, which bounds their temporaries at any size.
+every pair list, the whole cloud's point-id balls too, and the kernels
+reduce rows, both in blocks of at most ``PAIR_BLOCK`` stored pairs (matrix
+metrics compare chunks of as many entries): their temporaries stay bounded.
 """
 
 from __future__ import annotations
@@ -57,8 +58,17 @@ class SubsetNeighbors:
     def _kd(self):
         """The subset's KD tree, built on first use."""
         if self._tree is None:
-            self._tree = _kd_tree(self.space.coords[self.ids])
+            self._tree = _kd_tree(self.space.coords if self.ids.size == self.space.n else self.space.coords[self.ids])
         return self._tree
+
+    def _within(self, centres: np.ndarray, radius: float, cols=None):
+        """Per chunk of centres (space point ids) of about PAIR_BLOCK matrix
+        entries, at least one chunk: its offset and its rows of
+        ``dist_matrix`` at cols (default the subset's ids) <= padded radius."""
+        cols = self.ids if cols is None else cols
+        step = max(1, PAIR_BLOCK // max(cols.size, 1))
+        for lo in range(0, max(centres.size, 1), step):
+            yield lo, self.space.dist_matrix[np.ix_(centres[lo : lo + step], cols)] <= _pad(radius)
 
     def _stencil_budget(self, radius: float):
         """The lattice budget of the padded radius on a union of boxes; None
@@ -81,7 +91,8 @@ class SubsetNeighbors:
                 indptr, cols = _box_rows(idx[lo:hi], q, self._boxes[0])
                 if rank is not None:
                     cols = _ranked(cols, np.diff(indptr), rank) % n
-                yield lo, hi, (indptr, cols.astype(np.int32))
+                cols = cols.astype(np.int32)   # the int64 rows are freed before the yield
+                yield lo, hi, (indptr, cols)
             return
         edges = np.array([0] + [hi for _, hi in _blocks(ptr)])
         for g0, g1 in _blocks(ptr[edges], STENCIL_PAIRS):
@@ -112,7 +123,7 @@ class SubsetNeighbors:
             idx = _indices(centres, self.space._lattice[0], self.space.dim)
             return sum(_box_counts(idx, q, box) for box in self._boxes)
         if self.space.coords is None:
-            return np.count_nonzero(self.space.dist_matrix[np.ix_(centres, self.ids)] <= _pad(radius), axis=1)
+            return np.concatenate([np.count_nonzero(near, axis=1) for _, near in self._within(centres, radius)])
         return self._kd().query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
 
     def rows_of(self, centres, radius: float, counts=None, rank=None):
@@ -133,17 +144,19 @@ class SubsetNeighbors:
                 yield lo, hi, (np.append(starts, cols.size), cols)
             return
         if counts is None:
-            counts = self.counts_of(centres, radius)
-        # column c of a matrix block is the position of rank c
-        cols = self.ids if rank is None else self.ids[np.argsort(rank)]
+            # counts only cut blocks (and skip empty KD rows): one centre is one block
+            counts = self.counts_of(centres, radius) if centres.size > 1 else np.ones(centres.size, dtype=np.int64)
         ptr = np.concatenate(([0], np.cumsum(counts)))
         q = self._stencil_budget(radius)
         if q is not None:
             yield from self._stencil_blocks(centres, q, rank, ptr)
             return
+        # column c of a matrix block is the position of rank c
+        cols = self.ids if rank is None else self.ids[np.argsort(rank)]
         for lo, hi in _blocks(ptr):
             if self.space.coords is None:
-                keys = np.flatnonzero(self.space.dist_matrix[np.ix_(centres[lo:hi], cols)] <= r)
+                keys = np.concatenate([np.flatnonzero(near) + at * n
+                                       for at, near in self._within(centres[lo:hi], radius, cols)])
             else:
                 # the block's tree holds only the centres of non-empty rows
                 rows = np.flatnonzero(counts[lo:hi])
@@ -226,6 +239,8 @@ def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:
     it refers to the space weakly (no reference cycle through the cache),
     so it is usable while the space lives."""
     ids = np.unique(np.asarray(ids, dtype=int))
+    if ids.size == space.n and ids[0] == 0 and ids[-1] == space.n - 1:
+        return space._cloud()
     key = ids.tobytes()
     if key not in space._neighbors:
         space._neighbors[key] = SubsetNeighbors(weakref.proxy(space), ids)

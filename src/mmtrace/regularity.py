@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import csr_rows, subset_neighbors
+from ._neighbors import PAIR_BLOCK, csr_rows, subset_neighbors
 from .content import _by_centre, _greedy_cover, _pool_radii
 from .errors import EmptySet, InvalidGrid, InvalidParameter, ResolutionError
 from .space import _EPS, FiniteMetricMeasureSpace, _kd_tree, _pad, dyadic_radii
@@ -217,11 +217,13 @@ def porosity_scan(
                 if d_to_s is None:
                     # distance from every space point to the subset; past twice the
                     # largest hole radius it may read inf, which compares the same
-                    d_to_s = (np.min(space.dist_matrix[:, nbrs.ids], axis=1) if space.coords is None
+                    step = max(1, PAIR_BLOCK // nbrs.ids.size)   # matrix rows per chunk
+                    d_to_s = (np.concatenate([space.dist_matrix[lo : lo + step, nbrs.ids].min(axis=1)
+                                              for lo in range(0, space.n, step)]) if space.coords is None
                               else nbrs._kd().query(space.coords, distance_upper_bound=2.0 * max(holes))[0])
                 far = np.flatnonzero(d_to_s > hole)
                 if space.coords is None:
-                    mask = np.any(space.dist_matrix[np.ix_(nbrs.ids, far)] <= _pad(reach), axis=1)
+                    mask = np.concatenate([near.any(axis=1) for _, near in nbrs._within(nbrs.ids, reach, far)])
                 else:
                     # a tree for one query: a quick build beats a balanced one
                     far_tree = _kd_tree(space.coords[far], balanced_tree=False, compact_nodes=False)

@@ -9,14 +9,14 @@ which no analysis radius is accepted.  All ball semantics are closed:
 
 from __future__ import annotations
 
-import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._lattice import _LATTICE_ROWS, _ball_counts, _box, _box_rows, _budget, _indices, _lattice_of
+from ._lattice import _LATTICE_ROWS, _ball_counts, _box_rows, _budget, _indices, _lattice_of
 from .errors import (
     EmptySet,
     InsufficientData,
@@ -52,11 +52,11 @@ def _pairwise_sums(w: np.ndarray, indptr: np.ndarray, ids: np.ndarray) -> np.nda
 
 def _kd_tree(points: np.ndarray, **kwargs):
     """A ``scipy.spatial.cKDTree`` of the points; scipy.spatial (0.5 s and
-    38 MB at import, with scipy.sparse and scipy.linalg) is loaded here.  On
-    a full grid ball queries read integer stencils instead, so trees are
-    built only for other clouds, ambiguous radii, vector centres, more than
-    ``_lattice._MAX_BOXES`` boxes, a net's covering radius and porosity holes
-    at least one mesh cell wide."""
+    38 MB at import, with scipy.sparse and scipy.linalg) is loaded here.
+    One per ``SubsetNeighbors`` (the whole cloud is one) and per block of
+    its KD rows, a net's covering radius or a porosity scale.  A full grid
+    reads integer stencils instead, except at ambiguous radii, for vector
+    centres, more than ``_lattice._MAX_BOXES`` boxes and holes of a mesh cell."""
     from scipy.spatial import cKDTree
 
     return cKDTree(points, **kwargs)
@@ -143,15 +143,10 @@ class FiniteMetricMeasureSpace:
                 raise ValueError("coords must be of shape (n, dim) with dim >= 1")
             if not (math.isfinite(self.coords.min()) and math.isfinite(self.coords.max())):
                 raise ValueError("coords must be finite")
-        # KD trees are built on first use (``_cloud_tree``): lattice spaces
-        # count ball masses without them
-        self._tree = None
+        # KD trees are built on first use: lattice spaces count ball masses without them
         self._class_trees = None
         self._uniform_weight = float(self.weights[0]) if np.all(self.weights == self.weights[0]) else None
         self._lattice = None if self.coords is None else _lattice_of(self.coords, self.weights, self.resolution, self._uniform_weight)
-        # the whole grid as one box, for stencil rows around any grid point
-        if self._lattice is not None:
-            self._grid = _box(np.zeros(self.dim, dtype=np.int64), np.full(self.dim, self._lattice[0]))
         # few distinct weight values (e.g. boundary cell corrections): clouds
         # of more than 512 points count per class instead of summing per ball
         self._weight_classes = None
@@ -160,9 +155,10 @@ class FiniteMetricMeasureSpace:
             if distinct.size <= 8:
                 self._weight_classes = distinct
         self._mass_cache: dict[float, np.ndarray] = {}
-        # shared ball layer per subset (``_neighbors.subset_neighbors``),
-        # keyed by the bytes of the sorted subset ids
+        # shared ball layer per subset (``_neighbors.subset_neighbors``), keyed
+        # by the bytes of the sorted subset ids; the whole cloud's is ``_layer``
         self._neighbors: dict[bytes, object] = {}
+        self._layer = None
         self._diameter: Optional[float] = None
         if validate:
             self._validate()
@@ -254,19 +250,18 @@ class FiniteMetricMeasureSpace:
                 self._diameter = float(np.linalg.norm(span))
         return self._diameter
 
-    def _cloud_tree(self):
-        """The KD tree of the whole cloud, built on first use."""
-        if self._tree is None:
-            self._tree = _kd_tree(self.coords)
-        return self._tree
+    def _cloud(self):
+        """The whole cloud as a ``SubsetNeighbors``, built on first use: its
+        rows are the point-id balls, and its KD tree the cloud's."""
+        if self._layer is None:
+            from ._neighbors import SubsetNeighbors   # that module imports this one
+
+            self._layer = SubsetNeighbors(weakref.proxy(self), self.ids)
+        return self._layer
 
     def _grid_budget(self, r: float) -> Optional[int]:
         """The lattice budget of r; None off a lattice or at an ambiguous r."""
         return None if self._lattice is None else _budget(r, self._lattice[0], self.dim)
-
-    def _grid_rows(self, centres: np.ndarray, q: int):
-        """CSR ``(indptr, ids)`` of the whole-grid stencil rows of budget q."""
-        return _box_rows(_indices(centres, self._lattice[0], self.dim), q, self._grid)
 
     def _grid_counts(self, centres: np.ndarray, q: int) -> np.ndarray:
         """Per point id, the grid points of budget q by boundary class, (k, d + 1) int64."""
@@ -283,7 +278,7 @@ class FiniteMetricMeasureSpace:
             return next(self.member_blocks([center], radius))[2]
         if self.coords is None:
             raise ParameterError("vector centers need a coordinate metric")
-        return np.sort(np.asarray(self._cloud_tree().query_ball_point(vec, _pad(radius)), dtype=int))
+        return np.sort(np.asarray(self._cloud()._kd().query_ball_point(vec, _pad(radius)), dtype=int))
 
     def ball_mass(self, center: Center, radius: float) -> float:
         m = self.members(center, radius)
@@ -299,37 +294,16 @@ class FiniteMetricMeasureSpace:
         in blocks of about ``PAIR_BLOCK`` ids: ``(at, indptr, ids, masses)``
         for centres[at], a slice; CSR row a (int64) holds the sorted ids of
         a ball as ``members`` lists them, masses[a] its mass bit for bit as
-        ``ball_mass`` sums it.  Stencil rows on a full grid at an
-        unambiguous radius, else one multi-point KD query, or matrix rows,
-        per block."""
-        from ._neighbors import _blocks   # that module imports this one
-
+        ``ball_mass`` sums it.  The rows are the whole cloud's
+        ``SubsetNeighbors.rows_of``."""
         if radius < 0:
             raise InvalidScale("radius must be >= 0")
         centres = np.asarray(centres, dtype=np.int64).reshape(-1)
         bad = centres[(centres < 0) | (centres >= self.n)]
         if bad.size:
             raise InvalidPoint(f"point id {bad[0]} out of range [0, {self.n})")
-        r = _pad(radius)
-        q = self._grid_budget(r)
-        if self.coords is None or centres.size < 2:
-            # a matrix block compares whole rows; a lone centre is one block
-            counts = np.full(centres.size, self.n)
-        elif q is not None:
-            # a row holds at most the stencil's bounding cube of side 2 isqrt(q) + 1
-            counts = np.full(centres.size, min((2 * math.isqrt(q) + 1) ** self.dim, self.n))
-        else:
-            counts = self._cloud_tree().query_ball_point(self.coords[centres], r, return_length=True)
-        for lo, hi in _blocks(np.concatenate(([0], np.cumsum(counts)))):
-            if q is not None:
-                indptr, ids = self._grid_rows(centres[lo:hi], q)
-            elif self.coords is None:
-                at, ids = np.nonzero(self.dist_matrix[centres[lo:hi]] <= r)
-                indptr = np.searchsorted(at, np.arange(hi - lo + 1))
-            else:
-                found = self._cloud_tree().query_ball_point(self.coords[centres[lo:hi]], r, return_sorted=True)
-                ids = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64)
-                indptr = np.cumsum([0] + [len(row) for row in found])
+        for lo, hi, (indptr, ids) in self._cloud().rows_of(centres, radius):
+            ids = ids.astype(np.int64)
             yield slice(lo, hi), indptr, ids, _pairwise_sums(self.weights, indptr, ids)
 
     def masses_at_radius(self, radius: float, ids=None) -> np.ndarray:
@@ -351,7 +325,8 @@ class FiniteMetricMeasureSpace:
         if self.coords is None:
             # a row-wise sum: a BLAS matrix product rounds a row differently
             # depending on how many rows one call holds
-            return np.where(self.dist_matrix[centres] <= r, self.weights, 0.0).sum(axis=1)
+            return np.concatenate([np.where(near, self.weights, 0.0).sum(axis=1)
+                                   for _, near in self._cloud()._within(centres, radius)])
         q = self._grid_budget(r)   # None where the KD tree must count
         if self._uniform_weight is None and (self._weight_classes is None or self.n <= 512):
             # per ball, the sum over its members that ``ball_mass`` takes
@@ -364,7 +339,7 @@ class FiniteMetricMeasureSpace:
             per_class = self._lattice[1]
             return sum(v * counts[:, per_class == v].sum(axis=1) for v in self._weight_classes.tolist())
         at = self.coords[centres]
-        tree = self._cloud_tree()
+        tree = self._cloud()._kd()
         # counting is order-free, so parallel workers stay deterministic
         if self._uniform_weight is not None:
             return tree.query_ball_point(at, r, return_length=True, workers=-1) * self._uniform_weight
@@ -429,18 +404,21 @@ def separated_net(
 def _greedy_net(space, ids: np.ndarray, sep: float) -> list:
     """One scan in id order: each kept point blocks the later points
     closer than sep * (1 - _EPS) to it, read off the grid's stencil on a
-    lattice, else from a KD tree or a matrix column."""
+    lattice, else from the subset's KD tree or a matrix column."""
+    from ._neighbors import subset_neighbors   # that module imports this one
+
     r = math.nextafter(sep * (1 - _EPS), 0)
     q = space._grid_budget(r)
     blocked = np.zeros(ids.size, dtype=bool)
-    tree = None if space.coords is None or q is not None else _kd_tree(space.coords[ids])
+    tree = None if space.coords is None or q is not None else subset_neighbors(space, ids)._kd()
+    grid = None if q is None else space._cloud()._boxes[0]
     chosen = []
     for a, i in enumerate(ids):
         if blocked[a]:
             continue
         chosen.append(int(i))
         if q is not None:
-            near = space._grid_rows(ids[a : a + 1], q)[1]
+            near = _box_rows(_indices(ids[a : a + 1], space._lattice[0], space.dim), q, grid)[1]
             at = np.minimum(np.searchsorted(ids, near), ids.size - 1)
             blocked[at[ids[at] == near]] = True
         elif tree is None:

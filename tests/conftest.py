@@ -52,3 +52,22 @@ def build_tiny_instance(seed):
 @pytest.fixture()
 def tiny_instance():
     return build_tiny_instance(0)
+
+
+def trees_built(call):
+    """call()'s result and the sizes of the KD trees built during it,
+    counted at ``mmtrace.space._kd_tree`` and at its import in
+    ``mmtrace._neighbors``."""
+    from unittest import mock
+
+    from mmtrace import _neighbors as nb
+    from mmtrace import space as msp
+
+    sizes, build = [], msp._kd_tree
+
+    def counted(points, **kwargs):
+        sizes.append(len(points))
+        return build(points, **kwargs)
+
+    with mock.patch.object(msp, "_kd_tree", counted), mock.patch.object(nb, "_kd_tree", counted):
+        return call(), sizes

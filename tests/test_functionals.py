@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmtrace as mt
-from conftest import build_tiny_instance
+from conftest import build_tiny_instance, trees_built
 from mmtrace import functionals
 from mmtrace._neighbors import subset_neighbors
 from mmtrace.space import dyadic_radii
@@ -500,6 +500,20 @@ class TestNiceFamilies:
         # every ball holds the whole cloud: all member sets at once would
         # take 60 n ids, one block of them and its merge about 15 n
         assert peak < 20 * space.n * 8
+
+    def test_family_nets_share_the_subset_tree(self):
+        """Off a lattice the nets of a family search, one per radius, scan
+        the subset's one shared KD tree instead of a tree each."""
+        rng = np.random.default_rng(1)
+        coords = mt.build_grid_space("grid2d", 1 / 16).coords + rng.uniform(-0.2, 0.2, (289, 2)) / 16
+        space = mt.FiniteMetricMeasureSpace(weights=np.full(289, 1 / 289), coords=coords, resolution=1 / 16)
+        assert space._lattice is None
+        line = np.arange(8 * 17, 9 * 17)
+        family, sizes = trees_built(lambda: mt.enumerate_or_search_nice_family(space, line, 2.0, 4, radii=[1.0, 0.5, 0.25]))
+        assert family.balls
+        # the cloud's tree, the subset's, and block trees of at most 5 net points
+        assert sizes.count(space.n) == sizes.count(line.size) == 1
+        assert max(size for size in sizes if size not in (space.n, line.size)) <= 5
 
     def test_radius_above_one_invalid(self, grid1d_11):
         fam = mt.NiceFamily([mt.Ball(3, 1.5)], c=2.0)

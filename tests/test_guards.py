@@ -108,7 +108,9 @@ def test_demo_runs(demo, tmp_path):
 def test_covers_lcr_and_the_family_search_ask_each_ball_question_once():
     """A greedy content, ``check_lcr`` and a searched ``bsn`` ask their ball
     questions for whole arrays of centres: no per-point ``members`` or
-    ``ball_mass`` call, and each distinct subset is split into boxes once."""
+    ``ball_mass`` call, and each distinct subset is split into boxes once.
+    Their member rows come from the one row builder, the whole cloud's
+    ``SubsetNeighbors.rows_of``."""
     from collections import Counter
     from unittest import mock
 
@@ -125,12 +127,19 @@ def test_covers_lcr_and_the_family_search_ask_each_ball_question_once():
         split[ids.tobytes()] += 1
         return boxes_of(ids, m, d)
 
-    cls = mt.FiniteMetricMeasureSpace
+    cls, layer = mt.FiniteMetricMeasureSpace, _neighbors.SubsetNeighbors
+    cloud_rows = []
     with mock.patch.object(cls, "members", autospec=True, side_effect=cls.members) as members, \
             mock.patch.object(cls, "ball_mass", autospec=True, side_effect=cls.ball_mass) as ball_mass, \
+            mock.patch.object(layer, "rows_of", autospec=True, side_effect=layer.rows_of) as rows_of, \
             mock.patch.object(_lattice, "_boxes_of", counted), mock.patch.object(_neighbors, "_boxes_of", counted):
-        mt.hausdorff_content(space, mt.ContentQuery(face.ids, face.theta, 0.25, "greedy"))
-        mt.check_lcr(space, segment.ids, segment.theta, mt.default_r_grid(space))
-        assert mt.bsn_functional(space, seq, f, 2.5, 6.0).params["searched"]
+        for run in (lambda: mt.hausdorff_content(space, mt.ContentQuery(face.ids, face.theta, 0.25, "greedy")),
+                    lambda: mt.check_lcr(space, segment.ids, segment.theta, mt.default_r_grid(space)),
+                    lambda: mt.bsn_functional(space, seq, f, 2.5, 6.0).params["searched"]):
+            rows_of.reset_mock()
+            assert run()
+            cloud_rows.append(sum(call.args[0] is space._cloud() for call in rows_of.call_args_list))
     assert members.call_count == ball_mass.call_count == 0
+    # the cover's ball masses, the local pools' masses and the family's member sets
+    assert all(cloud_rows), cloud_rows
     assert split and max(split.values()) == 1

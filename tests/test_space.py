@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import mmtrace as mt
 from mmtrace.errors import EmptySet, InsufficientData, InvalidPoint, InvalidScale, ResolutionError
+from conftest import trees_built
 from oracles import ogreedy_net, omass
 
 
@@ -325,14 +326,17 @@ class TestLatticeCounts:
         js = data.draw(st.lists(st.integers(0, dim * m * m + 2), min_size=1, max_size=6), label="j")
         radii = [math.sqrt(j) * h for j in js] + [2.0**-k for k in range(math.ceil(math.log2(m)) + 2)]
         centres = np.concatenate([_grid_points(dim, m), data.draw(st.lists(st.integers(0, space.n - 1), max_size=20))])
+        built = 0
         for r in radii:
-            got = space.masses_at_radius(r, centres)
+            got, trees = trees_built(lambda: space.masses_at_radius(r, centres))
+            built += len(trees)
             np.testing.assert_array_equal(got, twin.masses_at_radius(r, centres))
             for x in centres[:: max(1, centres.size // 4)]:
                 assert got[centres == x][0] == pytest.approx(omass(space.coords, space.weights, int(x), r), rel=1e-12)
         r = radii[0]
-        np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
-        assert (space._tree is None and space._class_trees is None) == lattice_path
+        got, trees = trees_built(lambda: space.masses_at_radius(r))
+        np.testing.assert_array_equal(got, twin.masses_at_radius(r))
+        assert (built + len(trees) == 0) == lattice_path
 
     @pytest.mark.parametrize("dim, m", [(1, 40), (1, 511), (2, 16), (2, 21), (3, 7)])
     def test_small_clouds_sum_their_stencil_members(self, dim, m):
@@ -342,13 +346,17 @@ class TestLatticeCounts:
         space = mt.build_grid_space(f"grid{dim}d", 1 / m)
         assert space.n <= 512 and space._uniform_weight is None and space._lattice is not None
         twin = _kd_twin(space)
+        built = 0
         for r in (0.0, 1 / m, math.sqrt(2) / m, 0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0):
-            np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
-        assert space._tree is None and space._class_trees is None
+            got, trees = trees_built(lambda: space.masses_at_radius(r))
+            built += len(trees)
+            np.testing.assert_array_equal(got, twin.masses_at_radius(r))
+        assert built == 0
         # an ambiguous radius takes the KD tree's per-member sum
         r = (math.sqrt(5 if dim > 1 else 4) / m - 1e-12) / (1 + 1e-12)
-        np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
-        assert space._tree is not None and space._class_trees is None
+        got, trees = trees_built(lambda: space.masses_at_radius(r))
+        np.testing.assert_array_equal(got, twin.masses_at_radius(r))
+        assert trees and space._class_trees is None
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.sampled_from(["root", "dyadic", "ambiguous"]), st.data())
@@ -356,10 +364,6 @@ class TestLatticeCounts:
         """Members of id centres (so ``ball_mass``) and separated nets come
         off the whole-grid stencil, equal to the KD twin's, dtypes too, and
         build no tree; vector centres and ambiguous radii ask the tree."""
-        from unittest import mock
-
-        from mmtrace import space as msp
-
         m = data.draw(st.integers(GRID_SIDES[dim][0], min(GRID_SIDES[dim][1], 64)), label="m")
         space = mt.build_grid_space(f"grid{dim}d", 1 / m)
         twin = _kd_twin(space)
@@ -371,15 +375,20 @@ class TestLatticeCounts:
             "ambiguous": (math.sqrt(min(max(j, 1), dim * m * m)) / m - 1e-12) / (1 + 1e-12),
         }[kind]
         centres = data.draw(st.lists(st.integers(0, space.n - 1), min_size=1, max_size=8), label="centres")
+        built = 0
         for x in centres:
-            got, want = space.members(x, radius), twin.members(x, radius)
+            (got, mass), trees = trees_built(lambda: (space.members(x, radius), space.ball_mass(x, radius)))
+            built += len(trees)
+            want = twin.members(x, radius)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-            assert space.ball_mass(x, radius) == twin.ball_mass(x, radius)
-        assert (space._tree is None) == (kind != "ambiguous")
+            assert mass == twin.ball_mass(x, radius)
+        assert (built == 0) == (kind != "ambiguous")
         vec = space.coords[centres[0]] + data.draw(st.floats(-0.5, 0.5), label="shift") / m
-        np.testing.assert_array_equal(space.members(vec, radius), twin.members(vec, radius))
-        assert space._tree is not None
+        got, trees = trees_built(lambda: space.members(vec, radius))
+        np.testing.assert_array_equal(got, twin.members(vec, radius))
+        # the cloud's tree, unless an ambiguous radius built it already
+        assert len(trees) == (kind != "ambiguous")
         # nets need the grid's resolution; weights off the classes make no lattice
         other = mt.FiniteMetricMeasureSpace(weights=np.arange(1.0, space.n + 1), coords=space.coords, resolution=1 / m)
         assert other._lattice is None
@@ -387,14 +396,18 @@ class TestLatticeCounts:
         ids = np.sort(rng.choice(space.n, size=int(rng.integers(1, space.n + 1)), replace=False))
         k = data.draw(st.integers(0, int(math.log2(m))), label="k_net")
         strict = space._grid_budget(math.nextafter(2.0**-k * (1 - 1e-12), 0)) is not None
+        # a fresh space, so no tree of the subset is left from the queries above
+        fresh = mt.FiniteMetricMeasureSpace(weights=space.weights, coords=space.coords, resolution=1 / m)
+        built = 0
         for maximal in (False, True):
-            with mock.patch.object(msp, "_kd_tree", wraps=msp._kd_tree) as trees:
-                a = mt.separated_net(space, ids, k, maximal=maximal)
+            a, trees = trees_built(lambda: mt.separated_net(fresh, ids, k, maximal=maximal))
+            built += len(trees)
             b = mt.separated_net(other, ids, k, maximal=maximal)
             assert a.points.tolist() == b.points.tolist()
             assert a.covering_radius == b.covering_radius
-            # a maximal net's covering radius is one nearest-point KD query
-            assert trees.call_count == (not strict) + maximal
+        # off the stencil both nets scan the subset's one tree, and a maximal
+        # net's covering radius is one nearest-point KD query
+        assert built == (not strict) + 1
         # a repeated id is one point, kept at most once, as on the twin
         dup = rng.permutation(np.concatenate([ids, rng.choice(ids, size=int(rng.integers(1, ids.size + 1)))]))
         nets = [mt.separated_net(s, dup, k, maximal=False).points.tolist() for s in (space, other)]
@@ -437,9 +450,12 @@ class TestLatticeCounts:
         mio.save_space(space, str(tmp_path / "g.mmspace"))
         loaded = mio.load_space(str(tmp_path / "g.mmspace"))
         assert loaded._lattice is not None and loaded._weight_classes is not None
+        built = 0
         for r in (0.5, math.sqrt(3) / 10, 0.1):
-            np.testing.assert_array_equal(loaded.masses_at_radius(r), _kd_twin(space).masses_at_radius(r))
-        assert loaded._tree is None and loaded._class_trees is None
+            got, trees = trees_built(lambda: loaded.masses_at_radius(r))
+            built += len(trees)
+            np.testing.assert_array_equal(got, _kd_twin(space).masses_at_radius(r))
+        assert built == 0 and loaded._class_trees is None
 
     @pytest.mark.parametrize("h", [5e-324, 2.225073858507201e-308, 1e-300, 1e300, math.nan])
     def test_any_resolution_answers(self, h):
@@ -557,3 +573,57 @@ class TestBatchedBalls:
         assert space.n > 128 and all(row.size == space.n for row in rows)
         assert list(space.member_blocks(np.zeros(0, dtype=int), drawn)) == []
         assert space.ball_masses([], drawn).shape == (0,)
+
+    def test_one_kd_tree_per_cloud(self):
+        """Off a lattice, vector members, uniform whole-cloud masses, batched
+        balls and the whole cloud's count layer share one tree of the cloud;
+        only the few centres of a member block get a tree of their own."""
+        from mmtrace._neighbors import subset_neighbors
+
+        rng = np.random.default_rng(3)
+        coords = mt.build_grid_space("grid2d", 1 / 14).coords + rng.uniform(-0.3, 0.3, (225, 2)) / 14
+        space = mt.FiniteMetricMeasureSpace(weights=np.full(225, 1 / 225), coords=coords, resolution=1 / 14)
+        assert space._lattice is None and space._uniform_weight is not None
+
+        def queries():
+            space.members(np.array([0.5, 0.5]), 0.2)
+            space.masses_at_radius(0.25)
+            list(space.member_blocks([0, 5, 9], 0.3))
+            return subset_neighbors(space, space.ids).counts_of(space.ids, 0.1)
+
+        counts, sizes = trees_built(queries)
+        assert sorted(sizes) == [3, space.n]
+        np.testing.assert_array_equal(counts, [row.size for row in _per_point_balls(space, space.ids, 0.1)[0]])
+
+    def test_matrix_metric_calls_bound_their_temporaries(self):
+        """On a 2000-point matrix metric (a 32 MB matrix) counts, rows, the
+        regularity check, a porosity scan and batched ball masses compare
+        row chunks of the matrix, never a centres x subset copy of it."""
+        import tracemalloc
+
+        from scipy.spatial.distance import cdist
+
+        from mmtrace._neighbors import subset_neighbors
+
+        rng = np.random.default_rng(0)
+        coords = rng.uniform(0.0, 1.0, (2000, 2))
+        space = mt.FiniteMetricMeasureSpace(weights=rng.uniform(0.5, 2.0, 2000) / 2000, dist_matrix=cdist(coords, coords),
+                                            resolution=1 / 40)
+        ids = np.arange(0, 2000, 2)
+        piece = mt.SubsetPiece(ids=ids, theta=1.0, weights=np.full(ids.size, 1.0 / ids.size))
+        nbrs = subset_neighbors(space, ids)
+        calls = {
+            "counts_of": lambda: nbrs.counts_of(space.ids, 0.1),
+            "rows_of": lambda: [None for _ in nbrs.rows_of(space.ids, 0.1)],
+            "check_adr": lambda: mt.check_adr(space, piece, [0.5, 0.25, 0.1]),
+            "porosity_scan": lambda: mt.porosity_scan(space, ids, 0.25, [0.5, 0.25]),
+            "ball_masses": lambda: space.ball_masses(space.ids, 0.1),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, name
