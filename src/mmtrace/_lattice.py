@@ -13,13 +13,13 @@ import numpy as np
 _LATTICE_ROWS = 1 << 14
 
 
-def _lattice_of(coords: np.ndarray, weights: np.ndarray, h: float, uniform: Optional[float]):
+def _lattice_of(coords: np.ndarray, weights: np.ndarray, h: float):
     """``(m, weight per number of boundary coordinates)`` when the cloud is
     the full grid {0, 1/m, ..., 1}^dim in 'ij' order with m = round(1/h),
-    coordinates i/m exactly as ``build_grid_space`` makes them, and the
-    weights uniform or one value per number of coordinates equal to 0 or 1;
-    None otherwise.  Reads the cloud in blocks of ids, never a whole n x dim
-    temporary."""
+    coordinates i/m exactly as ``build_grid_space`` makes them, and one
+    weight per number of coordinates equal to 0 or 1 (uniform weights
+    too; for m = 1 every point has dim such coordinates); None otherwise.
+    Reads the cloud in blocks of ids, never a whole n x dim temporary."""
     n, d = coords.shape
     if not 1.0 / h <= n:   # also rejects 1/h = inf
         return None
@@ -29,14 +29,9 @@ def _lattice_of(coords: np.ndarray, weights: np.ndarray, h: float, uniform: Opti
     axis = np.arange(m + 1) / m
     edge = np.zeros(m + 1, dtype=np.int64)
     edge[[0, m]] = 1
-    if uniform is not None:
-        per_class = np.full(d + 1, uniform)
-    else:
-        # a point with c boundary coordinates, the rest (if any) interior
-        if m < 2:
-            return None
-        probes = [np.ravel_multi_index((0,) * c + (1,) * (d - c), (m + 1,) * d) for c in range(d + 1)]
-        per_class = weights[probes]
+    # a point with c boundary coordinates, the rest interior; point 0 for all when m = 1
+    probes = [np.ravel_multi_index((0,) * c + (1,) * (d - c), (m + 1,) * d) if m > 1 else 0 for c in range(d + 1)]
+    per_class = weights[probes]
     for lo in range(0, n, _LATTICE_ROWS):
         ids = np.arange(lo, min(lo + _LATTICE_ROWS, n))
         bound = np.zeros(ids.size, dtype=np.int64)
@@ -45,7 +40,7 @@ def _lattice_of(coords: np.ndarray, weights: np.ndarray, h: float, uniform: Opti
             if not np.array_equal(coords[lo : lo + ids.size, a], axis[i]):
                 return None
             bound += edge[i]
-        if uniform is None and not np.array_equal(weights[lo : lo + ids.size], per_class[bound]):
+        if not np.array_equal(weights[lo : lo + ids.size], per_class[bound]):
             return None
     return m, per_class
 

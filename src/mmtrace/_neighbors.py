@@ -37,7 +37,7 @@ class SubsetNeighbors:
 
     def __init__(self, space: FiniteMetricMeasureSpace, ids):
         self.space = space
-        self.ids = np.unique(np.asarray(ids, dtype=int))
+        self.ids = np.unique(space.check_ids(ids))
         self._tree = None   # built on the first KD query (``_kd``)
         # on a full grid, the few disjoint boxes of lattice indices the ids fill, if any
         self._boxes = None if space._lattice is None else _boxes_of(self.ids, space._lattice[0], space.dim)
@@ -124,7 +124,8 @@ class SubsetNeighbors:
             return sum(_box_counts(idx, q, box) for box in self._boxes)
         if self.space.coords is None:
             return np.concatenate([np.count_nonzero(near, axis=1) for _, near in self._within(centres, radius)])
-        return self._kd().query_ball_point(self.space.coords[centres], _pad(radius), return_length=True)
+        # counting is order-free, so parallel workers stay deterministic
+        return self._kd().query_ball_point(self.space.coords[centres], _pad(radius), return_length=True, workers=-1)
 
     def rows_of(self, centres, radius: float, counts=None, rank=None):
         """CSR rows of the radius-balls around the space point ids in
@@ -238,7 +239,9 @@ def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:
     """The space's shared ``SubsetNeighbors`` of a subset, keyed by its ids;
     it refers to the space weakly (no reference cycle through the cache),
     so it is usable while the space lives."""
-    ids = np.unique(np.asarray(ids, dtype=int))
+    ids = np.asarray(ids, dtype=int)
+    if np.any(ids[1:] <= ids[:-1]):   # ids of a piece or a weight value come sorted
+        ids = np.unique(ids)
     if ids.size == space.n and ids[0] == 0 and ids[-1] == space.n - 1:
         return space._cloud()
     key = ids.tobytes()

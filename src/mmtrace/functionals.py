@@ -297,7 +297,7 @@ def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarra
     run from fine to coarse; a deviation is at most half the oscillation of
     f over S, so where the running maximum reaches 2^j times that (inflated
     against round-off) scale 2^-j and coarser ones cannot raise it."""
-    ids = seq.support_ids if eval_ids is None else np.asarray(eval_ids, dtype=int)
+    ids = seq.support_ids if eval_ids is None else space.check_ids(eval_ids)
     f_on_s = _values(f)[seq.support_ids]
     bound = np.ptp(f_on_s) / 2.0 * (1.0 + 1e-9) if np.all(np.isfinite(f_on_s)) else math.inf
     out = np.zeros(ids.size)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import SubsetNeighbors, row_deviations, row_sums, subset_neighbors
+from ._neighbors import SubsetNeighbors, csr_rows, row_deviations, row_sums, subset_neighbors
 from .errors import ParameterError, ResolutionError
 from .regularity import PiecewiseSet
 from .space import _EPS, FiniteMetricMeasureSpace
@@ -273,11 +273,13 @@ def measure_comparison_check(
             # xbar candidates: x itself plus the lowest-id points with
             # B_k(x) inside c B_k(xbar)
             xbars, at = [], []
-            for a in np.flatnonzero(denom > 0):
-                x = int(centers[a])
-                near = ([x] + [int(y) for y in space.members(x, (c - 1.0) * r)[:3] if y != x])[:3]
-                xbars += near
-                at += [a] * len(near)
+            live = np.flatnonzero(denom > 0)
+            for rows, indptr, ids, _ in space.member_blocks(centers[live], (c - 1.0) * r):
+                for a, row in zip(live[rows].tolist(), csr_rows(indptr, ids)):
+                    x = int(centers[a])
+                    near = ([x] + [y for y in row[:3].tolist() if y != x])[:3]
+                    xbars += near
+                    at += [a] * len(near)
             num = seq.neighbors.ball_sums(np.array(xbars, dtype=int), c * r, seq.weights_per_k[k][None])[0]
             ratios.append(num / denom[at])
         ratios = np.concatenate(ratios)

@@ -143,17 +143,11 @@ class FiniteMetricMeasureSpace:
                 raise ValueError("coords must be of shape (n, dim) with dim >= 1")
             if not (math.isfinite(self.coords.min()) and math.isfinite(self.coords.max())):
                 raise ValueError("coords must be finite")
-        # KD trees are built on first use: lattice spaces count ball masses without them
-        self._class_trees = None
-        self._uniform_weight = float(self.weights[0]) if np.all(self.weights == self.weights[0]) else None
-        self._lattice = None if self.coords is None else _lattice_of(self.coords, self.weights, self.resolution, self._uniform_weight)
-        # few distinct weight values (e.g. boundary cell corrections): clouds
-        # of more than 512 points count per class instead of summing per ball
-        self._weight_classes = None
-        if self.coords is not None and self._uniform_weight is None:
-            distinct = np.unique(self.weights if self._lattice is None else self._lattice[1])
-            if distinct.size <= 8:
-                self._weight_classes = distinct
+        self._lattice = None if self.coords is None else _lattice_of(self.coords, self.weights, self.resolution)
+        # at most 8 distinct weight values (one for uniform weights, boundary
+        # cell corrections on a grid): masses count points per value
+        distinct = np.unique(self.weights if self._lattice is None else self._lattice[1])
+        self._weight_classes = distinct if distinct.size <= 8 else None
         self._mass_cache: dict[float, np.ndarray] = {}
         # shared ball layer per subset (``_neighbors.subset_neighbors``), keyed
         # by the bytes of the sorted subset ids; the whole cloud's is ``_layer``
@@ -206,6 +200,14 @@ class FiniteMetricMeasureSpace:
         if i < 0 or i >= self.n:
             raise InvalidPoint(f"point id {i} out of range [0, {self.n})")
         return i
+
+    def check_ids(self, ids) -> np.ndarray:
+        """``check_id`` of every id in an array: the ids as int64."""
+        ids = np.asarray(ids, dtype=np.int64)
+        bad = ids[(ids < 0) | (ids >= self.n)]
+        if bad.size:
+            raise InvalidPoint(f"point id {bad.flat[0]} out of range [0, {self.n})")
+        return ids
 
     def _center_vector(self, center: Center) -> Optional[np.ndarray]:
         if isinstance(center, (int, np.integer)):
@@ -298,10 +300,7 @@ class FiniteMetricMeasureSpace:
         ``SubsetNeighbors.rows_of``."""
         if radius < 0:
             raise InvalidScale("radius must be >= 0")
-        centres = np.asarray(centres, dtype=np.int64).reshape(-1)
-        bad = centres[(centres < 0) | (centres >= self.n)]
-        if bad.size:
-            raise InvalidPoint(f"point id {bad[0]} out of range [0, {self.n})")
+        centres = self.check_ids(centres).reshape(-1)
         for lo, hi, (indptr, ids) in self._cloud().rows_of(centres, radius):
             ids = ids.astype(np.int64)
             yield slice(lo, hi), indptr, ids, _pairwise_sums(self.weights, indptr, ids)
@@ -314,39 +313,30 @@ class FiniteMetricMeasureSpace:
         if key not in self._mass_cache:
             self._mass_cache[key] = np.full(self.n, np.nan)
         masses = self._mass_cache[key]
-        centres = self.ids if ids is None else np.asarray(ids, dtype=int)
+        centres = self.ids if ids is None else self.check_ids(ids)
         todo = np.unique(centres[np.isnan(masses[centres])])
         if todo.size:
             masses[todo] = self._count_masses(todo, radius)
         return masses if ids is None else masses[centres]
 
     def _count_masses(self, centres: np.ndarray, radius: float) -> np.ndarray:
-        r = _pad(radius)
-        if self.coords is None:
-            # a row-wise sum: a BLAS matrix product rounds a row differently
-            # depending on how many rows one call holds
-            return np.concatenate([np.where(near, self.weights, 0.0).sum(axis=1)
-                                   for _, near in self._cloud()._within(centres, radius)])
-        q = self._grid_budget(r)   # None where the KD tree must count
-        if self._uniform_weight is None and (self._weight_classes is None or self.n <= 512):
-            # per ball, the sum over its members that ``ball_mass`` takes
+        """The masses of ``masses_at_radius``: per ball the sum over its
+        members that ``ball_mass`` takes, for more than 8 weight values or
+        several on at most 512 points; else, per weight value v ascending,
+        v times the count of points of weight v, from the lattice class
+        counts at an unambiguous budget or from the class's own
+        ``SubsetNeighbors`` (for uniform weights the whole cloud's)."""
+        from ._neighbors import subset_neighbors   # that module imports this one
+
+        classes = self._weight_classes
+        if classes is None or (classes.size > 1 and self.n <= 512):
             return self.ball_masses(centres, radius)
+        q = self._grid_budget(_pad(radius))
         if q is not None:
             counts = self._grid_counts(centres, q)
-            if self._uniform_weight is not None:
-                return counts.sum(axis=1) * self._uniform_weight
-            # the KD class sum below, over the same integers in the same order
-            per_class = self._lattice[1]
-            return sum(v * counts[:, per_class == v].sum(axis=1) for v in self._weight_classes.tolist())
-        at = self.coords[centres]
-        tree = self._cloud()._kd()
-        # counting is order-free, so parallel workers stay deterministic
-        if self._uniform_weight is not None:
-            return tree.query_ball_point(at, r, return_length=True, workers=-1) * self._uniform_weight
-        if self._class_trees is None:
-            self._class_trees = [_kd_tree(self.coords[self.weights == v]) for v in self._weight_classes]
-        return sum(v * t.query_ball_point(at, r, return_length=True, workers=-1)
-                   for v, t in zip(self._weight_classes.tolist(), self._class_trees))
+            return sum(v * counts[:, self._lattice[1] == v].sum(axis=1) for v in classes.tolist())
+        return sum(v * subset_neighbors(self, np.flatnonzero(self.weights == v)).counts_of(centres, radius)
+                   for v in classes.tolist())
 
 
 # -- operations ----------------------------------------------------------
@@ -374,7 +364,7 @@ def separated_net(
     >= 2^-k from every point already kept; scanning the whole subset makes
     the result maximal (covering radius <= 2^-k) automatically.
     """
-    ids = np.unique(np.asarray(list(subset_ids), dtype=int))
+    ids = np.unique(space.check_ids(list(subset_ids)))
     if ids.size == 0:
         raise EmptySet("cannot build a net of an empty subset")
     sep = 2.0 ** (-int(k))

@@ -106,11 +106,11 @@ def test_demo_runs(demo, tmp_path):
 
 
 def test_covers_lcr_and_the_family_search_ask_each_ball_question_once():
-    """A greedy content, ``check_lcr`` and a searched ``bsn`` ask their ball
-    questions for whole arrays of centres: no per-point ``members`` or
-    ``ball_mass`` call, and each distinct subset is split into boxes once.
-    Their member rows come from the one row builder, the whole cloud's
-    ``SubsetNeighbors.rows_of``."""
+    """A greedy content, ``check_lcr``, a searched ``bsn`` and the measure
+    comparison check ask their ball questions for whole arrays of centres:
+    no per-point ``members`` or ``ball_mass`` call, and each distinct subset
+    is split into boxes once.  Their member rows come from the one row
+    builder, the whole cloud's ``SubsetNeighbors.rows_of``."""
     from collections import Counter
     from unittest import mock
 
@@ -143,3 +143,10 @@ def test_covers_lcr_and_the_family_search_ask_each_ball_question_once():
     # the cover's ball masses, the local pools' masses and the family's member sets
     assert all(cloud_rows), cloud_rows
     assert split and max(split.values()) == 1
+    # the comparison's candidate centres (apart from the rest: the content's
+    # throwaway layer of the face splits it once more)
+    with mock.patch.object(cls, "members", autospec=True, side_effect=cls.members) as members, \
+            mock.patch.object(layer, "rows_of", autospec=True, side_effect=layer.rows_of) as rows_of:
+        assert mt.measure_comparison_check(space, seq, pw, 2.0).per_scale
+    assert members.call_count == 0
+    assert any(call.args[0] is space._cloud() for call in rows_of.call_args_list)

@@ -244,18 +244,32 @@ class TestMassesAtCentres:
     def test_equal_to_whole_cloud(self, branch):
         whole = self._space(branch)
         space = self._space(branch)
-        assert (space._uniform_weight is not None) == (branch == "uniform")
-        assert (space._weight_classes is not None) == (branch == "classes")
         rng = np.random.default_rng(5)
         ref = {r: whole.masses_at_radius(r).copy() for r in self.RADII}
         asked = {r: set() for r in self.RADII}
-        # interleaved radii, shuffled chunks with repeated ids
-        for chunk in np.array_split(rng.permutation(space.n), 4):
-            for r in self.RADII[::-1] if chunk.size % 2 else self.RADII:
-                ids = np.concatenate([chunk, chunk[:3], chunk[::-2]])
-                np.testing.assert_array_equal(space.masses_at_radius(r, ids), ref[r][ids])
-                asked[r] |= set(ids.tolist())
-                assert set(np.flatnonzero(~np.isnan(space._mass_cache[r])).tolist()) == asked[r]
+
+        def ask():
+            # interleaved radii, shuffled chunks with repeated ids
+            for chunk in np.array_split(rng.permutation(space.n), 4):
+                for r in self.RADII[::-1] if chunk.size % 2 else self.RADII:
+                    ids = np.concatenate([chunk, chunk[:3], chunk[::-2]])
+                    np.testing.assert_array_equal(space.masses_at_radius(r, ids), ref[r][ids])
+                    asked[r] |= set(ids.tolist())
+                    assert set(np.flatnonzero(~np.isnan(space._mass_cache[r])).tolist()) == asked[r]
+
+        _, trees = trees_built(ask)
+        # uniform weights count on the cloud's tree, a few values on one tree
+        # per value, built once; general weights sum the members of each ball
+        # (the cloud's tree and one tree per block of centres), matrices compare
+        sizes = {
+            "uniform": [space.n],
+            "classes": sorted(np.unique(space.weights, return_counts=True)[1].tolist()),
+            "matrix": [],
+        }
+        if branch == "general":
+            assert trees.count(space.n) == 1 and len(trees) > 1 and not space._neighbors
+        else:
+            assert sorted(trees) == sizes[branch]
         for r in self.RADII:
             np.testing.assert_array_equal(space.masses_at_radius(r), ref[r])
             assert space.masses_at_radius(r, []).size == 0
@@ -278,11 +292,85 @@ class TestMassesAtCentres:
                 want = want + value * tree.query_ball_point(space.coords[ids], r_pad, return_length=True, workers=1)
             np.testing.assert_array_equal(space.masses_at_radius(r, ids), want)
 
+    @pytest.mark.parametrize("values, n", [(1, 300), (3, 600), (8, 600), (3, 300), (9, 600), (None, 600)])
+    def test_matrix_metric_masses(self, values, n):
+        """On a matrix metric one weight value, or at most 8 on more than 512
+        points, give v times the count of points of weight v, summed over v
+        ascending; other weights give ``ball_masses``, bit for bit; both
+        equal a per-ball sum."""
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(n + (values or 0))
+        coords = rng.uniform(0.0, 1.0, (n, 2))
+        dist = cdist(coords, coords)
+        pool = rng.uniform(0.5, 1.5, values or n) / n
+        weights = pool[np.arange(n) % pool.size]
+        space = mt.FiniteMetricMeasureSpace(weights=weights, dist_matrix=dist, resolution=1 / 32)
+        twin = mt.FiniteMetricMeasureSpace(weights=weights, dist_matrix=dist, resolution=1 / 32)
+        counted = values is not None and (values == 1 or (values <= 8 and n > 512))
+        ids = np.concatenate([rng.permutation(n)[:40], [0, n - 1]])
+        for r in (0.0, 0.05, 0.2, 1 / 3, 2.0):
+            got = space.masses_at_radius(r, ids)
+            near = dist[ids] <= r * (1 + 1e-12) + 1e-12
+            if counted:
+                want = sum(v * np.count_nonzero(near[:, weights == v], axis=1) for v in np.unique(weights).tolist())
+            else:
+                want = twin.ball_masses(ids, r)
+            np.testing.assert_array_equal(got, want)
+            for a in range(ids.size):
+                assert got[a] == pytest.approx(math.fsum(weights[near[a]]), rel=1e-12)
+
     def test_generate_counts_only_on_the_support(self):
         space, pw = mt.generate(mt.simple_case_spec(1 / 8))
         assert space._mass_cache
         for masses in space._mass_cache.values():
             assert set(np.flatnonzero(~np.isnan(masses)).tolist()) <= set(pw.union_ids.tolist())
+
+
+def _id_space(kind):
+    """A 9 x 9 cell-weight grid, the same points jittered, or their
+    distance matrix."""
+    from scipy.spatial.distance import cdist
+
+    grid = mt.build_grid_space("grid2d", 1 / 8)
+    if kind == "grid":
+        return grid
+    coords = grid.coords + np.random.default_rng(2).uniform(-0.3, 0.3, grid.coords.shape) / 8
+    if kind == "jittered":
+        return mt.FiniteMetricMeasureSpace(weights=grid.weights, coords=coords, resolution=1 / 8)
+    return mt.FiniteMetricMeasureSpace(weights=grid.weights, dist_matrix=cdist(coords, coords), resolution=1 / 8)
+
+
+def _calderon_at(space, bad):
+    piece = mt.SubsetPiece(ids=np.arange(9), theta=1.0, weights=np.full(9, 1 / 9))
+    seq = mt.build_measure_sequence(space, mt.compose_piecewise([piece]), 1.0, p=2.5)
+    return mt.calderon_maximal(space, seq, np.arange(space.n, dtype=float), eval_ids=[3, bad])
+
+
+ID_ENTRIES = {
+    # on a grid the cached masses were read at the id, wrapping -1 to n - 1
+    "masses_at_radius": lambda space, bad: (space.masses_at_radius(0.25), space.masses_at_radius(0.25, [bad])),
+    "weight_w": lambda space, bad: mt.weight_w(space, 2, 3, bad),
+    "weight_w_alt": lambda space, bad: mt.weight_w_alt(space, 2, bad, 3),
+    "check_adr": lambda space, bad: mt.check_adr(space, mt.SubsetPiece(ids=[3, 5, bad], theta=1.0, weights=np.ones(3)),
+                                                 [0.5, 0.25]),
+    "check_lcr": lambda space, bad: mt.check_lcr(space, [3, 5, bad], 0.5, [0.5]),
+    "porosity_scan": lambda space, bad: mt.porosity_scan(space, [bad, 3], 0.25, [0.5]),
+    "separated_net": lambda space, bad: mt.separated_net(space, [bad, 3, 5], 3),
+    "hausdorff_content": lambda space, bad: mt.hausdorff_content(space, mt.ContentQuery([bad, 3], 1.0, 0.25)),
+    "calderon_maximal": _calderon_at,
+}
+
+
+@pytest.mark.parametrize("kind", ["grid", "jittered", "matrix"])
+# a SubsetPiece rejects a negative id itself, before check_adr sees it
+@pytest.mark.parametrize("entry, at", [(e, at) for e in sorted(ID_ENTRIES) for at in (-1, "n") if (e, at) != ("check_adr", -1)])
+def test_out_of_range_ids_are_invalid_points(entry, at, kind):
+    """Every way point ids enter rejects -1 and n with ``InvalidPoint``:
+    no bare numpy error, and no id -1 read as point n - 1."""
+    space = _id_space(kind)
+    with pytest.raises(InvalidPoint):
+        ID_ENTRIES[entry](space, space.n if at == "n" else at)
 
 
 GRID_SIDES = {1: (2, 700), 2: (2, 30), 3: (2, 12)}
@@ -321,8 +409,6 @@ class TestLatticeCounts:
             space = mt.FiniteMetricMeasureSpace(weights=per_class[bound] * h**dim, coords=space.coords, resolution=h)
         twin = _kd_twin(space)
         assert space._lattice is not None and space._lattice[0] == m
-        # the lattice path serves uniform weights and the class branch of n > 512
-        lattice_path = space._uniform_weight is not None or space._weight_classes is not None
         js = data.draw(st.lists(st.integers(0, dim * m * m + 2), min_size=1, max_size=6), label="j")
         radii = [math.sqrt(j) * h for j in js] + [2.0**-k for k in range(math.ceil(math.log2(m)) + 2)]
         centres = np.concatenate([_grid_points(dim, m), data.draw(st.lists(st.integers(0, space.n - 1), max_size=20))])
@@ -336,7 +422,8 @@ class TestLatticeCounts:
         r = radii[0]
         got, trees = trees_built(lambda: space.masses_at_radius(r))
         np.testing.assert_array_equal(got, twin.masses_at_radius(r))
-        assert (built + len(trees) == 0) == lattice_path
+        # class counts and stencil member sums alike: no tree on a full grid
+        assert built + len(trees) == 0
 
     @pytest.mark.parametrize("dim, m", [(1, 40), (1, 511), (2, 16), (2, 21), (3, 7)])
     def test_small_clouds_sum_their_stencil_members(self, dim, m):
@@ -344,7 +431,7 @@ class TestLatticeCounts:
         over its members, read off the lattice stencil in increasing id
         order: the KD twin's per-member sums bit for bit, and no tree."""
         space = mt.build_grid_space(f"grid{dim}d", 1 / m)
-        assert space.n <= 512 and space._uniform_weight is None and space._lattice is not None
+        assert space.n <= 512 and np.unique(space.weights).size > 1 and space._lattice is not None
         twin = _kd_twin(space)
         built = 0
         for r in (0.0, 1 / m, math.sqrt(2) / m, 0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0):
@@ -356,7 +443,8 @@ class TestLatticeCounts:
         r = (math.sqrt(5 if dim > 1 else 4) / m - 1e-12) / (1 + 1e-12)
         got, trees = trees_built(lambda: space.masses_at_radius(r))
         np.testing.assert_array_equal(got, twin.masses_at_radius(r))
-        assert trees and space._class_trees is None
+        # the cloud's tree and its blocks' trees; no weight value gets a layer
+        assert space.n in trees and not space._neighbors
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.sampled_from(["root", "dyadic", "ambiguous"]), st.data())
@@ -440,8 +528,16 @@ class TestLatticeCounts:
         twin = _kd_twin(space)
         # padded, this radius lands on sqrt(5) h up to round-off
         r = (math.sqrt(5) / 24 - 1e-12) / (1 + 1e-12)
-        np.testing.assert_array_equal(space.masses_at_radius(r), twin.masses_at_radius(r))
-        assert space._class_trees is not None
+        got, trees = trees_built(lambda: space.masses_at_radius(r))
+        np.testing.assert_array_equal(got, twin.masses_at_radius(r))
+        # one tree per weight value, over that value's points
+        assert sorted(trees) == sorted(np.unique(space.weights, return_counts=True)[1].tolist())
+        # and only once: another ambiguous radius reuses them
+        r = (math.sqrt(8) / 24 - 1e-12) / (1 + 1e-12)
+        assert space._grid_budget(r * (1 + 1e-12) + 1e-12) is None
+        got, trees = trees_built(lambda: space.masses_at_radius(r))
+        np.testing.assert_array_equal(got, twin.masses_at_radius(r))
+        assert trees == []
 
     def test_loaded_grid_keeps_the_lattice(self, tmp_path):
         from mmtrace import io as mio
@@ -455,7 +551,7 @@ class TestLatticeCounts:
             got, trees = trees_built(lambda: loaded.masses_at_radius(r))
             built += len(trees)
             np.testing.assert_array_equal(got, _kd_twin(space).masses_at_radius(r))
-        assert built == 0 and loaded._class_trees is None
+        assert built == 0 and not loaded._neighbors
 
     @pytest.mark.parametrize("h", [5e-324, 2.225073858507201e-308, 1e-300, 1e300, math.nan])
     def test_any_resolution_answers(self, h):
@@ -583,7 +679,7 @@ class TestBatchedBalls:
         rng = np.random.default_rng(3)
         coords = mt.build_grid_space("grid2d", 1 / 14).coords + rng.uniform(-0.3, 0.3, (225, 2)) / 14
         space = mt.FiniteMetricMeasureSpace(weights=np.full(225, 1 / 225), coords=coords, resolution=1 / 14)
-        assert space._lattice is None and space._uniform_weight is not None
+        assert space._lattice is None
 
         def queries():
             space.members(np.array([0.5, 0.5]), 0.2)
