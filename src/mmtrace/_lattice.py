@@ -224,12 +224,15 @@ def _box_counts(idx: np.ndarray, q: int, box: _Box) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=np.int64)] + [n.sum(axis=1) for _, n in _box_runs(idx, q, box)])
 
 
-def _box_rows(idx: np.ndarray, q: int, box: _Box):
-    """CSR ``(indptr, positions)``, int64, of the balls within the box."""
-    counts, positions = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for starts, lengths in _box_runs(idx, q, box):
-        counts.append(lengths.sum(axis=1))
-        starts, lengths = starts[lengths > 0], lengths[lengths > 0]
-        # run t fills its lengths[t] slots from starts[t] on
-        positions.append(np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum()))
-    return np.cumsum(np.concatenate(counts)), np.concatenate(positions)
+def _box_table(idx: np.ndarray, q: int, box: _Box):
+    """``_box_runs``' tables for the rows of idx, joined: ``[starts, lengths]``."""
+    return [np.concatenate(t) for t in zip(*_box_runs(idx, q, box))]
+
+
+def _run_rows(starts: np.ndarray, lengths: np.ndarray):
+    """CSR ``(indptr, positions)``, int64, of the rows of a run table."""
+    counts = lengths.sum(axis=1)
+    starts, lengths = starts[lengths > 0], lengths[lengths > 0]
+    # run t fills its lengths[t] slots from starts[t] on
+    positions = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    return np.concatenate(([0], np.cumsum(counts))), positions

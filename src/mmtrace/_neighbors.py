@@ -1,33 +1,32 @@
-"""The ball layer: which subset points lie within r of each subset point,
-and the weighted per-ball statistics every scale sweep takes over them.
+"""The ball layer: which subset points lie within r of each point, and the
+weighted per-ball statistics the scale sums take over them.
 
 Balls are closed and padded against round-off like ``space.members``.  A
-sweep at one radius is a CSR (compressed sparse row, as in scipy.sparse)
+block of ball rows is a CSR (compressed sparse row, as in scipy.sparse)
 pair ``(indptr, indices)``: row a, ``indices[indptr[a]:indptr[a + 1]]``,
 holds the int32 positions into the sorted subset ids of the ball around
-subset point a, in increasing order.  One row builder (``rows_of``) makes
-every pair list, the whole cloud's point-id balls too, and the kernels
-reduce rows, both in blocks of at most ``PAIR_BLOCK`` stored pairs (matrix
-metrics compare chunks of as many entries): their temporaries stay bounded.
+centre a, in increasing order.  One row builder makes every row, the whole
+cloud's point-id balls too, in blocks of at most ``PAIR_BLOCK`` stored
+pairs (matrix metrics compare chunks of as many entries), and nothing
+keeps them: a pass (``_per_ball``) hands each block to every reader of it,
+and a reader that needs a whole sweep within one call builds it with
+``_sweep``.  The kernels reduce each row on its own, so a row's value does
+not depend on which rows share its block.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 import weakref
 
 import numpy as np
 
-from ._lattice import _box_counts, _box_rows, _boxes_of, _budget, _indices
+from ._lattice import _box_counts, _box_table, _boxes_of, _budget, _indices, _run_rows
 from .space import FiniteMetricMeasureSpace, _kd_tree, _pad
 
 # a block's float64 temporaries (64 KiB) stay below glibc's default 128 KiB
 # mmap threshold, so successive blocks reuse heap pages, not fresh mappings
 PAIR_BLOCK = 1 << 13
-# on several boxes, sorted stencil keys are built per run of whole blocks of
-# up to this many pairs: a box's stencil has a fixed cost per call, which
-# blocks of a few long rows would pay once per box each
-STENCIL_PAIRS = 1 << 16
 
 
 class SubsetNeighbors:
@@ -41,19 +40,7 @@ class SubsetNeighbors:
         self._tree = None   # built on the first KD query (``_kd``)
         # on a full grid, the few disjoint boxes of lattice indices the ids fill, if any
         self._boxes = None if space._lattice is None else _boxes_of(self.ids, space._lattice[0], space.dim)
-        self._lists_cache: dict[float, tuple] = {}
-        self._sums_cache: dict[tuple, np.ndarray] = {}
         self.porosity_masks: dict[tuple, list] = {}  # porosity_scan's, per (sigma, r_grid)
-
-    def _cached(self, centres: np.ndarray, radius: float):
-        """The cached sweep at radius and the positions of centres in it;
-        (None, None) unless it is cached and every centre is in the subset."""
-        csr = self._lists_cache.get(float(radius))
-        if csr is not None:
-            pos = np.searchsorted(self.ids, centres)
-            if np.all(pos < self.ids.size) and np.array_equal(self.ids[pos], centres):
-                return csr, pos
-        return None, None
 
     def _kd(self):
         """The subset's KD tree, built on first use."""
@@ -77,47 +64,49 @@ class SubsetNeighbors:
             return None
         return _budget(_pad(radius), self.space._lattice[0], self.space.dim)
 
-    def _stencil_blocks(self, centres: np.ndarray, q: int, rank, ptr: np.ndarray):
-        """The blocks of ``rows_of`` (row bounds ptr) from the boxes'
-        stencils.  A lone box builds each block's own rows, which come out
-        sorted (ranked as a cached sweep's are).  On several boxes, as a KD
-        block forms them, keys local row * n + union position (or its rank)
-        are built and sorted once per run of whole blocks holding at most
-        STENCIL_PAIRS pairs: sorted together, each block's keys come out as
-        its own sort orders them."""
-        idx, n = _indices(centres, self.space._lattice[0], self.space.dim), self.ids.size
-        if len(self._boxes) == 1:
-            for lo, hi in _blocks(ptr):
-                indptr, cols = _box_rows(idx[lo:hi], q, self._boxes[0])
-                if rank is not None:
-                    cols = _ranked(cols, np.diff(indptr), rank) % n
-                cols = cols.astype(np.int32)   # the int64 rows are freed before the yield
-                yield lo, hi, (indptr, cols)
-            return
-        edges = np.array([0] + [hi for _, hi in _blocks(ptr)])
-        for g0, g1 in _blocks(ptr[edges], STENCIL_PAIRS):
-            lo, hi = int(edges[g0]), int(edges[g1])
-            keys = []
-            for box in self._boxes:
-                indptr, cols = _box_rows(idx[lo:hi], q, box)
-                cols = cols if box.at is None else box.at[cols]
-                keys.append(np.repeat(np.arange(hi - lo, dtype=np.int64) * n, np.diff(indptr))
-                            + (cols if rank is None else rank[cols]))
-            keys = np.concatenate(keys)
-            keys.sort()
-            indptr = np.searchsorted(keys, np.arange(hi - lo + 1, dtype=np.int64) * n)
-            cols = np.remainder(keys, n, out=keys).astype(np.int32)
-            for b0, b1 in zip(edges[g0:g1].tolist(), edges[g0 + 1 : g1 + 1].tolist()):
-                at = indptr[b0 - lo : b1 - lo + 1]
-                yield b0, b1, (at - at[0], cols[at[0] : at[-1]])
+    def _stencil_blocks(self, centres: np.ndarray, q: int, rank, whole: bool):
+        """The blocks of ``_row_blocks`` from the boxes' stencils.  Per chunk
+        of centres one run table per box, of at most about PAIR_BLOCK runs,
+        gives their counts and then their rows; the rows of a block that may
+        go on past the chunk wait for the next one, so blocks end where the
+        KD path ends them.  A lone box lists each row sorted; on several
+        boxes, and for ranks, keys local row * n + union position (or its
+        rank) are sorted, as a KD block forms them."""
+        m, d, n = self.space._lattice[0], self.space.dim, self.ids.size
+        idx, reach = _indices(centres, m, d), 2 * math.isqrt(q) + 1
+        step = max(1, PAIR_BLOCK // max(math.prod(min(reach, e) for *_, e in b.outer) for b in self._boxes))
+        pos, tables = np.zeros(0, dtype=np.int64), None
+        for c0 in range(0, centres.size, step):
+            chunk = [_box_table(idx[c0 : c0 + step], q, box) for box in self._boxes]
+            pos = np.append(pos, np.arange(c0, min(c0 + step, centres.size)))
+            tables = chunk if tables is None else [[np.concatenate(t) for t in zip(*ab)] for ab in zip(tables, chunk)]
+            cuts = list(_cut(sum(lengths.sum(axis=1) for _, lengths in tables), n, whole))
+            for at, full in cuts:
+                if full:
+                    yield pos[at], _full(n)
+                    continue
+                if at[-1] == pos.size - 1 and c0 + step < centres.size:
+                    break   # the last block may go on
+                rows = [_run_rows(starts[at], lengths[at]) for starts, lengths in tables]
+                indptr, cols = rows[0]
+                if len(rows) > 1 or rank is not None:
+                    keys = []
+                    for (ptr, u), box in zip(rows, self._boxes):
+                        u = u if box.at is None else box.at[u]
+                        keys.append(np.repeat(np.arange(at.size, dtype=np.int64) * n, np.diff(ptr))
+                                    + (u if rank is None else rank[u]))
+                    keys = np.concatenate(keys)
+                    keys.sort()
+                    indptr = np.searchsorted(keys, np.arange(at.size + 1, dtype=np.int64) * n)
+                    cols = np.remainder(keys, n, out=keys)
+                yield pos[at], (indptr, cols.astype(np.int32))
+            else:
+                at = np.zeros(0, dtype=np.int64)
+            pos, tables = pos[at], [[t[at] for t in table] for table in tables]
 
     def counts_of(self, centres, radius: float) -> np.ndarray:
-        """Per space point id in centres: the number of subset points within
-        radius (the row lengths of the cached sweep, if it serves)."""
+        """Per space point id in centres: the number of subset points within radius."""
         centres = np.asarray(centres, dtype=int)
-        csr, pos = self._cached(centres, radius)
-        if csr is not None:
-            return csr[0][pos + 1] - csr[0][pos]
         q = self._stencil_budget(radius)
         if q is not None:
             idx = _indices(centres, self.space._lattice[0], self.space.dim)
@@ -132,94 +121,107 @@ class SubsetNeighbors:
         centres, restricted to the subset, in blocks of about PAIR_BLOCK
         pairs: yields ``(lo, hi, (indptr, indices))`` for centres[lo:hi];
         ``counts`` are their ``counts_of``, if known.  With ``rank`` (a
-        permutation of subset positions) a row lists rank[j] for j, sorted.
-        Rows are gathered from the cached sweep if it serves, else built
-        uncached: as integer stencils on a union of boxes, else by KD queries."""
-        centres = np.asarray(centres, dtype=int)
+        permutation of subset positions) a row lists rank[j] for j, sorted."""
+        for at, rows in self._row_blocks(np.asarray(centres, dtype=int), radius, counts, rank, False):
+            yield int(at[0]), int(at[-1]) + 1, rows
+
+    def _row_blocks(self, centres: np.ndarray, radius: float, counts, rank, whole: bool):
+        """``rows_of``'s blocks as ``(at, rows)`` for centres[at], built as
+        integer stencils on a union of boxes, else by KD queries; with
+        ``whole``, balls holding the whole subset are not built: one full
+        row stands for all of them."""
         n, r = self.ids.size, _pad(radius)
-        csr, pos = self._cached(centres, radius)
-        if csr is not None:
-            for lo, hi, cols, starts, lengths in _rows(csr, pos):
-                if rank is not None:
-                    cols = (_ranked(cols, lengths, rank) % n).astype(np.int32)
-                yield lo, hi, (np.append(starts, cols.size), cols)
+        q = self._stencil_budget(radius)
+        if q is not None:
+            yield from self._stencil_blocks(centres, q, rank, whole)
             return
         if counts is None:
             # counts only cut blocks (and skip empty KD rows): one centre is one block
-            counts = self.counts_of(centres, radius) if centres.size > 1 else np.ones(centres.size, dtype=np.int64)
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        q = self._stencil_budget(radius)
-        if q is not None:
-            yield from self._stencil_blocks(centres, q, rank, ptr)
-            return
+            counts = self.counts_of(centres, radius) if centres.size > 1 or whole else np.ones(centres.size, dtype=np.int64)
         # column c of a matrix block is the position of rank c
         cols = self.ids if rank is None else self.ids[np.argsort(rank)]
-        for lo, hi in _blocks(ptr):
+        for at, full in _cut(counts, n, whole):
+            if full:
+                yield at, _full(n)
+                continue
             if self.space.coords is None:
-                keys = np.concatenate([np.flatnonzero(near) + at * n
-                                       for at, near in self._within(centres[lo:hi], radius, cols)])
+                keys = np.concatenate([np.flatnonzero(near) + lo * n
+                                       for lo, near in self._within(centres[at], radius, cols)])
             else:
                 # the block's tree holds only the centres of non-empty rows
-                rows = np.flatnonzero(counts[lo:hi])
+                rows = np.flatnonzero(counts[at])
                 keys = np.zeros(0, dtype=np.int64)
                 if rows.size:
-                    block = _kd_tree(self.space.coords[centres[lo + rows]])
+                    block = _kd_tree(self.space.coords[centres[at[rows]]])
                     found = block.sparse_distance_matrix(self._kd(), r, output_type="ndarray")
                     keys = rows[found["i"]] * n
                     keys += found["j"] if rank is None else rank[found["j"]]
                     del found
                     keys.sort()
-            indptr = np.searchsorted(keys, np.arange(hi - lo + 1, dtype=np.int64) * n)
-            yield lo, hi, (indptr, np.remainder(keys, n, out=keys).astype(np.int32))
+            indptr = np.searchsorted(keys, np.arange(at.size + 1, dtype=np.int64) * n)
+            yield at, (indptr, np.remainder(keys, n, out=keys).astype(np.int32))
 
     def ball_sums(self, centres, radius: float, weights: np.ndarray) -> np.ndarray:
         """Per weight vector over the subset (a row of the 2-d ``weights``)
         and per space point id in centres: the sum of the weights within
         radius, as ``row_sums`` gives."""
-        return self._per_ball(centres, radius, lambda rows: np.array([row_sums(rows, w) for w in weights]))
+        out = np.empty((len(weights), np.size(centres)))
+        self._per_ball(centres, radius, [(None, None, lambda at, rows: out.__setitem__(
+            (slice(None), at), np.array([row_sums(rows, w) for w in weights])))])
+        return out
 
     def deviations_of(self, centres, radius: float, w: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Per space point id in centres: the best-constant deviation of g
-        against w (both over the subset) on its radius-ball, as
-        ``row_deviations`` gives, from value-ranked rows sorted only once."""
-        by_rank = np.argsort(g, kind="stable")
-        w, g = w[by_rank], g[by_rank]
-        return self._per_ball(centres, radius, lambda rows: _ranked_deviations(rows, w, g), np.argsort(by_rank))
-
-    def _per_ball(self, centres, radius: float, reduce, rank=None) -> np.ndarray:
-        """``reduce`` of the rows around centres; balls holding the whole
-        subset share the reduction of one full row and are never built."""
-        centres = np.asarray(centres, dtype=int)
-        counts = self.counts_of(centres, radius)
-        whole = counts == self.ids.size
-        full = reduce((np.array([0, self.ids.size]), np.arange(self.ids.size, dtype=np.int32)))
-        out = np.empty(full.shape[:-1] + centres.shape)
-        out[..., whole] = full
-        part = np.flatnonzero(~whole)
-        for lo, hi, rows in self.rows_of(centres[part], radius, counts[part], rank):
-            out[..., part[lo:hi]] = reduce(rows)
+        against w (both over the subset) on its radius-ball, from rows that
+        list value ranks."""
+        out = np.empty(np.size(centres))
+        self._per_ball(centres, radius, [(None, *deviation_reader(w, g, value_order(g), out.__setitem__))])
         return out
 
-    def self_lists(self, radius: float) -> tuple:
-        """CSR ``(indptr, indices)`` of the radius-balls around every subset
-        point, restricted to the subset; cached per radius."""
-        key = float(radius)
-        if key not in self._lists_cache:
-            self._lists_cache[key] = self._sweep(self.ids, radius)
-        return self._lists_cache[key]
-
-    def self_sums(self, radius: float, w: np.ndarray) -> np.ndarray:
-        """``row_sums`` of ``self_lists(radius)`` for the weight vector w
-        over the subset; cached per radius and the digest of w's bytes."""
-        key = (float(radius), hashlib.blake2b(np.ascontiguousarray(w, dtype=float).tobytes(), digest_size=16).digest())
-        if key not in self._sums_cache:
-            sums = row_sums(self.self_lists(radius), w)
-            sums.flags.writeable = False
-            self._sums_cache[key] = sums
-        return self._sums_cache[key]
+    def _per_ball(self, centres, radius: float, readers) -> None:
+        """One pass over the radius-balls around centres (space point ids):
+        each block of rows is built once and handed to every reader
+        ``(own, rank, read)`` of a row of it as ``read(at, rows)``.  ``own``
+        maps positions in centres to the reader's indices (-1: not read;
+        None: each position as itself), ``at`` holds those of the rows, and
+        row a lists rank[j] for the subset positions j in the ball (j for
+        rank None), sorted.  Balls holding the whole subset are never built:
+        rows is then one full row, shared by all of at."""
+        centres, n = np.asarray(centres, dtype=int), self.ids.size
+        ranks = {id(rank): rank for _, rank, _ in readers}
+        # built in position order if a reader reads that (a lone box lists it
+        # sorted), else in the first reader's ranks; other readers re-sort
+        build = readers[0][1] if all(rank is not None for rank in ranks.values()) else None
+        back = None if build is None else np.argsort(build)
+        relabel = {k: None if rank is build else rank if back is None else back if rank is None else rank[back]
+                   for k, rank in ranks.items()}
+        for pos, rows in self._row_blocks(centres, radius, None, build, True):
+            # every row full lists every label: no re-sort
+            shared = rows[0].size - 1 < pos.size or rows[0][-1] == n * (rows[0].size - 1)
+            listed = {}   # per rank, and per rank and reader's centres: the rows they read
+            for own, rank, read in readers:
+                at = pos if own is None else own[pos]
+                keep = at >= 0
+                if not keep.any():
+                    continue
+                if id(rank) not in listed:
+                    perm, (indptr, cols) = relabel[id(rank)], rows
+                    listed[id(rank)] = rows if perm is None or shared else (
+                        indptr, (_ranked(cols, np.diff(indptr), perm) % n).astype(np.int32))
+                got = listed[id(rank)]
+                if got[0].size - 1 < at.size or keep.all():
+                    read(at[keep], got)
+                    continue
+                if (id(rank), id(own)) not in listed:
+                    sel = np.flatnonzero(keep)
+                    listed[id(rank), id(own)] = [(at[sel[lo:hi]], (np.append(starts, cols.size), cols))
+                                                 for lo, hi, cols, starts, _ in _rows(got, sel)]
+                for block in listed[id(rank), id(own)]:
+                    read(*block)
 
     def _sweep(self, centres: np.ndarray, radius: float) -> tuple:
-        """CSR of the radius-balls around centres, filled from ``rows_of``."""
+        """CSR of the radius-balls around centres, filled from ``rows_of``;
+        for a reader that needs a whole sweep within one call."""
         counts = self.counts_of(centres, radius)
         indptr = np.zeros(centres.size + 1, dtype=np.int64)
         indices = np.empty(int(counts.sum()), dtype=np.int32)
@@ -251,6 +253,25 @@ def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:
 
 
 # -- per-row kernels ------------------------------------------------------
+
+
+def _full(n: int) -> tuple:
+    """The one row of a ball holding all n subset points."""
+    return np.array([0, n]), np.arange(n, dtype=np.int32)
+
+
+def _cut(counts: np.ndarray, n: int, whole: bool):
+    """Row positions per block of rows with these counts: ``(at, full)``.
+    With whole, the rows of all n subset points come first, as one block
+    (full True); the others follow in blocks of about PAIR_BLOCK pairs."""
+    rows = np.arange(counts.size)
+    if whole:
+        full = counts == n
+        if full.any():
+            yield np.flatnonzero(full), True
+        rows = rows[~full]
+    for lo, hi in _blocks(np.concatenate(([0], np.cumsum(counts[rows])))):
+        yield rows[lo:hi], False
 
 
 def _blocks(indptr: np.ndarray, budget=None):
@@ -313,79 +334,108 @@ def row_sums(csr, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def centred_means(csr, w: np.ndarray, g: np.ndarray, fn) -> np.ndarray:
-    """Per row a: sum_b w_b fn(g_b - g_a) / sum_b w_b over the ball."""
-    out = np.empty(csr[0].size - 1)
-    for lo, hi, cols, starts, lengths in _rows(csr):
-        wb = w[cols]
-        d = fn(g[cols] - np.repeat(g[lo:hi], lengths))
-        out[lo:hi] = _row_reduce(wb * d, starts, lengths) / _row_reduce(wb, starts, lengths)
-    return out
+def means_reader(w: np.ndarray, g: np.ndarray, fn, put):
+    """``(rank, read)`` of a ``_per_ball`` reader of the subset's own points
+    (its indices are their positions): ``put(at, means)``, per row a, of
+    sum_b w_b fn(g_b - g_a) / sum_b w_b over the ball."""
+
+    def read(at, rows):
+        # a full row shared by all of at is reduced once per centre
+        shared = np.zeros(at.size, dtype=np.int64) if rows[0].size - 1 < at.size else None
+        for lo, hi, cols, starts, lengths in _rows(rows, shared):
+            wb = w[cols]
+            d = fn(g[cols] - np.repeat(g[at[lo:hi]], lengths))
+            put(at[lo:hi], _row_reduce(wb * d, starts, lengths) / _row_reduce(wb, starts, lengths))
+
+    return None, read
 
 
 def _best_devs(v, ww, starts, lengths, out) -> None:
     """The deviation core: into out, per row of value-sorted v with
     weights ww, sum_b ww_b |v_b - median| / mass at the weighted median
-    ``weighted_stats`` takes (zero for a zero-mass row)."""
+    ``weighted_stats`` takes (zero for a zero-mass row): the first entry
+    whose prefix sum, the row's own cumsum, reaches half the mass, so
+    whichever rows share the block."""
     mass = _row_reduce(ww, starts, lengths)
-    cum = np.cumsum(ww)
-    in_row = cum - np.repeat(np.concatenate(([0.0], cum))[starts], lengths)
-    below = _row_reduce(in_row < np.repeat(mass / 2.0, lengths), starts, lengths)
+    below = np.zeros(lengths.size, dtype=np.int64)
+    if lengths.size <= 16:
+        # few rows in a block of about PAIR_BLOCK pairs are long: a cumsum each
+        for a, (start, size) in enumerate(zip(starts.tolist(), lengths.tolist())):
+            below[a] = np.searchsorted(np.cumsum(ww[start : start + size]), mass[a] / 2.0)
+        groups = []
+    else:
+        # rows side by side, padded with zeros (past its end a row's cumsum
+        # is its total, never below half of it); where that would more than
+        # double the block, rows of lengths within a factor 2 together
+        groups = [np.arange(lengths.size)]
+        if lengths.size * lengths.max() > 2 * ww.size + 64:
+            size = np.frexp(lengths)[1]
+            groups = [np.flatnonzero(size == e) for e in np.unique(size)]
+    for at in groups:
+        width, ends = lengths[at].max(initial=0), np.cumsum(lengths[at])
+        if at.size == lengths.size and ww.size == at.size * width:
+            own = ww.reshape(at.size, width)
+        else:
+            held = np.repeat(starts[at] - ends + lengths[at], lengths[at]) + np.arange(ends[-1] if ends.size else 0)
+            own = np.zeros(at.size * width)
+            own[held + np.repeat(np.arange(at.size) * width - starts[at], lengths[at])] = ww[held]
+            own = own.reshape(at.size, width)
+        below[at] = (np.cumsum(own, axis=1) < mass[at, None] / 2.0).sum(axis=1)
     # an empty row (a centre off the subset) reads the appended 0
-    median = np.append(v, 0.0)[starts + np.minimum(below.astype(np.int64), lengths - 1)]
+    median = np.append(v, 0.0)[starts + np.minimum(below, lengths - 1)]
     dev = _row_reduce(ww * np.abs(v - np.repeat(median, lengths)), starts, lengths)
     np.divide(dev, mass, out=out, where=mass > 0)
 
 
-def row_deviations(csr, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Per row: the best-constant deviation inf_c sum_b w_b |g_b - c| /
-    sum_b w_b, taken at the weighted median ``weighted_stats`` takes (zero
-    for a zero-mass ball)."""
+def value_order(g: np.ndarray) -> tuple:
+    """``(rank, by_rank)`` of values g: by_rank lists positions by value,
+    ties by position (a stable argsort), and rank inverts it."""
     by_rank = np.argsort(g, kind="stable")
-    rank = np.argsort(by_rank)
-    out = np.zeros(csr[0].size - 1)
-    for lo, hi, cols, starts, lengths in _rows(csr):
-        # each row in value order, ties by position as a stable argsort gives
-        pos = by_rank[_ranked(cols, lengths, rank) % g.size]
-        _best_devs(g[pos], w[pos], starts, lengths, out[lo:hi])
-    return out
+    return np.argsort(by_rank), by_rank
 
 
-def _ranked_deviations(csr, w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``row_deviations`` of rows that already list value ranks in
-    increasing order, with w and g given in rank order."""
-    out = np.zeros(csr[0].size - 1)
-    for lo, hi, cols, starts, lengths in _rows(csr):
-        _best_devs(g[cols], w[cols], starts, lengths, out[lo:hi])
-    return out
+def deviation_reader(w: np.ndarray, g: np.ndarray, order: tuple, put):
+    """``(rank, read)`` of a ``_per_ball`` reader: ``put(at, devs)``, per
+    row, of the best-constant deviation inf_c sum_b w_b |g_b - c| / sum_b
+    w_b at the weighted median ``weighted_stats`` takes (zero for a
+    zero-mass ball).  order is ``value_order(g)``: rows list value ranks."""
+    rank, by_rank = order
+    w, g = w[by_rank], g[by_rank]
+
+    def read(at, rows):
+        # a block of rows holds at most PAIR_BLOCK pairs, or is one row
+        indptr, cols = rows
+        devs = np.zeros(indptr.size - 1)
+        _best_devs(g[cols], w[cols], indptr[:-1], np.diff(indptr), devs)
+        put(at, devs)
+
+    return rank, read
 
 
-def pair_abs_diffs(csr_a, wa, ga, csr_b, wb, gb, ia, ib) -> np.ndarray:
-    """Per pair t: the sum over x in row ia[t] of csr_a and y in row ib[t]
-    of csr_b of wa[x] wb[y] |ga[x] - gb[y]|.  A table T[a, q], the sum over
-    x in row a of wa[x] |ga[x] - u[q]| for u the sorted distinct values of
-    gb, comes from per-(row, value bucket) sums of w and w*g accumulated
-    along the buckets; pair t sums wb[y] T[a, bucket of gb[y]] over row
-    ib[t].  T holds |unique(ia)| x |u| floats: cheap when gb takes few
-    values (in gluing a segment on the canonical instances, 33 at h = 1/32)."""
-    u, q = np.unique(gb, return_inverse=True)
-    # g_x <= u[q] exactly when t[x] <= q
-    t = np.searchsorted(u, ga)
-    wga = wa * ga
-    rows = np.unique(ia)
-    table = np.empty((rows.size, u.size))
-    for lo, hi, x, _, lengths in _rows(csr_a, rows):
+def diff_table(csr, wa: np.ndarray, ga: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row a of csr and sorted distinct value u[q]: T[a, q], the sum
+    over x in row a of wa[x] |ga[x] - u[q]|, from per-(row, value bucket)
+    sums of w and w*g accumulated along the buckets; t is
+    ``np.searchsorted(u, ga)``, so g_x <= u[q] exactly when t[x] <= q."""
+    table = np.empty((csr[0].size - 1, u.size))
+    for lo, hi, x, _, lengths in _rows(csr):
         key = np.repeat(np.arange(hi - lo) * (u.size + 1), lengths) + t[x]
         # per row, sums over t <= q for q = 0 .. |u|; the last is the row total
         cw, cwg = (
             np.cumsum(np.bincount(key, v, (hi - lo) * (u.size + 1)).reshape(hi - lo, -1), axis=1)
-            for v in (wa[x], wga[x])
+            for v in (wa[x], wa[x] * ga[x])
         )
         w_le, s_le, w_tot, s_tot = cw[:, :-1], cwg[:, :-1], cw[:, -1:], cwg[:, -1:]
         table[lo:hi] = u * w_le - s_le + (s_tot - s_le) - u * (w_tot - w_le)
-    table, at = table.ravel(), np.searchsorted(rows, ia) * u.size
-    out = np.empty(ia.size)
-    for lo, hi, y, starts, lengths in _rows(csr_b, ib):
+    return table
+
+
+def table_sums(csr, rows: np.ndarray, wb: np.ndarray, q: np.ndarray, table: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Per listed row rows[t] of csr: the sum over y in it of wb[y]
+    table[at[t] + q[y]], table a ``diff_table`` raveled, at[t] the start of
+    a table row and q[y] y's value bucket; never below zero (a sum of
+    |differences| that cancels to zero may round below it)."""
+    out = np.empty(rows.size)
+    for lo, hi, y, starts, lengths in _rows(csr, rows):
         out[lo:hi] = _row_reduce(wb[y] * table[np.repeat(at[lo:hi], lengths) + q[y]], starts, lengths)
-    # a sum of |differences| that cancels to zero may round below it
     return np.maximum(out, 0.0)

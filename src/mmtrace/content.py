@@ -69,11 +69,11 @@ def _candidate_pool(space, target: np.ndarray, theta: float, delta: float):
     """Dyadic-radius balls centered at the (sorted) target points, in
     (centre, radius) order, with member positions into the target and
     their cover weights mu(B)/r^theta, mu(B) as ``space.ball_mass`` sums
-    it: one ``self_lists`` and one ``ball_masses`` per radius."""
+    it: one sweep and one ``ball_masses`` per radius."""
     radii = _pool_radii(space, delta)
     # a throwaway layer: one-off targets would pile up in space._neighbors
     nbrs = SubsetNeighbors(space, target)
-    covers = [csr_rows(*nbrs.self_lists(r)) for r in radii]
+    covers = [csr_rows(*nbrs._sweep(target, r)) for r in radii]
     weights = [(space.ball_masses(target, r) / r**theta).tolist() for r in radii]
     return [Ball(int(c), r) for c in target for r in radii], _by_centre(covers), _by_centre(weights)
 

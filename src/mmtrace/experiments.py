@@ -16,19 +16,18 @@ from typing import Optional
 
 import numpy as np
 
-from ._neighbors import SubsetNeighbors
 from .errors import InsufficientData, IoError, ParameterError
 from .functionals import (
     FunctionalReport,
     SampleFunction,
-    besov_norm,
-    besov_norm_alt,
-    bn_functional,
+    _besov,
+    _bn,
+    _gluing,
+    _Pass,
+    _sharp_norm_s1,
+    _trace_norm_difficult,
+    _trace_norm_simple,
     bsn_functional,
-    gluing,
-    sharp_norm_s1,
-    trace_norm_difficult,
-    trace_norm_simple,
 )
 from .generators import GeneratorSpec, generate, make_sample_function
 from .measures import EPSILON, MeasureSequence, build_measure_sequence
@@ -138,42 +137,51 @@ def _parse_functional(name: str):
 
 
 def evaluate_functional(
-    name: str,
+    name,
     space: FiniteMetricMeasureSpace,
     piecewise: PiecewiseSet,
     seq: MeasureSequence,
-    f: SampleFunction,
+    f,
     cfg: ExperimentConfig,
-) -> FunctionalReport:
+):
     """Dispatch a requested functional by name (see _parse_functional);
-    ``cfg`` supplies p, c and sigma (the CLI passes its parsed arguments)."""
+    ``cfg`` supplies p, c and sigma (the CLI passes its parsed arguments).
+    With lists of names and functions, every functional of every function
+    is evaluated in one pass over the ball rows, each part once: the
+    reports come per function, per name."""
+    if isinstance(name, str):
+        return evaluate_functional([name], space, piecewise, seq, [f], cfg)[0]
+    ps = _Pass()
+    reports = [_register(ps, one, space, piecewise, seq, fn, cfg) for fn in f for one in name]
+    ps.run()
+    return [report() for report in reports]
+
+
+def _register(ps, name: str, space, piecewise, seq, f, cfg):
+    """Register a functional of f on ps; returns a thunk of its report."""
     base, arg = _parse_functional(name)
     p = cfg.p
     if base in ("besov", "besov_alt"):
-        idx = int(arg) - 1 if arg else 0
-        pc = piecewise.pieces[idx]
-        s = 1.0 - pc.theta / p
-        fn = besov_norm if base == "besov" else besov_norm_alt
-        return fn(space, pc, f, s, p)
+        pc = piecewise.pieces[int(arg) - 1 if arg else 0]
+        return _besov(ps, space, pc, f, 1.0 - pc.theta / p, p, None, base)
     if base in ("gl1", "gl2", "gl3"):
-        return gluing(space, piecewise, f, p, which=int(base[-1]))
+        return _gluing(ps, space, piecewise, f, p, int(base[-1]))
     if base == "bn":
-        return bn_functional(space, seq, piecewise, f, p, cfg.sigma, c=cfg.c)
+        return _bn(ps, space, seq, piecewise, f, p, cfg.sigma, cfg.c, None)
     if base == "bsn":
-        return bsn_functional(space, seq, f, p, cfg.c)
+        return lambda: bsn_functional(space, seq, f, p, cfg.c)
     if base == "sharp":
-        value = sharp_norm_s1(space, piecewise, f, p)
-        return FunctionalReport("sharp", value, {"sharp": value}, {"p": p})
+        value = _sharp_norm_s1(ps, space, piecewise, f, p)
+        return lambda: FunctionalReport("sharp", value(), {"sharp": value()}, {"p": p})
     if base == "trace_simple":
-        return trace_norm_simple(space, piecewise, f, p, l=int(arg) if arg else 1)
-    if base == "trace_difficult":
-        return trace_norm_difficult(space, piecewise, f, p)
-    raise ParameterError(f"unknown functional {name!r}")
+        return _trace_norm_simple(ps, space, piecewise, f, p, l=int(arg) if arg else 1)
+    return _trace_norm_difficult(ps, space, piecewise, f, p)
 
 
 def run_equivalence(config: ExperimentConfig) -> RatioReport:
-    """Evaluate every requested functional per (resolution, function) and
-    emit pairwise ratios with their cross-resolution stability."""
+    """Evaluate every requested functional per (resolution, function), all
+    of a resolution in one ``evaluate_functional`` call, and emit pairwise
+    ratios with their cross-resolution stability."""
     config.validate()
     cells = []
     values = {}   # (function, seed, functional) -> {resolution: value}
@@ -182,14 +190,15 @@ def run_equivalence(config: ExperimentConfig) -> RatioReport:
         space, piecewise = generate(spec)
         theta = config.theta if config.theta is not None else piecewise.theta_S
         seq = build_measure_sequence(space, piecewise, theta, p=config.p)
-        for fam in config.functions:
-            seeds = config.seeds if fam.split(":")[0] == "random" else [0]
-            for seed in seeds:
-                f = make_sample_function(space, piecewise, fam, seed=seed)
-                for name in config.functionals:
-                    rep = evaluate_functional(name, space, piecewise, seq, f, config)
-                    cells.append(Cell(spec.name or spec.kind, h, fam, seed, name, rep))
-                    values.setdefault((fam, seed, name), {})[h] = rep.value
+        runs = [(fam, seed) for fam in config.functions
+                for seed in (config.seeds if fam.split(":")[0] == "random" else [0])]
+        fs = [make_sample_function(space, piecewise, fam, seed=seed) for fam, seed in runs]
+        reports = iter(evaluate_functional(list(config.functionals), space, piecewise, seq, fs, config))
+        for fam, seed in runs:
+            for name in config.functionals:
+                rep = next(reports)
+                cells.append(Cell(spec.name or spec.kind, h, fam, seed, name, rep))
+                values.setdefault((fam, seed, name), {})[h] = rep.value
 
     rows = []
     stability = {}
@@ -229,8 +238,7 @@ def dirichlet_upper_bound_probe(
     discrete Sobolev-type norm of F; probes the upper-bound direction of
     the trace theorem with the generator-supplied extension."""
     vals = F.values if isinstance(F, SampleFunction) else np.asarray(F, dtype=float)
-    # a throwaway instance: the probe's sweep stays out of the space's cache
-    indptr, y = SubsetNeighbors(space, space.ids).self_lists(1.01 * space.resolution)
+    indptr, y = space._cloud()._sweep(space.ids, 1.01 * space.resolution)
     x = np.repeat(space.ids, np.diff(indptr))
     x, y = x[x != y], y[x != y]
     degree = np.bincount(x, minlength=space.n)
@@ -240,16 +248,20 @@ def dirichlet_upper_bound_probe(
     lip = np.maximum.reduceat(np.abs(vals[y] - vals[x]) / d, np.cumsum(degree) - degree)
     energy = float(np.sum(space.weights * lip**p))
     denom = float(np.sum(space.weights * np.abs(vals) ** p) ** (1.0 / p)) + energy ** (1.0 / p)
-    # the homogeneous parts of trace_norm_simple / trace_norm_difficult
+    # the homogeneous parts of trace_norm_simple / trace_norm_difficult, in one pass
+    ps = _Pass()
     if piecewise.pieces[0].theta > 0:
-        hom, thin = gluing(space, piecewise, vals, p, which=l).value, piecewise.pieces
+        parts, thin = [_gluing(ps, space, piecewise, vals, p, l)], piecewise.pieces
     else:
-        # gl3 first: sharp_mu_s1 reads the sweeps it caches
-        hom = gluing(space, piecewise, vals, p, which=3).value
-        hom = sharp_norm_s1(space, piecewise, vals, p) + hom
+        parts = [_gluing(ps, space, piecewise, vals, p, 3), _sharp_norm_s1(ps, space, piecewise, vals, p)]
         thin = piecewise.pieces[1:]
-    for pc in thin:
-        hom += besov_norm(space, pc, vals, 1.0 - pc.theta / p, p).parts["seminorm"]
+    besov = [_besov(ps, space, pc, vals, 1.0 - pc.theta / p, p, None, "besov") for pc in thin]
+    ps.run()
+    hom = parts[0]().value
+    if len(parts) > 1:
+        hom = parts[1]() + hom
+    for bes in besov:
+        hom += bes().parts["seminorm"]
     return hom / denom
 
 

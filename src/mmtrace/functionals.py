@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import centred_means, csr_rows, pair_abs_diffs, row_deviations, subset_neighbors
+from ._neighbors import csr_rows, deviation_reader, diff_table, means_reader, row_sums, subset_neighbors, table_sums, value_order
 from .content import _zero_one_program
 from .errors import (
     InvalidFamily,
@@ -84,6 +84,78 @@ class NiceFamily:
     kind: str = "nice"   # nice | whitney
 
 
+class _Pass:
+    """The ball rows a batch of parts reads, in one pass over their radii,
+    finest first (``calderon_maximal``'s early exit reads the finer scales):
+    at each radius the rows of each subset are built once, around the union
+    of its readers' centres, and handed to every reader; then the radius's
+    hooks run, and nothing read there is kept."""
+
+    def __init__(self):
+        # radius -> {id(nbrs): [nbrs, stage, [(centres, rank, read)]]}; radius -> [hook]; memos
+        self.reads, self.hooks, self.memo, self.local = {}, {}, {}, {}
+
+    def read(self, nbrs, radius: float, centres, rank, read, stage: int = 0):
+        """Hand ``read(at, rows)`` the rows of nbrs around centres (point
+        ids, or a callable giving them when the pass reaches the radius),
+        listing rank (see ``SubsetNeighbors._per_ball``); at indexes
+        centres.  At a radius a subset of a lower stage is read first."""
+        entry = self.reads.setdefault(float(radius), {}).setdefault(id(nbrs), [nbrs, stage, []])
+        entry[1] = max(entry[1], stage)
+        entry[2].append((centres, rank, read))
+
+    def then(self, radius: float, hook):
+        """Run hook() once every subset has been read at radius."""
+        self.hooks.setdefault(float(radius), []).append(hook)
+
+    def once(self, key, make, local: bool = False):
+        """make(), made at the first call with this key; with local, kept
+        only while the pass reads the current radius."""
+        memo = self.local if local else self.memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
+    def order(self, nbrs, f) -> tuple:
+        """f's values on the subset of nbrs and their ``value_order``."""
+        return self.once(("order", id(nbrs), id(f)), lambda: (lambda g: (g, value_order(g)))(_values(f)[nbrs.ids]))
+
+    def run(self):
+        for r in sorted(self.reads.keys() | self.hooks.keys()):
+            for nbrs, _, readers in sorted(self.reads.pop(r, {}).values(), key=lambda entry: entry[1]):
+                sets = [np.asarray(c() if callable(c) else c, dtype=int) for c, _, _ in readers]
+                centres, owns = np.unique(np.concatenate(sets)), {}
+                for s in sets:
+                    if id(s) not in owns and s.size < centres.size:
+                        owns[id(s)] = np.full(centres.size, -1)
+                        owns[id(s)][np.searchsorted(centres, s)] = np.arange(s.size)
+                live = [(owns.get(id(s)), rank, read) for s, (_, rank, read) in zip(sets, readers) if s.size]
+                if live:
+                    nbrs._per_ball(centres, r, live)
+            for hook in self.hooks.pop(r, []):
+                hook()
+            self.local.clear()
+
+
+def _alone(register, *args):
+    """What a registration gives (a thunk called), on a pass of its own."""
+    ps = _Pass()
+    out = register(ps, *args)
+    ps.run()
+    return out() if callable(out) else out
+
+
+def _shared(register):
+    """A registration made once per pass and arguments (numbers by value,
+    the rest by identity), so functionals of a batch share it."""
+
+    def shared(ps, *args):
+        key = (register, *(a if isinstance(a, (int, float, str, type(None))) else id(a) for a in args))
+        return ps.once(key, lambda: register(ps, *args))
+
+    return shared
+
+
 # ----------------------------------------------------------------------
 # piece-level machinery
 # ----------------------------------------------------------------------
@@ -94,9 +166,18 @@ def averaging_single(space, piece: SubsetPiece, f, k: int) -> np.ndarray:
 
     Averages are computed relative to the center value, so constants pass
     through exactly."""
-    vals = _values(f)[piece.ids]
-    balls = subset_neighbors(space, piece.ids).self_lists(2.0 ** (-int(k)))
-    return vals + centred_means(balls, piece.weights, vals, lambda d: d)
+    return _alone(_averages, space, piece, f, 2.0 ** (-int(k)))
+
+
+def _averages(ps, space, piece: SubsetPiece, f, r: float) -> np.ndarray:
+    """``averaging_single`` at radius r, filled when ps reaches it."""
+    vals, avg = _values(f)[piece.ids], np.empty(piece.ids.size)
+
+    def put(at, means):
+        avg[at] = vals[at] + means
+
+    ps.read(subset_neighbors(space, piece.ids), r, piece.ids, *means_reader(piece.weights, vals, lambda d: d, put))
+    return avg
 
 
 def averaging_double(space, piece_i: SubsetPiece, piece_j: SubsetPiece, f, k: int, y: int, z: int) -> float:
@@ -139,47 +220,50 @@ def weight_w_alt(space, k: int, y, z) -> float:
 # ----------------------------------------------------------------------
 
 
-def _besov(space, piece: SubsetPiece, f, s: float, p: float, k_max, name: str, inner) -> FunctionalReport:
-    """L_p part plus sum_{k>=1} 2^(k s p) sum_x h_x I_k(x), where
-    ``inner(balls, h, vals)`` gives I_k from the piece's 2^-k balls."""
+@_shared
+def _besov(ps, space, piece: SubsetPiece, f, s: float, p: float, k_max, name: str):
+    """The report thunk of L_p part plus sum_{k>=1} 2^(k s p) sum_x h_x
+    I_k(x), I_k the deviation (besov) or the double average of
+    |f - f(x)|^p (besov_alt) on the piece's 2^-k balls."""
     if not (0 < s < 1):
         raise ParameterError(f"s must lie in (0, 1), got {s}")
-    if k_max is None:
-        k_max = default_k_max(space)
-    vals = _values(f)[piece.ids]
-    h = piece.weights
+    k_max = default_k_max(space) if k_max is None else k_max
+    h, nbrs = piece.weights, subset_neighbors(space, piece.ids)
+    vals, order = ps.order(nbrs, f)
     lp = float(np.sum(h * np.abs(vals) ** p) ** (1.0 / p))
-    nbrs = subset_neighbors(space, piece.ids)
-    semi_p = 0.0
-    last = 0.0
+    terms = [0.0] * k_max
     for k in range(1, k_max + 1):
-        term = float(np.sum(h * inner(nbrs.self_lists(2.0 ** (-k)), h, vals)))
-        last = 2.0 ** (k * s * p) * term
-        semi_p += last
-    semi = semi_p ** (1.0 / p)
-    return FunctionalReport(
-        name=name,
-        value=lp + semi,
-        parts={"lp": lp, "seminorm": semi},
-        params={"s": s, "p": p, "theta": piece.theta, "k_max": k_max},
-        truncation_tail=last ** (1.0 / p),
-    )
+        inner = np.empty(vals.size)
+        if name == "besov":
+            ps.read(nbrs, 2.0 ** (-k), piece.ids, *deviation_reader(h, vals, order, inner.__setitem__))
+        else:
+            ps.read(nbrs, 2.0 ** (-k), piece.ids, *means_reader(h, vals, lambda d: np.abs(d) ** p, inner.__setitem__))
+
+        def term(k=k, inner=inner):
+            terms[k - 1] = float(np.sum(h * (inner**p if name == "besov" else inner)))
+
+        ps.then(2.0 ** (-k), term)
+
+    def report():
+        semi_p = last = 0.0
+        for k, term in enumerate(terms, 1):
+            last = 2.0 ** (k * s * p) * term
+            semi_p += last
+        semi = semi_p ** (1.0 / p)
+        return FunctionalReport(name, lp + semi, {"lp": lp, "seminorm": semi},
+                                {"s": s, "p": p, "theta": piece.theta, "k_max": k_max}, last ** (1.0 / p))
+
+    return report
 
 
 def besov_norm(space, piece: SubsetPiece, f, s: float, p: float, k_max: Optional[int] = None) -> FunctionalReport:
     """Besov norm of smoothness s: L_p part plus the deviation scale sum."""
-    return _besov(
-        space, piece, f, s, p, k_max, "besov",
-        lambda balls, h, vals: row_deviations(balls, h, vals) ** p,
-    )
+    return _alone(_besov, space, piece, f, s, p, k_max, "besov")
 
 
 def besov_norm_alt(space, piece: SubsetPiece, f, s: float, p: float, k_max: Optional[int] = None) -> FunctionalReport:
     """Alternative Besov form with the double-average inner term."""
-    return _besov(
-        space, piece, f, s, p, k_max, "besov_alt",
-        lambda balls, h, vals: centred_means(balls, h, vals, lambda d: np.abs(d) ** p),
-    )
+    return _alone(_besov, space, piece, f, s, p, k_max, "besov_alt")
 
 
 # ----------------------------------------------------------------------
@@ -187,79 +271,135 @@ def besov_norm_alt(space, piece: SubsetPiece, f, s: float, p: float, k_max: Opti
 # ----------------------------------------------------------------------
 
 
-def gluing(
-    space,
-    piecewise: PiecewiseSet,
-    f,
-    p: float,
-    which: int,
-    k_max: Optional[int] = None,
-) -> FunctionalReport:
+def gluing(space, piecewise: PiecewiseSet, f, p: float, which: int, k_max: Optional[int] = None) -> FunctionalReport:
     """Cross-piece gluing functional; ``which`` selects the raw (1),
     averaged (2), or doubly averaged (3) mismatch term.  The cross-piece
     pairs within 2^-k are found once per scale and piece pair."""
+    return _alone(_gluing, space, piecewise, f, p, which, k_max)
+
+
+@_shared
+def _gluing(ps, space, piecewise: PiecewiseSet, f, p: float, which: int, k_max=None):
+    """``gluing``'s report thunk.  Per scale, the gluings of a pass share
+    the cross pairs and gl3 the pieces' masses; gl3's numerators are
+    ``diff_table`` rows over the first piece's balls summed over the
+    second piece's balls."""
     if which not in (1, 2, 3):
         raise InvalidParameter("which must be 1, 2, or 3")
-    if k_max is None:
-        k_max = default_k_max(space)
+    k_max = default_k_max(space) if k_max is None else k_max
     params = {"p": p, "which": which, "k_max": k_max}
     if piecewise.N == 1:
-        return FunctionalReport(
-            name=f"gl{which}", value=0.0,
-            parts={"total_p": 0.0}, params={**params, "note": "single piece, no cross pairs"},
-        )
+        return lambda: FunctionalReport(f"gl{which}", 0.0, {"total_p": 0.0},
+                                        {**params, "note": "single piece, no cross pairs"})
     if not (1 < p < math.inf):
         raise ParameterError("p must lie in (1, inf)")
-    vals = _values(f)
-    pieces = piecewise.pieces
+    vals, pieces = _values(f), piecewise.pieces
     nbrs = [subset_neighbors(space, pc.ids) for pc in pieces]
-    total_p = 0.0
-    last_k_term = 0.0
+    pairs = [(i, j) for i in range(piecewise.N) for j in range(i + 1, piecewise.N)]
     piece_vals = [vals[pc.ids] for pc in pieces]
-
+    # shift by a reference value: |g - g'| is shift-invariant and
+    # constants then cancel exactly in the prefix sums
+    shifted = [pv - float(vals[pieces[0].ids[0]]) for pv in piece_vals]
+    k_terms, ends, masses, nums = [0.0] * k_max, piece_vals, None, None
     for k in range(1, k_max + 1):
         r = 2.0 ** (-k)
-        mu_r = [space.masses_at_radius(r, pc.ids) for pc in pieces]
+        cross = {(i, j): _cross(ps, space, pieces, nbrs, i, j, r) for i, j in pairs}
         if which == 2:
-            avg = [averaging_single(space, pc, vals, k) for pc in pieces]
+            ends = [_averages(ps, space, pc, vals, r) for pc in pieces]
         if which == 3:
-            # shift by a reference value: |g - g'| is shift-invariant and
-            # constants then cancel exactly in the prefix sums
-            ref = float(vals[pieces[0].ids[0]])
-            shifted = [pv - ref for pv in piece_vals]
-            balls = [nb.self_lists(r) for nb in nbrs]
-            masses = [nb.self_sums(r, pc.weights) for nb, pc in zip(nbrs, pieces)]
-        k_term = 0.0
-        for i in range(piecewise.N):
-            for j in range(i + 1, piecewise.N):
-                ia, ib = nbrs[i].cross_pairs(nbrs[j], r)
+            masses = [_masses(ps, nb, pc, r) for nb, pc in zip(nbrs, pieces)]
+            nums = {(i, j): _numerators(ps, nbrs, pieces, shifted, i, j, r, cross[i, j]) for i, j in pairs}
+
+        def k_term(k=k, cross=cross, ends=ends, masses=masses, nums=nums):
+            total = 0.0
+            for i, j in pairs:
+                ia, ib, hw = cross[i, j]()
                 if ia.size == 0:
                     continue
-                w_pair = 1.0 / np.sqrt(mu_r[i][ia] * mu_r[j][ib])
-                hh = pieces[i].weights[ia] * pieces[j].weights[ib]
-                if which == 1:
-                    term = np.abs(piece_vals[i][ia] - piece_vals[j][ib]) ** p
-                elif which == 2:
-                    term = np.abs(avg[i][ia] - avg[j][ib]) ** p
+                if which < 3:
+                    term = np.abs(ends[i][ia] - ends[j][ib]) ** p
                 else:
-                    num = pair_abs_diffs(
-                        balls[i], pieces[i].weights, shifted[i],
-                        balls[j], pieces[j].weights, shifted[j], ia, ib,
-                    )
-                    term = (num / (masses[i][ia] * masses[j][ib])) ** p
+                    term = (nums[i, j]() / (masses[i][ia] * masses[j][ib])) ** p
                 scale = 2.0 ** (k * (p - pieces[i].theta - pieces[j].theta))
                 # the ordered (i, j) + (j, i) sum is twice the i < j sum
-                k_term += 2.0 * scale * float(np.sum(hh * w_pair * term))
-        total_p += k_term
-        last_k_term = k_term
-    value = total_p ** (1.0 / p)
-    return FunctionalReport(
-        name=f"gl{which}",
-        value=value,
-        parts={"total_p": total_p},
-        params=params,
-        truncation_tail=last_k_term ** (1.0 / p),
-    )
+                total += 2.0 * scale * float(np.sum(hw * term))
+            k_terms[k - 1] = total
+
+        ps.then(r, k_term)
+
+    def report():
+        total_p = 0.0
+        for k_term in k_terms:
+            total_p += k_term
+        return FunctionalReport(f"gl{which}", total_p ** (1.0 / p), {"total_p": total_p}, params,
+                                k_terms[-1] ** (1.0 / p))
+
+    return report
+
+
+def _cross(ps, space, pieces, nbrs, i: int, j: int, r: float):
+    """A thunk of pieces i and j's cross pairs (ia, ib) within r and their
+    weights h_i h_j / sqrt(mu(B_r(y)) mu(B_r(z))), made once per radius."""
+
+    def make():
+        ia, ib = nbrs[i].cross_pairs(nbrs[j], r)
+        mu_i, mu_j = (space.masses_at_radius(r, pieces[a].ids) for a in (i, j))
+        return ia, ib, pieces[i].weights[ia] * pieces[j].weights[ib] * (1.0 / np.sqrt(mu_i[ia] * mu_j[ib]))
+
+    return lambda: ps.once(("cross", r, id(nbrs[i]), id(nbrs[j])), make, local=True)
+
+
+@_shared
+def _masses(ps, nb, pc, r: float) -> np.ndarray:
+    """The piece's weight in each of its points' r-balls, filled when ps reaches r."""
+    mass = np.empty(pc.ids.size)
+    ps.read(nb, r, pc.ids, None, lambda at, rows: mass.__setitem__(at, row_sums(rows, pc.weights)))
+    return mass
+
+
+def _numerators(ps, nbrs, pieces, shifted, i, j, r: float, cross):
+    """A thunk, per cross pair t of pieces i < j, of the sum over x in
+    B_r(ia[t]) of piece i and y in B_r(ib[t]) of piece j of w_x w_y
+    |g_x - g_y|.  Piece i's balls at the ia give ``diff_table`` rows over
+    the distinct values u of piece j; piece j's balls, read later, sum them."""
+    wa, wb, ga, gb = pieces[i].weights, pieces[j].weights, shifted[i], shifted[j]
+    state = {}
+
+    def pairs():
+        # the radius's pairs by piece i's point, and grouped by piece j's;
+        # the readers' centres too, one array each for every function
+        ia, ib, _ = cross()
+        ua, ub, by_b = np.unique(ia), np.unique(ib), np.argsort(ib, kind="stable")
+        return (ua, np.searchsorted(ua, ia), ub, by_b, np.searchsorted(ib[by_b], np.arange(wb.size + 1)),
+                pieces[i].ids[ua], pieces[j].ids[ub])
+
+    shared = lambda: ps.once(("pairs", r, id(nbrs[i]), id(nbrs[j])), pairs, local=True)   # noqa: E731
+
+    def heads():
+        ua = shared()[0]
+        state["u"], state["q"] = np.unique(gb, return_inverse=True)
+        state["t"] = np.searchsorted(state["u"], ga)
+        state["table"], state["num"] = np.empty((ua.size, state["u"].size)), np.empty(cross()[0].size)
+        return shared()[5]
+
+    def tabulate(at, rows):
+        state["table"][at] = diff_table(rows, wa, ga, state["u"], state["t"])
+
+    def add(at, rows):
+        (_, row, ub, by_b, first, *_), ib = shared(), cross()[1]
+        lo, hi = first[ub[at]], first[ub[at] + 1]
+        ends = np.cumsum(hi - lo)
+        # the block's pairs in (ia, ib) order, so that runs of pairs read one table row
+        t = np.sort(by_b[np.repeat(lo - ends + (hi - lo), hi - lo) + np.arange(ends[-1] if ends.size else 0)])
+        own = np.zeros(wb.size, dtype=np.int64)
+        own[ub[at]] = np.arange(at.size) if rows[0].size - 1 == at.size else 0
+        state["num"][t] = table_sums(rows, own[ib[t]], wb, state["q"], state["table"].ravel(), row[t] * state["u"].size)
+
+    ps.read(nbrs[i], r, heads, None, tabulate, stage=i)
+    ps.read(nbrs[j], r, lambda: shared()[6], None, add, stage=j)
+    # the tables go before the radius's terms are summed
+    ps.then(r, lambda: state.pop("table"))
+    return lambda: state["num"]
 
 
 # ----------------------------------------------------------------------
@@ -272,14 +412,19 @@ def _tilde_es(seq: MeasureSequence, f_on_s: np.ndarray, k: int, centres, radius:
     doubled ball, or zero where the radius-ball misses S.  A point of S lies
     in its own ball, so only the other centres are probed."""
     centres = np.asarray(centres, dtype=int)
-    meets = np.isin(centres, seq.support_ids)
-    probe = np.flatnonzero(~meets)
-    meets[probe] = seq.neighbors.counts_of(centres[probe], radius) > 0
-    live = np.flatnonzero(meets)
+    live = np.flatnonzero(_meets_s(seq, centres, radius))
     out = np.zeros(centres.size)
     if live.size:
         out[live] = seq.neighbors.deviations_of(centres[live], 2.0 * radius, seq.weights_per_k[k], f_on_s)
     return out
+
+
+def _meets_s(seq: MeasureSequence, centres: np.ndarray, radius: float) -> np.ndarray:
+    """Per point id in centres: whether its radius-ball meets S."""
+    meets = np.isin(centres, seq.support_ids)
+    probe = np.flatnonzero(~meets)
+    meets[probe] = seq.neighbors.counts_of(centres[probe], radius) > 0
+    return meets
 
 
 def tilde_e(seq: MeasureSequence, f, k: int, center, radius: float) -> float:
@@ -297,31 +442,42 @@ def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarra
     run from fine to coarse; a deviation is at most half the oscillation of
     f over S, so where the running maximum reaches 2^j times that (inflated
     against round-off) scale 2^-j and coarser ones cannot raise it."""
-    ids = seq.support_ids if eval_ids is None else space.check_ids(eval_ids)
-    f_on_s = _values(f)[seq.support_ids]
+    ids, back = np.unique(seq.support_ids if eval_ids is None else space.check_ids(eval_ids), return_inverse=True)
+    return _alone(_calderon, seq, f, ids)[back]
+
+
+@_shared
+def _calderon(ps, seq: MeasureSequence, f, ids: np.ndarray) -> np.ndarray:
+    """``calderon_maximal`` at sorted unique ids, filled as ps passes its
+    radii: each scale reads the centres still below its bound then."""
+    f_on_s, order = ps.order(seq.neighbors, f)
     bound = np.ptp(f_on_s) / 2.0 * (1.0 + 1e-9) if np.all(np.isfinite(f_on_s)) else math.inf
     out = np.zeros(ids.size)
     for j in range(seq.k_max, -1, -1):
-        live = np.flatnonzero(out < 2.0**j * bound)
-        if not live.size:
-            break
-        e = 2.0**j * _tilde_es(seq, f_on_s, j, ids[live], 2.0 ** (-j))
-        out[live] = np.maximum(out[live], e)
+        live = []
+
+        def centres(j=j, live=live):
+            at = np.flatnonzero(out < 2.0**j * bound)
+            live.append(at[_meets_s(seq, ids[at], 2.0 ** (-j))])
+            return ids[live[0]]
+
+        def put(at, dev, j=j, live=live):
+            out[live[0][at]] = np.maximum(out[live[0][at]], 2.0**j * dev)
+
+        ps.read(seq.neighbors, 2.0 ** (1 - j), centres, *deviation_reader(seq.weights_per_k[j], f_on_s, order, put))
     return out
 
 
-def bn_functional(
-    space,
-    seq: MeasureSequence,
-    piecewise: PiecewiseSet,
-    f,
-    p: float,
-    sigma: float,
-    c: Optional[float] = None,
-    k_max: Optional[int] = None,
-) -> FunctionalReport:
+def bn_functional(space, seq: MeasureSequence, piecewise: PiecewiseSet, f, p: float, sigma: float,
+                  c: Optional[float] = None, k_max: Optional[int] = None) -> FunctionalReport:
     """Besov-type trace functional: L_p part, sharp-maximal part, and the
     porous-set deviation scale sum."""
+    return _alone(_bn, space, seq, piecewise, f, p, sigma, c, k_max)
+
+
+@_shared
+def _bn(ps, space, seq: MeasureSequence, piecewise: PiecewiseSet, f, p, sigma, c=None, k_max=None):
+    """``bn_functional``'s report thunk."""
     if not (0 < sigma <= 1):
         raise InvalidParameter(f"sigma must lie in (0, 1], got {sigma}")
     if c is not None and sigma >= EPSILON**2 / (4.0 * c):
@@ -329,42 +485,35 @@ def bn_functional(
             f"sigma={sigma} outside the admissible range (0, {EPSILON ** 2 / (4 * c):.4g}) for c={c}",
             stacklevel=2,
         )
-    if k_max is None:
-        k_max = seq.k_max
-    vals = _values(f)
+    k_max = seq.k_max if k_max is None else k_max
     S = seq.support_ids
-    f_on_s = vals[S]
-    m0 = seq.weights_per_k[0]
-    lp = float(np.sum(m0 * np.abs(f_on_s) ** p) ** (1.0 / p))
-
-    # the scale sum caches the sweeps that calderon_maximal then reads
-    r_grid = [2.0 ** (-k) for k in range(1, k_max + 1)]
-    report = porosity_scan(space, S, sigma, r_grid)
-    scale_p = 0.0
-    last = 0.0
+    f_on_s, order = ps.order(seq.neighbors, f)
+    lp = float(np.sum(seq.weights_per_k[0] * np.abs(f_on_s) ** p) ** (1.0 / p))
+    report = porosity_scan(space, S, sigma, [2.0 ** (-k) for k in range(1, k_max + 1)])
+    terms = [0.0] * k_max
     for k in range(1, k_max + 1):
-        mask = report.porous_points_per_scale[k - 1]
-        mk = seq.weights_per_k[k]
-        e = row_deviations(seq.neighbors.self_lists(2.0 ** (-k)), mk, f_on_s)
-        last = 2.0 ** (k * (p - seq.theta)) * float(np.sum(mk[mask] * e[mask] ** p))
-        scale_p += last
-    scale_sum = scale_p ** (1.0 / p)
-    sharp_vals = calderon_maximal(space, seq, f)
-    sharp = float(np.sum(space.weights[S] * sharp_vals**p) ** (1.0 / p))
-    theta1 = piecewise.pieces[0].theta
-    return FunctionalReport(
-        name="bn",
-        value=lp + sharp + scale_sum,
-        parts={"lp": lp, "sharp": sharp, "scale_sum": scale_sum},
-        params={
-            "p": p,
-            "sigma": sigma,
-            "theta": seq.theta,
-            "k_max": k_max,
-            "continuum_mu_s_zero": bool(theta1 > 0),
-        },
-        truncation_tail=last ** (1.0 / p),
-    )
+        mask, mk = report.porous_points_per_scale[k - 1], seq.weights_per_k[k]
+        e = np.empty(np.count_nonzero(mask))
+        ps.read(seq.neighbors, 2.0 ** (-k), S[mask], *deviation_reader(mk, f_on_s, order, e.__setitem__))
+
+        def term(k=k, e=e, mask=mask, mk=mk):
+            terms[k - 1] = 2.0 ** (k * (p - seq.theta)) * float(np.sum(mk[mask] * e**p))
+
+        ps.then(2.0 ** (-k), term)
+    sharp_vals = _calderon(ps, seq, f, S)
+
+    def bn():
+        scale_p = 0.0
+        for last in terms:
+            scale_p += last
+        scale_sum = scale_p ** (1.0 / p)
+        sharp = float(np.sum(space.weights[S] * sharp_vals**p) ** (1.0 / p))
+        params = {"p": p, "sigma": sigma, "theta": seq.theta, "k_max": k_max,
+                  "continuum_mu_s_zero": bool(piecewise.pieces[0].theta > 0)}
+        return FunctionalReport("bn", lp + sharp + scale_sum, {"lp": lp, "sharp": sharp, "scale_sum": scale_sum},
+                                params, terms[-1] ** (1.0 / p))
+
+    return bn
 
 
 # ----------------------------------------------------------------------
@@ -605,23 +754,36 @@ def bsn_functional(
 def sharp_mu_s1(space, piecewise: PiecewiseSet, f, r_top: float = 2.0) -> np.ndarray:
     """Plain maximal deviation against mu on the codimension-zero piece,
     over dyadic radii in (0, r_top], one value per point of S."""
+    return _alone(_sharp_mu_s1, space, piecewise, f, r_top)
+
+
+@_shared
+def _sharp_mu_s1(ps, space, piecewise: PiecewiseSet, f, r_top: float = 2.0) -> np.ndarray:
+    """``sharp_mu_s1``, filled when ps has passed its radii."""
     if abs(piecewise.pieces[0].theta) > 1e-12:
         raise ParameterError("sharp maximal function needs theta_1 = 0")
     nbrs1 = subset_neighbors(space, piecewise.pieces[0].ids)
-    mu1 = space.weights[nbrs1.ids]
-    vals = _values(f)[nbrs1.ids]
+    vals, order = ps.order(nbrs1, f)
     out = np.zeros(piecewise.union_ids.size)
+
+    def put(at, dev):
+        out[at] = np.maximum(out[at], dev)
+
     for rr in dyadic_radii(r_top, space.scale_floor):
-        np.maximum(out, nbrs1.deviations_of(piecewise.union_ids, rr, mu1, vals), out=out)
+        ps.read(nbrs1, rr, piecewise.union_ids, *deviation_reader(space.weights[nbrs1.ids], vals, order, put))
     return out
 
 
 def sharp_norm_s1(space, piecewise: PiecewiseSet, f, p: float) -> float:
     """L_p(mu) norm of ``sharp_mu_s1`` over the codimension-zero piece."""
-    s1 = piecewise.pieces[0]
+    return _alone(_sharp_norm_s1, space, piecewise, f, p)
+
+
+def _sharp_norm_s1(ps, space, piecewise: PiecewiseSet, f, p: float):
+    """``sharp_norm_s1``'s thunk."""
+    s1, sharp = piecewise.pieces[0], _sharp_mu_s1(ps, space, piecewise, f, 2.0)
     on_s1 = np.isin(piecewise.union_ids, s1.ids, assume_unique=True)
-    sharp = sharp_mu_s1(space, piecewise, f)[on_s1]
-    return float(np.sum(space.weights[s1.ids] * sharp**p) ** (1.0 / p))
+    return lambda: float(np.sum(space.weights[s1.ids] * sharp[on_s1] ** p) ** (1.0 / p))
 
 
 def combinatorial_expand(space, piecewise: PiecewiseSet, ball: Ball, c: float):
@@ -661,51 +823,43 @@ def combinatorial_expand(space, piecewise: PiecewiseSet, ball: Ball, c: float):
 # ----------------------------------------------------------------------
 
 
-def trace_norm_simple(
-    space,
-    piecewise: PiecewiseSet,
-    f,
-    p: float,
-    l: int = 1,
-    k_max: Optional[int] = None,
-) -> FunctionalReport:
+def trace_norm_simple(space, piecewise: PiecewiseSet, f, p: float, l: int = 1,
+                      k_max: Optional[int] = None) -> FunctionalReport:
     """Per-piece Besov norms at the trace smoothness plus a gluing term;
     only valid when every codimension is positive."""
+    return _alone(_trace_norm_simple, space, piecewise, f, p, l, k_max)
+
+
+def _trace_norm_simple(ps, space, piecewise: PiecewiseSet, f, p: float, l: int = 1, k_max=None):
+    """``trace_norm_simple``'s report thunk."""
     if piecewise.pieces[0].theta <= 0:
         raise ParameterError("simple-case norm needs theta_1 > 0 (use trace_norm_difficult)")
     if piecewise.theta_S >= p:
         raise ParameterError(f"theta(S) = {piecewise.theta_S} must be < p = {p}")
-    parts = {}
-    tail = 0.0
-    value = 0.0
-    for i, pc in enumerate(piecewise.pieces):
-        rep = besov_norm(space, pc, f, 1.0 - pc.theta / p, p, k_max=k_max)
-        parts[f"besov_{i + 1}"] = rep.value
-        value += rep.value
-        tail = max(tail, rep.truncation_tail)
-    gl = gluing(space, piecewise, f, p, which=l, k_max=k_max)
-    parts[f"gl{l}"] = gl.value
-    value += gl.value
-    tail = max(tail, gl.truncation_tail)
-    return FunctionalReport(
-        name="trace_simple",
-        value=value,
-        parts=parts,
-        params={"p": p, "l": l, "theta": piecewise.theta_S},
-        truncation_tail=tail,
-    )
+    parts = [_besov(ps, space, pc, f, 1.0 - pc.theta / p, p, k_max, "besov") for pc in piecewise.pieces]
+    parts.append(_gluing(ps, space, piecewise, f, p, l, k_max))
+
+    def report():
+        reps, names = [part() for part in parts], [f"besov_{i + 1}" for i in range(piecewise.N)] + [f"gl{l}"]
+        value = tail = 0.0
+        for rep in reps:
+            value += rep.value
+            tail = max(tail, rep.truncation_tail)
+        return FunctionalReport("trace_simple", value, {n: rep.value for n, rep in zip(names, reps)},
+                                {"p": p, "l": l, "theta": piecewise.theta_S}, tail)
+
+    return report
 
 
-def trace_norm_difficult(
-    space,
-    piecewise: PiecewiseSet,
-    f,
-    p: float,
-    k_max: Optional[int] = None,
-) -> FunctionalReport:
+def trace_norm_difficult(space, piecewise: PiecewiseSet, f, p: float, k_max: Optional[int] = None) -> FunctionalReport:
     """Mixed-nature trace norm for two pieces with theta_1 = 0: L_p and
     sharp-maximal parts on the fat piece, a Besov norm on the thin piece,
     and the doubly averaged gluing term."""
+    return _alone(_trace_norm_difficult, space, piecewise, f, p, k_max)
+
+
+def _trace_norm_difficult(ps, space, piecewise: PiecewiseSet, f, p: float, k_max=None):
+    """``trace_norm_difficult``'s report thunk."""
     if piecewise.N != 2:
         raise ParameterError("difficult-case norm needs exactly two pieces")
     th1, th2 = piecewise.pieces[0].theta, piecewise.pieces[1].theta
@@ -714,23 +868,15 @@ def trace_norm_difficult(
     if th2 >= p:
         raise ParameterError(f"theta_2 = {th2} must be < p = {p}")
     s1 = piecewise.pieces[0]
-    mu1 = space.weights[s1.ids]
-    vals = _values(f)
-    lp_s1 = float(np.sum(mu1 * np.abs(vals[s1.ids]) ** p) ** (1.0 / p))
-    # gl3 caches the fat piece's sweeps that sharp_mu_s1 then reads
-    gl = gluing(space, piecewise, f, p, which=3, k_max=k_max)
-    sharp_s1 = sharp_norm_s1(space, piecewise, f, p)
-    bes = besov_norm(space, piecewise.pieces[1], f, 1.0 - th2 / p, p, k_max=k_max)
-    parts = {
-        "lp_s1": lp_s1,
-        "sharp_s1": sharp_s1,
-        "besov_s2": bes.value,
-        "gl3": gl.value,
-    }
-    return FunctionalReport(
-        name="trace_difficult",
-        value=lp_s1 + sharp_s1 + bes.value + gl.value,
-        parts=parts,
-        params={"p": p, "theta": piecewise.theta_S},
-        truncation_tail=max(bes.truncation_tail, gl.truncation_tail),
-    )
+    lp_s1 = float(np.sum(space.weights[s1.ids] * np.abs(_values(f)[s1.ids]) ** p) ** (1.0 / p))
+    gl = _gluing(ps, space, piecewise, f, p, 3, k_max)
+    sharp = _sharp_norm_s1(ps, space, piecewise, f, p)
+    bes = _besov(ps, space, piecewise.pieces[1], f, 1.0 - th2 / p, p, k_max, "besov")
+
+    def report():
+        parts = {"lp_s1": lp_s1, "sharp_s1": sharp(), "besov_s2": bes().value, "gl3": gl().value}
+        return FunctionalReport("trace_difficult", lp_s1 + parts["sharp_s1"] + parts["besov_s2"] + parts["gl3"],
+                                parts, {"p": p, "theta": piecewise.theta_S},
+                                max(bes().truncation_tail, gl().truncation_tail))
+
+    return report

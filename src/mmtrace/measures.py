@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import SubsetNeighbors, csr_rows, row_deviations, row_sums, subset_neighbors
+from ._neighbors import SubsetNeighbors, csr_rows, subset_neighbors
 from .errors import ParameterError, ResolutionError
 from .regularity import PiecewiseSet
 from .space import _EPS, FiniteMetricMeasureSpace
@@ -208,10 +208,10 @@ def verify_regular_sequence(
     m5 = {}
     if test_sets:
         mk = seq.weights_per_k[k_max]
-        balls = nbrs.self_lists(radii[k_max])
-        for name, ids in test_sets.items():
-            in_e = np.isin(S, np.asarray(ids, dtype=int))
-            part = row_sums(balls, np.where(in_e, mk, 0.0))[in_e]
+        masks = {name: np.isin(S, np.asarray(ids, dtype=int)) for name, ids in test_sets.items()}
+        held = nbrs.ball_sums(S, radii[k_max], np.array([np.where(in_e, mk, 0.0) for in_e in masks.values()]))
+        for (name, in_e), part in zip(masks.items(), held):
+            part = part[in_e]
             total = mk_ball[k_max, k_max][in_e]
             shares = np.divide(part, total, out=np.zeros(part.size), where=total > 0)
             m5[name] = float(np.min(shares)) if shares.size else math.inf
@@ -311,6 +311,6 @@ def lp_tail_check(seq: MeasureSequence, f: np.ndarray, L: int, p: float) -> floa
     total = 0.0
     for k in range(L + 1):
         mk = seq.weights_per_k[k]
-        e = row_deviations(seq.neighbors.self_lists(EPSILON**k), mk, f_s)
+        e = seq.neighbors.deviations_of(seq.support_ids, EPSILON**k, mk, f_s)
         total += float(np.sum(mk * e**p))
     return total / denom

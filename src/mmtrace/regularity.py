@@ -138,8 +138,8 @@ def check_lcr(
     """Lower content regularity constant: min over (x, r) of
     content(B_r(x) cap S; delta=r) * r^theta / mu(B_r(x)), each content the
     greedy cover ``hausdorff_content`` finds.  The local candidate pools
-    share the subset's sweeps and ball masses per pool radius: a local
-    cover is the centre's row of ``self_lists`` restricted to B_r(x)."""
+    share the subset's sweeps (built once per call) and ball masses per pool
+    radius: a local cover is the centre's row of a sweep restricted to B_r(x)."""
     r_grid = list(r_grid)
     if not r_grid:
         raise InvalidGrid("r_grid must be nonempty")
@@ -148,6 +148,7 @@ def check_lcr(
     subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
     nbrs = subset_neighbors(space, subset_ids)
     weights = {}   # per pool radius, the cover weight of each subset point's ball
+    sweeps = {}    # per radius, the subset's sweep
     lam = np.inf
     for r in r_grid:
         if r <= space.scale_floor:
@@ -156,10 +157,12 @@ def check_lcr(
         for rp in radii:
             if rp not in weights:
                 weights[rp] = space.ball_masses(subset_ids, rp) / rp**theta
-        indptr, indices = nbrs.self_lists(r)
+        for rad in {r, *radii} - sweeps.keys():
+            sweeps[rad] = nbrs._sweep(subset_ids, rad)
+        indptr, indices = sweeps[r]
         for a, mass in enumerate(space.masses_at_radius(r, subset_ids)):
             local = indices[indptr[a] : indptr[a + 1]]
-            covers = _by_centre([_restricted(nbrs.self_lists(rp), local) for rp in radii])
+            covers = _by_centre([_restricted(sweeps[rp], local) for rp in radii])
             _, value = _greedy_cover(local.size, covers, _by_centre([weights[rp][local].tolist() for rp in radii]))
             lam = min(lam, value * r**theta / mass)
     return float(lam)

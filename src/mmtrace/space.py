@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._lattice import _LATTICE_ROWS, _ball_counts, _box_rows, _budget, _indices, _lattice_of
+from ._lattice import _LATTICE_ROWS, _ball_counts, _box_table, _budget, _indices, _lattice_of, _run_rows
 from .errors import (
     EmptySet,
     InsufficientData,
@@ -374,7 +374,19 @@ def separated_net(
         )
     chosen = _greedy_net(space, ids, sep)
     covering = None
-    if maximal:
+    q = space._grid_budget(math.nextafter(sep * (1 - _EPS), 0))
+    if maximal and q is not None:
+        # the scan left no id without a chosen point in its stencil of budget q
+        m, net, grid = space._lattice[0], np.zeros(space.n, dtype=bool), space._cloud()._boxes[0]
+        net[chosen] = True
+        covering = 0.0
+        step = max(1, _LATTICE_ROWS // (2 * math.isqrt(q) + 1) ** space.dim)
+        for at in (ids[lo : lo + step] for lo in range(0, ids.size, step)):
+            indptr, near = _run_rows(*_box_table(_indices(at, m, space.dim), q, grid))
+            row = np.repeat(np.arange(at.size), np.diff(indptr))[net[near]]
+            d = np.sqrt(((space.coords[at[row]] - space.coords[near[net[near]]]) ** 2).sum(axis=1))
+            covering = max(covering, float(np.minimum.reduceat(d, np.searchsorted(row, np.arange(at.size))).max()))
+    elif maximal:
         if space.coords is None:
             step = max(1, (1 << 20) // len(chosen))
             covering = max(float(space.dist_matrix[np.ix_(ids[lo : lo + step], chosen)].min(axis=1).max())
@@ -408,7 +420,7 @@ def _greedy_net(space, ids: np.ndarray, sep: float) -> list:
             continue
         chosen.append(int(i))
         if q is not None:
-            near = _box_rows(_indices(ids[a : a + 1], space._lattice[0], space.dim), q, grid)[1]
+            near = _run_rows(*_box_table(_indices(ids[a : a + 1], space._lattice[0], space.dim), q, grid))[1]
             at = np.minimum(np.searchsorted(ids, near), ids.size - 1)
             blocked[at[ids[at] == near]] = True
         elif tree is None:

@@ -288,25 +288,35 @@ def _extended_numerators(csr_a, wa, ga, csr_b, wb, gb, ia, ib):
 class TestGl3Numerators:
     @pytest.mark.parametrize("spec", [mt.simple_case_spec, mt.difficult_case_spec])
     def test_numerators_match_extended_precision(self, spec):
-        """Every numerator gluing asks for, on smooth and random functions
-        and on a near-constant one with a 1e6 offset."""
+        """Every numerator gluing computes, on smooth and random functions
+        and on a near-constant one with a 1e6 offset, against the double
+        loop over the pieces' balls (test-local sweeps from ``rows_of``)."""
         space, pw = mt.generate(spec(1 / 16), verify=False)
         near_constant = 1e6 + 1e-6 * np.random.default_rng(3).uniform(-1, 1, space.n)
         calls = []
-        kernel = functionals.pair_abs_diffs
+        kernel = functionals._numerators
 
-        def spy(*args):
-            calls.append((args, kernel(*args)))
-            return calls[-1][1]
+        def spy(ps, nbrs, pieces, shifted, i, j, r, cross):
+            calls.append((nbrs, pieces, shifted, i, j, r, cross, kernel(ps, nbrs, pieces, shifted, i, j, r, cross)))
+            return calls[-1][-1]
 
-        with mock.patch.object(functionals, "pair_abs_diffs", spy):
+        with mock.patch.object(functionals, "_numerators", spy):
             for fam in ("hoelder:0.6", "random"):
                 mt.gluing(space, pw, mt.make_sample_function(space, pw, fam), 2.5, which=3)
             mt.gluing(space, pw, near_constant, 2.5, which=3)
         assert len(calls) == 3 * mt.default_k_max(space)
-        for args, got in calls:
-            want = _extended_numerators(*args)
-            assert np.all(np.abs(got - want) <= 1e-13 * want)
+        for nbrs, pieces, shifted, i, j, r, cross, num in calls:
+            csr_a, csr_b = (_joined_rows(nbrs[a], r) for a in (i, j))
+            want = _extended_numerators(csr_a, pieces[i].weights, shifted[i], csr_b, pieces[j].weights, shifted[j],
+                                        *cross()[:2])
+            assert np.all(np.abs(num() - want) <= 1e-13 * want)
+
+
+def _joined_rows(nbrs, r):
+    """The balls around a subset's own points as one CSR, from ``rows_of``."""
+    blocks = list(nbrs.rows_of(nbrs.ids, r))
+    lengths = np.concatenate([[0]] + [np.diff(ptr) for _, _, (ptr, _) in blocks])
+    return np.cumsum(lengths), np.concatenate([np.zeros(0, np.int32)] + [cols for _, _, (_, cols) in blocks])
 
 
 class TestMetricBackendAgreement:
@@ -797,8 +807,9 @@ class TestTraceNorms:
 
     @pytest.mark.parametrize("case", ["trace_difficult", "bn"])
     def test_fresh_and_warm_spaces_agree(self, case):
-        """Sweeps cached in advance change no bit of a report, and a call
-        on a fresh space caches only the radii its scale sums read."""
+        """Balls asked for in advance change no bit of a report, a second
+        call equals the first, and no layer keeps a sweep: every
+        ``SubsetNeighbors`` attribute is no larger than its subset."""
 
         def instance():
             spec = mt.difficult_case_spec if case == "trace_difficult" else mt.simple_case_spec
@@ -811,11 +822,82 @@ class TestTraceNorms:
 
         space, _, run = instance()
         fresh = run()
-        read = {2.0**-k for k in range(1, mt.default_k_max(space) + 1)}
-        assert all(set(nbrs._lists_cache) == read for nbrs in space._neighbors.values())
         assert run() == fresh
+        for nbrs in [space._cloud(), *space._neighbors.values()]:
+            assert set(vars(nbrs)) == {"space", "ids", "_tree", "_boxes", "porosity_masks"}
+            assert all(m.size == nbrs.ids.size for masks in nbrs.porosity_masks.values() for m in masks)
         warm_space, pw, warm_run = instance()
         for ids in [pw.union_ids] + [pc.ids for pc in pw.pieces]:
+            nbrs = subset_neighbors(warm_space, ids)
             for r in dyadic_radii(2.0, warm_space.scale_floor):
-                subset_neighbors(warm_space, ids).self_lists(r)
+                nbrs.deviations_of(pw.union_ids, r, np.ones(nbrs.ids.size), np.arange(nbrs.ids.size, dtype=float))
+                list(nbrs.rows_of(ids, r))
         assert warm_run() == fresh
+
+class TestOnePass:
+    @pytest.mark.parametrize("case", ["simple", "difficult"])
+    def test_a_resolution_evaluated_together_equals_each_cell_alone(self, case):
+        """One ``evaluate_functional`` call with every function and
+        functional of a resolution gives, bit for bit, the report of each
+        (name, function) asked alone, and of the public function."""
+        from mmtrace import experiments
+
+        spec = mt.simple_case_spec(1 / 12) if case == "simple" else mt.difficult_case_spec(1 / 12)
+        names = (["trace_simple:1", "trace_simple:3", "bn", "gl2", "besov_alt:2"] if case == "simple"
+                 else ["trace_difficult", "sharp", "gl1", "besov:2"])
+        space, pw = mt.generate(spec, verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        cfg = experiments.ExperimentConfig(generator=spec, resolutions=[1 / 12], functionals=names, functions=[])
+        fs = [mt.make_sample_function(space, pw, fam, seed=1) for fam in ("linear", "hoelder:0.6", "step", "random")]
+        together = experiments.evaluate_functional(names, space, pw, seq, fs, cfg)
+        alone = [experiments.evaluate_functional(name, space, pw, seq, f, cfg) for f in fs for name in names]
+        assert [r.to_json() for r in together] == [r.to_json() for r in alone]
+        f = fs[-1]
+        public = (mt.trace_norm_simple(space, pw, f, 2.5, l=3) if case == "simple"
+                  else mt.trace_norm_difficult(space, pw, f, 2.5))
+        assert public.to_json() == together[-len(names) + (1 if case == "simple" else 0)].to_json()
+
+    def test_calderon_alone_equals_all_at_once(self):
+        """A point's value does not depend on which points share its call,
+        so not on which rows share its blocks: the weighted median's
+        tie-break comes from each row's own cumsum."""
+        space, pw = mt.generate(mt.simple_case_spec(1 / 24), verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        ids = seq.support_ids[:400]
+        for fam in ("hoelder:0.6", "random", "linear"):
+            f = mt.make_sample_function(space, pw, fam, seed=0)
+            together = mt.calderon_maximal(space, seq, f, seq.support_ids)[:400]
+            alone = np.concatenate([mt.calderon_maximal(space, seq, f, [x]) for x in ids])
+            np.testing.assert_array_equal(alone, together)
+
+    @pytest.mark.parametrize("case", ["simple", "difficult"])
+    def test_values_do_not_depend_on_the_block_size(self, case):
+        """Every kernel (deviations, sums, means, gl3 numerators) gives the
+        same bits in blocks of 2^10, 2^13 and 2^16 pairs."""
+        from mmtrace import _neighbors
+
+        spec = mt.simple_case_spec(1 / 16) if case == "simple" else mt.difficult_case_spec(1 / 24)
+        space, pw = mt.generate(spec, verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        f = mt.make_sample_function(space, pw, "random", seed=2)
+        nbrs = seq.neighbors
+        g = f.values[nbrs.ids]
+
+        def values():
+            reports = [mt.gluing(space, pw, f, 2.5, which) for which in (2, 3)]
+            reports.append(mt.besov_norm_alt(space, pw.pieces[-1], f, 0.5, 2.5))
+            if case == "simple":
+                reports.append(mt.bn_functional(space, seq, pw, f, 2.5, 0.01))
+            else:
+                reports.append(mt.trace_norm_difficult(space, pw, f, 2.5))
+            return ([r.to_json() for r in reports], nbrs.deviations_of(space.ids, 0.5, seq.weights_per_k[1], g),
+                    nbrs.ball_sums(space.ids, 0.25, seq.weights_per_k[:2]))
+
+        runs = []
+        for budget in (1 << 10, 1 << 13, 1 << 16):
+            with mock.patch.object(_neighbors, "PAIR_BLOCK", budget):
+                runs.append(values())
+        for run in runs[1:]:
+            assert run[0] == runs[0][0]
+            np.testing.assert_array_equal(run[1], runs[0][1])
+            np.testing.assert_array_equal(run[2], runs[0][2])

@@ -150,3 +150,65 @@ def test_covers_lcr_and_the_family_search_ask_each_ball_question_once():
         assert mt.measure_comparison_check(space, seq, pw, 2.0).per_scale
     assert members.call_count == 0
     assert any(call.args[0] is space._cloud() for call in rows_of.call_args_list)
+
+
+@pytest.mark.parametrize("case", ["simple", "difficult"])
+def test_each_resolution_builds_each_ball_row_set_once(case):
+    """Within one resolution's ``evaluate_functional`` call (all functions
+    and functionals of it), each (subset, radius) block of ball rows comes
+    from one pass of the row builder (``SubsetNeighbors._per_ball``) and each
+    pair of pieces' cross pairs from one ``cross_pairs`` per radius; no
+    other ``rows_of`` call is made.  Afterwards no layer holds pair arrays:
+    every ``SubsetNeighbors`` keeps its ids, boxes, tree and porosity masks
+    only."""
+    from collections import Counter
+    from unittest import mock
+
+    from mmtrace import _neighbors, experiments
+    from mmtrace import io as mio
+
+    pieces = {"simple": "square_face theta=1 axis=2 offset=0.5 ; segment theta=2 axis=2 anchor=0.5,0.5",
+              "difficult": "region theta=0 halfspace=0,0.5,le ; segment theta=1 axis=1 anchor=0.5"}[case]
+    functionals = {"simple": "trace_simple:1 trace_simple:3 bn", "difficult": "trace_difficult sharp gl1"}[case]
+    cfg = mio.parse_config(f"kind = grid{3 if case == 'simple' else 2}d\npieces = {pieces}\nresolutions = 1/8 1/12\n"
+                           f"functions = linear hoelder:0.6 random\nfunctionals = {functionals}\nseeds = 0\n")
+    layer, evaluate = _neighbors.SubsetNeighbors, experiments.evaluate_functional
+    calls, live = [], []
+    passes, cross, rows = Counter(), Counter(), Counter()
+
+    def per_ball(self, centres, radius, readers):
+        if live:
+            passes[live[-1], id(self), float(radius)] += 1
+        return layer._per_ball.__wrapped__(self, centres, radius, readers)
+
+    def cross_pairs(self, other, radius):
+        if live:
+            cross[live[-1], id(self), id(other), float(radius)] += 1
+        return layer.cross_pairs.__wrapped__(self, other, radius)
+
+    def rows_of(self, *args, **kwargs):
+        # the cloud's rows give ball masses (at radii a lattice cannot count)
+        rows[bool(live) and self is not self.space._cloud()] += 1
+        return layer.rows_of.__wrapped__(self, *args, **kwargs)
+
+    def evaluated(*args):
+        live.append(len(calls))
+        calls.append(args)
+        try:
+            return evaluate(*args)
+        finally:
+            live.pop()
+
+    per_ball.__wrapped__, cross_pairs.__wrapped__, rows_of.__wrapped__ = (
+        layer._per_ball, layer.cross_pairs, layer.rows_of)
+    with mock.patch.object(layer, "_per_ball", per_ball), mock.patch.object(layer, "cross_pairs", cross_pairs), \
+            mock.patch.object(layer, "rows_of", rows_of), mock.patch.object(experiments, "evaluate_functional", evaluated):
+        report = mt.run_equivalence(cfg)
+    assert len(calls) == 2 and len(report.cells) == 2 * 3 * 3
+    assert passes and max(passes.values()) == 1
+    assert cross and max(cross.values()) == 1
+    # the cross pairs' sweeps are the only subset rows asked outside a pass
+    assert rows[True] == sum(cross.values())
+    space = calls[-1][1]
+    for nbrs in [space._cloud(), *space._neighbors.values()]:
+        assert set(vars(nbrs)) == {"space", "ids", "_tree", "_boxes", "porosity_masks"}

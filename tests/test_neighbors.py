@@ -53,13 +53,45 @@ def _oracle_rows(coords, subset, radius, centres=None):
     return [[in_sub[i] for i in oball(coords, x, radius) if i in in_sub] for x in (subset if centres is None else centres)]
 
 
+def _sweep(nbrs, radius):
+    """A test-local CSR of the balls around the subset's own points, joined
+    from ``rows_of`` (the layer keeps no sweep)."""
+    return _joined(list(nbrs.rows_of(nbrs.ids, radius)))
+
+
+def _row_deviations(csr, w, g):
+    """Per row of csr: the deviation reader's value, the rows ranked and
+    handed over in blocks of at most PAIR_BLOCK pairs."""
+    out = np.zeros(csr[0].size - 1)
+    rank, read = nb.deviation_reader(w, g, nb.value_order(g), out.__setitem__)
+    for lo, hi, cols, starts, lengths in nb._rows(csr):
+        read(np.arange(lo, hi), (np.append(starts, cols.size), (nb._ranked(cols, lengths, rank) % g.size).astype(np.int32)))
+    return out
+
+
+def _centred_means(csr, w, g, fn):
+    """Per row a of a subset's own balls: the means reader's value."""
+    out = np.empty(csr[0].size - 1)
+    nb.means_reader(w, g, fn, out.__setitem__)[1](np.arange(out.size), csr)
+    return out
+
+
+def _pair_abs_diffs(csr_a, wa, ga, csr_b, wb, gb, ia, ib):
+    """gl3's numerators from the two kernels it streams through: table
+    rows over the rows ia of csr_a, summed over the rows ib of csr_b."""
+    u, q = np.unique(gb, return_inverse=True)
+    rows = np.unique(ia)
+    table = nb.diff_table(_gather(csr_a, rows), wa, ga, u, np.searchsorted(u, ga))
+    return nb.table_sums(csr_b, ib, wb, q, table.ravel(), np.searchsorted(rows, ia) * u.size)
+
+
 @PROPS
 @given(instances(), st.booleans())
 def test_self_lists_and_row_kernels(inst, matrix):
     coords, weights, values, subset, radius, budget = inst
     space = _space(coords, weights, matrix)
     nbrs = nb.subset_neighbors(space, subset)
-    indptr, indices = nbrs.self_lists(radius)
+    indptr, indices = _sweep(nbrs, radius)
     rows = _oracle_rows(coords, subset, radius)
     assert indices.dtype == np.int32 and indptr[-1] == indices.size
     assert [list(indices[indptr[a]:indptr[a + 1]]) for a in range(subset.size)] == rows
@@ -70,8 +102,8 @@ def test_self_lists_and_row_kernels(inst, matrix):
         assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == subset.size
         assert all(hi == lo + 1 or indptr[hi] - indptr[lo] <= budget for lo, hi in blocks)
         mass = nb.row_sums((indptr, indices), w)
-        dev = nb.row_deviations((indptr, indices), w, g)
-        avg = g + nb.centred_means((indptr, indices), w, g, lambda d: d)
+        dev = _row_deviations((indptr, indices), w, g)
+        avg = g + _centred_means((indptr, indices), w, g, lambda d: d)
     sub_w = np.zeros(space.n)
     sub_w[subset] = weights[subset]
     for a, row in enumerate(rows):
@@ -100,7 +132,7 @@ def test_cross_pairs_and_pair_abs_diffs(inst, data, matrix):
     rows_b = [[b_sub[i] for i in oball(coords, y, radius) if i in b_sub] for y in subset_b]
     wa, ga, wb, gb = weights[subset_a], values[subset_a], weights[subset_b], values[subset_b]
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
-        got = nb.pair_abs_diffs(na.self_lists(radius), wa, ga, nbb.self_lists(radius), wb, gb, ia, ib)
+        got = _pair_abs_diffs(_sweep(na, radius), wa, ga, _sweep(nbb, radius), wb, gb, ia, ib)
     for t, (a, b) in enumerate(want):
         ref = sum(wa[x] * wb[y] * abs(ga[x] - gb[y]) for x in rows_a[a] for y in rows_b[b])
         assert abs(got[t] - ref) <= TOL * max(1.0, ref)
@@ -120,7 +152,7 @@ def test_pair_abs_diffs_on_repeated_pairs(inst, data, matrix):
     rows = _oracle_rows(coords, subset, radius)
     w, g = weights[subset], values[subset]
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
-        got = nb.pair_abs_diffs(nbrs.self_lists(radius), w, g, nbrs.self_lists(radius), w, g, ia, ib)
+        got = _pair_abs_diffs(_sweep(nbrs, radius), w, g, _sweep(nbrs, radius), w, g, ia, ib)
     assert np.all(got >= 0)
     for t, (a, b) in enumerate(zip(ia, ib)):
         ref = sum(w[x] * w[y] * abs(g[x] - g[y]) for x in rows[a] for y in rows[b])
@@ -153,7 +185,7 @@ def test_rows_of_around_any_centres(inst, data, matrix):
     w, g = weights[subset], values[subset]
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
         blocks = list(nbrs.rows_of(centres, radius))
-        dev = np.concatenate([nb.row_deviations(csr, w, g) for _, _, csr in blocks])
+        dev = np.concatenate([_row_deviations(csr, w, g) for _, _, csr in blocks])
     assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]] and blocks[-1][1] == centres.size
     assert all(hi == lo + 1 or csr[0][-1] <= budget for lo, hi, csr in blocks)
     rows = [list(ind[ptr[a]:ptr[a + 1]]) for _, _, (ptr, ind) in blocks for a in range(ptr.size - 1)]
@@ -174,8 +206,8 @@ def test_rows_of_around_any_centres(inst, data, matrix):
 @PROPS
 @given(instances(), st.data(), st.booleans())
 def test_ball_sums_equal_row_sums(inst, data, matrix):
-    """Around the subset's own points the sums equal ``row_sums`` over the
-    cached sweep, around any points the oracle."""
+    """Around the subset's own points the sums equal ``row_sums`` over
+    their sweep, around any points the oracle."""
     coords, weights, values, subset, radius, budget = inst
     space = _space(coords, weights, matrix)
     nbrs = nb.subset_neighbors(space, subset)
@@ -185,7 +217,7 @@ def test_ball_sums_equal_row_sums(inst, data, matrix):
         own = nbrs.ball_sums(subset, radius, stack)
         got = nbrs.ball_sums(centres, radius, stack)
     for w, row in zip(stack, own):
-        np.testing.assert_allclose(row, nb.row_sums(nbrs.self_lists(radius), w), rtol=TOL, atol=TOL)
+        np.testing.assert_allclose(row, nb.row_sums(_sweep(nbrs, radius), w), rtol=TOL, atol=TOL)
     in_sub = {int(i): p for p, i in enumerate(subset)}
     for a, x in enumerate(centres):
         members = [in_sub[i] for i in oball(coords, x, radius) if i in in_sub]
@@ -282,24 +314,6 @@ def test_porosity_masks_shared_per_sigma_and_grid():
     assert other.porous_points_per_scale[0] is not first.porous_points_per_scale[0]
 
 
-def test_gl3_masses_cached_per_radius_and_weights():
-    space, pw = mt.generate(mt.difficult_case_spec(1 / 16), verify=False)
-    seg = pw.pieces[1]
-    nbrs = nb.subset_neighbors(space, seg.ids)
-    sums = nbrs.self_sums(0.25, seg.weights)
-    np.testing.assert_array_equal(sums, nb.row_sums(nbrs.self_lists(0.25), seg.weights))
-    assert nbrs.self_sums(0.25, seg.weights.copy()) is sums and not sums.flags.writeable
-    other = nbrs.self_sums(0.25, 2.0 * seg.weights)
-    np.testing.assert_array_equal(other, nb.row_sums(nbrs.self_lists(0.25), 2.0 * seg.weights))
-    # once one gl3 call has filled them, another function reuses every mass
-    first = mt.gluing(space, pw, mt.make_sample_function(space, pw, "random"), 2.5, which=3)
-    with mock.patch("mmtrace._neighbors.row_sums", side_effect=AssertionError("recomputed")):
-        again = mt.gluing(space, pw, mt.make_sample_function(space, pw, "linear"), 2.5, which=3)
-    fresh, _ = mt.generate(mt.difficult_case_spec(1 / 16), verify=False)
-    want = mt.gluing(fresh, pw, mt.make_sample_function(fresh, pw, "linear"), 2.5, which=3)
-    assert again.value == want.value and first.value > 0
-
-
 @pytest.mark.parametrize("matrix", [False, True])
 def test_rows_of_block_mixing_empty_and_non_empty_rows(matrix):
     """A block whose centres have empty and non-empty rows: its tree holds
@@ -329,12 +343,12 @@ def test_long_row_split_from_its_block():
     space = mt.FiniteMetricMeasureSpace(weights=np.full(40, 1 / 40), coords=coords)
     rng = np.random.default_rng(5)
     g = rng.normal(size=40)
-    balls = nb.subset_neighbors(space, np.arange(40)).self_lists(2.0)
+    balls = _sweep(nb.subset_neighbors(space, np.arange(40)), 2.0)
     assert np.all(np.diff(balls[0]) == 40)
     want = mt.weighted_stats(g, space.weights).best_dev
     with mock.patch.object(nb, "PAIR_BLOCK", 16):
         assert list(nb._blocks(balls[0]))[:2] == [(0, 1), (1, 2)]
-        dev = nb.row_deviations(balls, space.weights, g)
+        dev = _row_deviations(balls, space.weights, g)
     np.testing.assert_allclose(dev, want, rtol=TOL)
 
 
@@ -342,9 +356,9 @@ def test_empty_rows_reduce_to_zero():
     """np.add.reduceat gives the next element for an empty row."""
     csr = (np.array([0, 2, 2, 4, 4]), np.array([0, 1, 1, 2], dtype=np.int32))
     np.testing.assert_array_equal(nb.row_sums(csr, np.array([1.0, 2.0, 4.0])), [3.0, 0.0, 6.0, 0.0])
-    np.testing.assert_array_equal(nb.row_deviations(csr, np.ones(3), np.array([0.0, 1.0, 5.0])), [0.5, 0.0, 2.0, 0.0])
+    np.testing.assert_array_equal(_row_deviations(csr, np.ones(3), np.array([0.0, 1.0, 5.0])), [0.5, 0.0, 2.0, 0.0])
     only_empty = (np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int32))
-    np.testing.assert_array_equal(nb.row_deviations(only_empty, np.ones(3), np.zeros(3)), [0.0, 0.0])
+    np.testing.assert_array_equal(_row_deviations(only_empty, np.ones(3), np.zeros(3)), [0.0, 0.0])
 
 
 def test_subset_neighbors_cached_per_space_and_ids(grid1d_11):
@@ -357,7 +371,9 @@ def test_subset_neighbors_cached_per_space_and_ids(grid1d_11):
 
 def test_cache_does_not_keep_the_space_alive():
     space = mt.FiniteMetricMeasureSpace(weights=np.ones(3), coords=np.arange(3.0).reshape(-1, 1))
-    nb.subset_neighbors(space, [0, 2]).self_lists(1.0)
+    nbrs = nb.subset_neighbors(space, [0, 2])
+    nbrs.deviations_of([0, 1], 1.0, np.ones(2), np.arange(2.0))
+    del nbrs
     ref = weakref.ref(space)
     del space
     assert ref() is None
@@ -366,8 +382,8 @@ def test_cache_does_not_keep_the_space_alive():
 @PROPS
 @given(instances(), st.data(), st.booleans())
 def test_kernels_do_not_depend_on_the_block(inst, data, matrix):
-    """A row's sum and a pair's numerator are the same bits whichever rows
-    share its block, around cached and uncached rows alike."""
+    """A row's sum and deviation and a pair's numerator are the same bits
+    whichever rows share its block."""
     coords, weights, values, subset, radius, _ = inst
     space = _space(coords, weights, matrix)
     nbrs = nb.subset_neighbors(space, subset)
@@ -379,56 +395,16 @@ def test_kernels_do_not_depend_on_the_block(inst, data, matrix):
     w, g = stack
 
     def kernels():
-        nbrs._lists_cache.clear()
-        out = [nbrs.ball_sums(centres, radius, stack)]
-        csr = nbrs.self_lists(radius)
-        # the same sums again, now gathered from the cached sweep
-        return out + [nbrs.ball_sums(centres, radius, stack), nb.row_sums(csr, g),
-                      nb.pair_abs_diffs(csr, w, g, csr, w, g, ia, ib)]
+        csr = _sweep(nbrs, radius)
+        return [nbrs.ball_sums(centres, radius, stack), nbrs.deviations_of(centres, radius, w, g),
+                nb.row_sums(csr, g), _pair_abs_diffs(csr, w, g, csr, w, g, ia, ib)]
 
     want = kernels()
-    np.testing.assert_array_equal(want[0], want[1])
     for budget in (1, 3, 7):
         with mock.patch.object(nb, "PAIR_BLOCK", budget):
             got = kernels()
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
-
-
-def _queries(nbrs, centres, radius, rank):
-    counts = nbrs.counts_of(centres, radius)
-    plain = [a for _, _, csr in nbrs.rows_of(centres, radius) for a in csr]
-    ranked = [a for _, _, csr in nbrs.rows_of(centres, radius, counts, rank) for a in csr]
-    return [counts] + plain + ranked
-
-
-@PROPS
-@given(instances(), st.data(), st.booleans())
-def test_cached_sweep_serves_rows_of_and_counts_of(inst, data, matrix):
-    """Around subset points, counts and rows (plain and value-ranked) come
-    from the cached sweep without a distance query, bit-identical to the
-    rows built without it, and no query adds a cache entry."""
-    coords, weights, _, subset, radius, budget = inst
-    space = _space(coords, weights, matrix)
-    nbrs = nb.subset_neighbors(space, subset)
-    centres = subset[np.array(data.draw(st.lists(st.integers(0, subset.size - 1), max_size=30)), dtype=int)]
-    rank = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(subset.size)
-    with mock.patch.object(nb, "PAIR_BLOCK", budget):
-        built = _queries(nbrs, centres, radius, rank)
-        assert not nbrs._lists_cache
-        nbrs.self_lists(radius)
-        with mock.patch.object(nbrs, "_tree", object()), mock.patch.object(space, "dist_matrix", None):
-            served = _queries(nbrs, centres, radius, rank)
-        # a centre off the subset, or another radius, is built as before
-        off = np.append(centres, np.setdiff1d(np.arange(coords.shape[0]), subset)[:1])
-        np.testing.assert_array_equal(nbrs.counts_of(off, radius), [len(r) for r in _oracle_rows(coords, subset, radius, off)])
-        nbrs.counts_of(centres, 2 * radius)
-    assert list(nbrs._lists_cache) == [float(radius)]
-    assert len(served) == len(built)
-    for a, b in zip(served, built):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
-
 
 
 def _joined(blocks):
@@ -457,7 +433,7 @@ def _assert_same(got, want):
 @PROPS
 @given(instances(), st.data())
 def test_pair_lists_equal_the_query_pairs_oracle(inst, data):
-    """``self_lists``, plain and ranked ``rows_of`` and ``cross_pairs`` give
+    """``_sweep``, plain and ranked ``rows_of`` and ``cross_pairs`` give
     the arrays, dtypes too, of the whole-sweep query_pairs builder, on tree
     and matrix twins and for every pair budget."""
     coords, weights, _, subset, radius, budget = inst
@@ -483,7 +459,7 @@ def test_pair_lists_equal_the_query_pairs_oracle(inst, data):
             pos = np.searchsorted(subset, centres)
             _assert_same(_joined(list(nbrs.rows_of(centres, radius))), _gather(want, pos))
             _assert_same(_joined(list(nbrs.rows_of(centres, radius, rank=rank))), _gather(want, pos, rank))
-            _assert_same(nbrs.self_lists(radius), want)
+            _assert_same(nbrs._sweep(nbrs.ids, radius), want)
             _assert_same(nbrs.cross_pairs(nb.subset_neighbors(space, other), radius),
                          (np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)))
 
@@ -516,8 +492,8 @@ def _assert_same_as_kd_twin(got, want, other, centres, radius, rank):
         for (_, _, csr_a), (_, _, csr_b) in zip(a, b):
             _assert_same(csr_a, csr_b)
     _assert_same([got.counts_of(centres, radius)], [want.counts_of(centres, radius)])
-    _assert_same(got.self_lists(radius), want.self_lists(radius))
-    _assert_same(got.self_lists(radius), oquery_pairs_lists(got.space, got.ids, radius))
+    _assert_same(got._sweep(got.ids, radius), want._sweep(want.ids, radius))
+    _assert_same(got._sweep(got.ids, radius), oquery_pairs_lists(got.space, got.ids, radius))
     _assert_same(got.cross_pairs(nb.SubsetNeighbors(got.space, other), radius),
                  want.cross_pairs(nb.SubsetNeighbors(want.space, other), radius))
 
@@ -623,13 +599,13 @@ def test_porosity_masks_on_a_grid_equal_the_kd_twin(data):
 
 
 def test_self_lists_memory_per_stored_pair():
-    """The sweep is filled block by block: its peak allocation is its own
+    """A sweep is filled block by block: its peak allocation is its own
     int32 indices plus a bounded block, not a whole-sweep int64 key array."""
     space, pw = mt.generate(mt.difficult_case_spec(1 / 64), verify=False)
     nbrs = nb.SubsetNeighbors(space, pw.pieces[0].ids)
     tracemalloc.start()
     try:
-        indptr, indices = nbrs.self_lists(0.5)
+        indptr, indices = nbrs._sweep(nbrs.ids, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -36,7 +36,7 @@ def lcr_by_local_pools(space, subset_ids, theta, r_grid):
         for x, mass in zip(subset_ids, space.masses_at_radius(r, subset_ids)):
             local = np.intersect1d(space.members(int(x), r), subset_ids)
             nbrs = SubsetNeighbors(space, local)
-            lists = [nbrs.self_lists(rp) for rp in radii]
+            lists = [nbrs._sweep(nbrs.ids, rp) for rp in radii]
             covers, weights = [], []
             for a, c in enumerate(local):
                 for rp, (indptr, indices) in zip(radii, lists):

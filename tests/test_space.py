@@ -494,8 +494,9 @@ class TestLatticeCounts:
             assert a.points.tolist() == b.points.tolist()
             assert a.covering_radius == b.covering_radius
         # off the stencil both nets scan the subset's one tree, and a maximal
-        # net's covering radius is one nearest-point KD query
-        assert built == (not strict) + 1
+        # net's covering radius is one nearest-point KD query; on it the
+        # covering radius is read off the stencil rows too
+        assert built == (0 if strict else 2)
         # a repeated id is one point, kept at most once, as on the twin
         dup = rng.permutation(np.concatenate([ids, rng.choice(ids, size=int(rng.integers(1, ids.size + 1)))]))
         nets = [mt.separated_net(s, dup, k, maximal=False).points.tolist() for s in (space, other)]
