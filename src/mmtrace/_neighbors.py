@@ -198,26 +198,22 @@ class SubsetNeighbors:
         for pos, rows in self._row_blocks(centres, radius, None, build, True):
             # every row full lists every label: no re-sort
             shared = rows[0].size - 1 < pos.size or rows[0][-1] == n * (rows[0].size - 1)
-            listed = {}   # per rank, and per rank and reader's centres: the rows they read
+            listed = {}   # per rank: the rows listing it
             for own, rank, read in readers:
                 at = pos if own is None else own[pos]
-                keep = at >= 0
-                if not keep.any():
+                sel = np.flatnonzero(at >= 0)
+                if not sel.size:
                     continue
                 if id(rank) not in listed:
                     perm, (indptr, cols) = relabel[id(rank)], rows
                     listed[id(rank)] = rows if perm is None or shared else (
                         indptr, (_ranked(cols, np.diff(indptr), perm) % n).astype(np.int32))
                 got = listed[id(rank)]
-                if got[0].size - 1 < at.size or keep.all():
-                    read(at[keep], got)
+                if got[0].size - 1 < at.size or sel.size == at.size:
+                    read(at[sel], got)
                     continue
-                if (id(rank), id(own)) not in listed:
-                    sel = np.flatnonzero(keep)
-                    listed[id(rank), id(own)] = [(at[sel[lo:hi]], (np.append(starts, cols.size), cols))
-                                                 for lo, hi, cols, starts, _ in _rows(got, sel)]
-                for block in listed[id(rank), id(own)]:
-                    read(*block)
+                for lo, hi, cols, starts, _ in _rows(got, sel):
+                    read(at[sel[lo:hi]], (np.append(starts, cols.size), cols))
 
     def _sweep(self, centres: np.ndarray, radius: float) -> tuple:
         """CSR of the radius-balls around centres, filled from ``rows_of``;
@@ -355,31 +351,16 @@ def _best_devs(v, ww, starts, lengths, out) -> None:
     weights ww, sum_b ww_b |v_b - median| / mass at the weighted median
     ``weighted_stats`` takes (zero for a zero-mass row): the first entry
     whose prefix sum, the row's own cumsum, reaches half the mass, so
-    whichever rows share the block."""
+    whichever rows share the block.  Rows of lengths within a factor 2 are
+    summed side by side, each as wide as the longest: past its end a row
+    reads on into the next rows (the last row repeats the block's last
+    weight), so its cumsum there, at least its total, is never below half
+    of it."""
     mass = _row_reduce(ww, starts, lengths)
     below = np.zeros(lengths.size, dtype=np.int64)
-    if lengths.size <= 16:
-        # few rows in a block of about PAIR_BLOCK pairs are long: a cumsum each
-        for a, (start, size) in enumerate(zip(starts.tolist(), lengths.tolist())):
-            below[a] = np.searchsorted(np.cumsum(ww[start : start + size]), mass[a] / 2.0)
-        groups = []
-    else:
-        # rows side by side, padded with zeros (past its end a row's cumsum
-        # is its total, never below half of it); where that would more than
-        # double the block, rows of lengths within a factor 2 together
-        groups = [np.arange(lengths.size)]
-        if lengths.size * lengths.max() > 2 * ww.size + 64:
-            size = np.frexp(lengths)[1]
-            groups = [np.flatnonzero(size == e) for e in np.unique(size)]
-    for at in groups:
-        width, ends = lengths[at].max(initial=0), np.cumsum(lengths[at])
-        if at.size == lengths.size and ww.size == at.size * width:
-            own = ww.reshape(at.size, width)
-        else:
-            held = np.repeat(starts[at] - ends + lengths[at], lengths[at]) + np.arange(ends[-1] if ends.size else 0)
-            own = np.zeros(at.size * width)
-            own[held + np.repeat(np.arange(at.size) * width - starts[at], lengths[at])] = ww[held]
-            own = own.reshape(at.size, width)
+    size = np.frexp(lengths)[1]
+    for at in (np.flatnonzero(size == e) for e in np.unique(size)):
+        own = ww.take(starts[at, None] + np.arange(lengths[at].max()), mode="clip")
         below[at] = (np.cumsum(own, axis=1) < mass[at, None] / 2.0).sum(axis=1)
     # an empty row (a centre off the subset) reads the appended 0
     median = np.append(v, 0.0)[starts + np.minimum(below, lengths - 1)]

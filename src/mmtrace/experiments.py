@@ -9,6 +9,7 @@ two-sided comparison yields resolution-stable ratios.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -185,13 +186,13 @@ def run_equivalence(config: ExperimentConfig) -> RatioReport:
     config.validate()
     cells = []
     values = {}   # (function, seed, functional) -> {resolution: value}
+    runs = [(fam, seed) for fam in config.functions
+            for seed in (config.seeds if fam.split(":")[0] == "random" else [0])]
     for h in config.resolutions:
         spec = config.generator.with_h(h)
         space, piecewise = generate(spec)
         theta = config.theta if config.theta is not None else piecewise.theta_S
         seq = build_measure_sequence(space, piecewise, theta, p=config.p)
-        runs = [(fam, seed) for fam in config.functions
-                for seed in (config.seeds if fam.split(":")[0] == "random" else [0])]
         fs = [make_sample_function(space, piecewise, fam, seed=seed) for fam, seed in runs]
         reports = iter(evaluate_functional(list(config.functionals), space, piecewise, seq, fs, config))
         for fam, seed in runs:
@@ -202,27 +203,18 @@ def run_equivalence(config: ExperimentConfig) -> RatioReport:
 
     rows = []
     stability = {}
-    names = list(config.functionals)
-    for fam in config.functions:
-        seeds = config.seeds if fam.split(":")[0] == "random" else [0]
-        for seed in seeds:
-            for a_pos in range(len(names)):
-                for b_pos in range(a_pos + 1, len(names)):
-                    a, b = names[a_pos], names[b_pos]
-                    ratios = []
-                    for h in config.resolutions:
-                        va = float(values[(fam, seed, a)][h])
-                        vb = float(values[(fam, seed, b)][h])
-                        degenerate = vb == 0
-                        ratio = None if degenerate else va / vb
-                        rows.append(RatioRow(h, fam, seed, a, b, ratio, degenerate))
-                        if ratio is not None and math.isfinite(ratio):
-                            ratios.append(ratio)
-                    key = f"{fam}|{seed}|{a}/{b}"
-                    if len(ratios) >= 2 and min(ratios) > 0:
-                        stability[key] = float((max(ratios) - min(ratios)) / min(ratios))
-                    else:
-                        stability[key] = None
+    for (fam, seed), (a, b) in itertools.product(runs, itertools.combinations(config.functionals, 2)):
+        ratios = []
+        for h in config.resolutions:
+            va = float(values[(fam, seed, a)][h])
+            vb = float(values[(fam, seed, b)][h])
+            degenerate = vb == 0
+            ratio = None if degenerate else va / vb
+            rows.append(RatioRow(h, fam, seed, a, b, ratio, degenerate))
+            if ratio is not None and math.isfinite(ratio):
+                ratios.append(ratio)
+        stable = len(ratios) >= 2 and min(ratios) > 0
+        stability[f"{fam}|{seed}|{a}/{b}"] = float((max(ratios) - min(ratios)) / min(ratios)) if stable else None
     name = config.generator.name or config.generator.kind
     return RatioReport(instance=name, cells=cells, rows=rows, stability=stability)
 
@@ -249,17 +241,13 @@ def dirichlet_upper_bound_probe(
     energy = float(np.sum(space.weights * lip**p))
     denom = float(np.sum(space.weights * np.abs(vals) ** p) ** (1.0 / p)) + energy ** (1.0 / p)
     # the homogeneous parts of trace_norm_simple / trace_norm_difficult, in one pass
-    ps = _Pass()
-    if piecewise.pieces[0].theta > 0:
-        parts, thin = [_gluing(ps, space, piecewise, vals, p, l)], piecewise.pieces
-    else:
-        parts = [_gluing(ps, space, piecewise, vals, p, 3), _sharp_norm_s1(ps, space, piecewise, vals, p)]
-        thin = piecewise.pieces[1:]
+    ps, simple = _Pass(), piecewise.pieces[0].theta > 0
+    gl = _gluing(ps, space, piecewise, vals, p, l if simple else 3)
+    sharp = None if simple else _sharp_norm_s1(ps, space, piecewise, vals, p)
+    thin = piecewise.pieces if simple else piecewise.pieces[1:]
     besov = [_besov(ps, space, pc, vals, 1.0 - pc.theta / p, p, None, "besov") for pc in thin]
     ps.run()
-    hom = parts[0]().value
-    if len(parts) > 1:
-        hom = parts[1]() + hom
+    hom = gl().value if simple else sharp() + gl().value
     for bes in besov:
         hom += bes().parts["seminorm"]
     return hom / denom

@@ -231,23 +231,17 @@ def _besov(ps, space, piece: SubsetPiece, f, s: float, p: float, k_max, name: st
     h, nbrs = piece.weights, subset_neighbors(space, piece.ids)
     vals, order = ps.order(nbrs, f)
     lp = float(np.sum(h * np.abs(vals) ** p) ** (1.0 / p))
-    terms = [0.0] * k_max
-    for k in range(1, k_max + 1):
-        inner = np.empty(vals.size)
+    inners = [np.empty(vals.size) for _ in range(k_max)]
+    for k, inner in enumerate(inners, 1):
         if name == "besov":
             ps.read(nbrs, 2.0 ** (-k), piece.ids, *deviation_reader(h, vals, order, inner.__setitem__))
         else:
             ps.read(nbrs, 2.0 ** (-k), piece.ids, *means_reader(h, vals, lambda d: np.abs(d) ** p, inner.__setitem__))
 
-        def term(k=k, inner=inner):
-            terms[k - 1] = float(np.sum(h * (inner**p if name == "besov" else inner)))
-
-        ps.then(2.0 ** (-k), term)
-
     def report():
         semi_p = last = 0.0
-        for k, term in enumerate(terms, 1):
-            last = 2.0 ** (k * s * p) * term
+        for k, inner in enumerate(inners, 1):
+            last = 2.0 ** (k * s * p) * float(np.sum(h * (inner**p if name == "besov" else inner)))
             semi_p += last
         semi = semi_p ** (1.0 / p)
         return FunctionalReport(name, lp + semi, {"lp": lp, "seminorm": semi},
@@ -328,11 +322,10 @@ def _gluing(ps, space, piecewise: PiecewiseSet, f, p: float, which: int, k_max=N
         ps.then(r, k_term)
 
     def report():
-        total_p = 0.0
-        for k_term in k_terms:
-            total_p += k_term
-        return FunctionalReport(f"gl{which}", total_p ** (1.0 / p), {"total_p": total_p}, params,
-                                k_terms[-1] ** (1.0 / p))
+        total_p = last = 0.0
+        for last in k_terms:
+            total_p += last
+        return FunctionalReport(f"gl{which}", total_p ** (1.0 / p), {"total_p": total_p}, params, last ** (1.0 / p))
 
     return report
 
@@ -489,29 +482,24 @@ def _bn(ps, space, seq: MeasureSequence, piecewise: PiecewiseSet, f, p, sigma, c
     S = seq.support_ids
     f_on_s, order = ps.order(seq.neighbors, f)
     lp = float(np.sum(seq.weights_per_k[0] * np.abs(f_on_s) ** p) ** (1.0 / p))
-    report = porosity_scan(space, S, sigma, [2.0 ** (-k) for k in range(1, k_max + 1)])
-    terms = [0.0] * k_max
-    for k in range(1, k_max + 1):
-        mask, mk = report.porous_points_per_scale[k - 1], seq.weights_per_k[k]
-        e = np.empty(np.count_nonzero(mask))
+    masks = porosity_scan(space, S, sigma, [2.0 ** (-k) for k in range(1, k_max + 1)]).porous_points_per_scale
+    es = [np.empty(np.count_nonzero(mask)) for mask in masks]
+    for k, (mask, e) in enumerate(zip(masks, es), 1):
+        mk = seq.weights_per_k[k]
         ps.read(seq.neighbors, 2.0 ** (-k), S[mask], *deviation_reader(mk, f_on_s, order, e.__setitem__))
-
-        def term(k=k, e=e, mask=mask, mk=mk):
-            terms[k - 1] = 2.0 ** (k * (p - seq.theta)) * float(np.sum(mk[mask] * e**p))
-
-        ps.then(2.0 ** (-k), term)
     sharp_vals = _calderon(ps, seq, f, S)
 
     def bn():
-        scale_p = 0.0
-        for last in terms:
+        scale_p = last = 0.0
+        for k, (mask, e) in enumerate(zip(masks, es), 1):
+            last = 2.0 ** (k * (p - seq.theta)) * float(np.sum(seq.weights_per_k[k][mask] * e**p))
             scale_p += last
         scale_sum = scale_p ** (1.0 / p)
         sharp = float(np.sum(space.weights[S] * sharp_vals**p) ** (1.0 / p))
         params = {"p": p, "sigma": sigma, "theta": seq.theta, "k_max": k_max,
                   "continuum_mu_s_zero": bool(piecewise.pieces[0].theta > 0)}
         return FunctionalReport("bn", lp + sharp + scale_sum, {"lp": lp, "sharp": sharp, "scale_sum": scale_sum},
-                                params, terms[-1] ** (1.0 / p))
+                                params, last ** (1.0 / p))
 
     return bn
 

@@ -377,15 +377,12 @@ def separated_net(
     q = space._grid_budget(math.nextafter(sep * (1 - _EPS), 0))
     if maximal and q is not None:
         # the scan left no id without a chosen point in its stencil of budget q
-        m, net, grid = space._lattice[0], np.zeros(space.n, dtype=bool), space._cloud()._boxes[0]
+        net, covering = np.zeros(space.n, dtype=bool), 0.0
         net[chosen] = True
-        covering = 0.0
-        step = max(1, _LATTICE_ROWS // (2 * math.isqrt(q) + 1) ** space.dim)
-        for at in (ids[lo : lo + step] for lo in range(0, ids.size, step)):
-            indptr, near = _run_rows(*_box_table(_indices(at, m, space.dim), q, grid))
-            row = np.repeat(np.arange(at.size), np.diff(indptr))[net[near]]
-            d = np.sqrt(((space.coords[at[row]] - space.coords[near[net[near]]]) ** 2).sum(axis=1))
-            covering = max(covering, float(np.minimum.reduceat(d, np.searchsorted(row, np.arange(at.size))).max()))
+        for at, (indptr, near) in space._cloud()._stencil_blocks(ids, q, None, False):
+            row = np.repeat(at, np.diff(indptr))[net[near]]
+            d = np.sqrt(((space.coords[ids[row]] - space.coords[near[net[near]]]) ** 2).sum(axis=1))
+            covering = max(covering, float(np.minimum.reduceat(d, np.searchsorted(row, at)).max()))
     elif maximal:
         if space.coords is None:
             step = max(1, (1 << 20) // len(chosen))
