@@ -116,20 +116,19 @@ class SubsetNeighbors:
         # counting is order-free, so parallel workers stay deterministic
         return self._kd().query_ball_point(self.space.coords[centres], _pad(radius), return_length=True, workers=-1)
 
-    def rows_of(self, centres, radius: float, counts=None, rank=None):
+    def rows_of(self, centres, radius: float, counts=None):
         """CSR rows of the radius-balls around the space point ids in
         centres, restricted to the subset, in blocks of about PAIR_BLOCK
         pairs: yields ``(lo, hi, (indptr, indices))`` for centres[lo:hi];
-        ``counts`` are their ``counts_of``, if known.  With ``rank`` (a
-        permutation of subset positions) a row lists rank[j] for j, sorted."""
-        for at, rows in self._row_blocks(np.asarray(centres, dtype=int), radius, counts, rank, False):
+        ``counts`` are their ``counts_of``, if known."""
+        for at, rows in self._row_blocks(np.asarray(centres, dtype=int), radius, counts, None, False):
             yield int(at[0]), int(at[-1]) + 1, rows
 
     def _row_blocks(self, centres: np.ndarray, radius: float, counts, rank, whole: bool):
         """``rows_of``'s blocks as ``(at, rows)`` for centres[at], built as
-        integer stencils on a union of boxes, else by KD queries; with
-        ``whole``, balls holding the whole subset are not built: one full
-        row stands for all of them."""
+        integer stencils on a union of boxes, else by KD queries; a row lists
+        rank[j] for its subset positions j, sorted (j for rank None); with
+        ``whole``, one full row stands for all balls holding the subset."""
         n, r = self.ids.size, _pad(radius)
         q = self._stencil_budget(radius)
         if q is not None:
@@ -193,8 +192,7 @@ class SubsetNeighbors:
         # sorted), else in the first reader's ranks; other readers re-sort
         build = readers[0][1] if all(rank is not None for rank in ranks.values()) else None
         back = None if build is None else np.argsort(build)
-        relabel = {k: None if rank is build else rank if back is None else back if rank is None else rank[back]
-                   for k, rank in ranks.items()}
+        relabel = {k: None if rank is build else rank if back is None else rank[back] for k, rank in ranks.items()}
         for pos, rows in self._row_blocks(centres, radius, None, build, True):
             # every row full lists every label: no re-sort
             shared = rows[0].size - 1 < pos.size or rows[0][-1] == n * (rows[0].size - 1)
@@ -249,6 +247,23 @@ def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:
 
 
 # -- per-row kernels ------------------------------------------------------
+
+
+def joined(blocks: list, n: int) -> tuple:
+    """The CSR of rows 0..n-1 from a list of ``_per_ball`` blocks ``(at,
+    rows)`` handed over in any order, emptied as the rows are copied; a
+    lone row shared by all of its at is that row for each of them."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for at, (ptr, _) in blocks:
+        indptr[at + 1] = np.diff(ptr)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    while blocks:
+        at, (ptr, cols) = blocks.pop()
+        if ptr.size - 1 < at.size:
+            ptr, cols = np.arange(at.size + 1) * cols.size, np.tile(cols, at.size)
+        indices[np.repeat(indptr[at] - ptr[:-1], np.diff(ptr)) + np.arange(cols.size)] = cols
+    return indptr, indices
 
 
 def _full(n: int) -> tuple:

@@ -69,12 +69,10 @@ def _cmd_norms(args) -> int:
     values = mio.load_function(args.f, space.n)
     f = SampleFunction(values=values, domain=piecewise)
     seq = build_measure_sequence(space, piecewise, piecewise.theta_S, p=args.p)
-    out = {}
-    for name in args.which.split(","):
-        # the parsed arguments carry the p, c and sigma the functionals read
-        rep = evaluate_functional(name, space, piecewise, seq, f, args)
-        out[name] = rep.to_json()
-    print(json.dumps(out, sort_keys=True, indent=1))
+    names = args.which.split(",")
+    # one pass for all names; the parsed arguments carry the p, c and sigma the functionals read
+    reps = evaluate_functional(names, space, piecewise, seq, [f], args)
+    print(json.dumps({name: rep.to_json() for name, rep in zip(names, reps)}, sort_keys=True, indent=1))
     return 0
 
 
@@ -98,11 +96,9 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=1))
     else:
-        csv_path = os.path.join(args.indir, "report.csv")
-        try:
-            sys.stdout.write(open(csv_path).read())
-        except OSError as exc:
-            raise IoError(f"cannot read {csv_path}: {exc}") from exc
+        # an OSError here names the file and exits 4 in main
+        with open(os.path.join(args.indir, "report.csv")) as fh:
+            sys.stdout.write(fh.read())
     return 0
 
 

@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._neighbors import csr_rows, deviation_reader, diff_table, means_reader, row_sums, subset_neighbors, table_sums, value_order
+from ._neighbors import (csr_rows, deviation_reader, diff_table, joined, means_reader, row_sums, subset_neighbors,
+                         table_sums, value_order)
 from .content import _zero_one_program
 from .errors import (
     InvalidFamily,
@@ -88,21 +89,18 @@ class _Pass:
     """The ball rows a batch of parts reads, in one pass over their radii,
     finest first (``calderon_maximal``'s early exit reads the finer scales):
     at each radius the rows of each subset are built once, around the union
-    of its readers' centres, and handed to every reader; then the radius's
-    hooks run, and nothing read there is kept."""
+    of its readers' centres, and handed to every reader, the subsets in no
+    set order; then the radius's hooks run, and nothing read there is kept."""
 
     def __init__(self):
-        # radius -> {id(nbrs): [nbrs, stage, [(centres, rank, read)]]}; radius -> [hook]; memos
+        # radius -> {id(nbrs): (nbrs, [(centres, rank, read)])}; radius -> [hook]; memos
         self.reads, self.hooks, self.memo, self.local = {}, {}, {}, {}
 
-    def read(self, nbrs, radius: float, centres, rank, read, stage: int = 0):
-        """Hand ``read(at, rows)`` the rows of nbrs around centres (point
-        ids, or a callable giving them when the pass reaches the radius),
-        listing rank (see ``SubsetNeighbors._per_ball``); at indexes
-        centres.  At a radius a subset of a lower stage is read first."""
-        entry = self.reads.setdefault(float(radius), {}).setdefault(id(nbrs), [nbrs, stage, []])
-        entry[1] = max(entry[1], stage)
-        entry[2].append((centres, rank, read))
+    def read(self, nbrs, radius: float, centres, rank, read):
+        """Hand ``read(at, rows)``, at indexing centres, the rows of nbrs
+        around centres (point ids, or a callable giving them when the pass
+        reaches the radius) listing rank (see ``SubsetNeighbors._per_ball``)."""
+        self.reads.setdefault(float(radius), {}).setdefault(id(nbrs), (nbrs, []))[1].append((centres, rank, read))
 
     def then(self, radius: float, hook):
         """Run hook() once every subset has been read at radius."""
@@ -122,7 +120,7 @@ class _Pass:
 
     def run(self):
         for r in sorted(self.reads.keys() | self.hooks.keys()):
-            for nbrs, _, readers in sorted(self.reads.pop(r, {}).values(), key=lambda entry: entry[1]):
+            for nbrs, readers in self.reads.pop(r, {}).values():
                 sets = [np.asarray(c() if callable(c) else c, dtype=int) for c, _, _ in readers]
                 centres, owns = np.unique(np.concatenate(sets)), {}
                 for s in sets:
@@ -275,8 +273,8 @@ def gluing(space, piecewise: PiecewiseSet, f, p: float, which: int, k_max: Optio
 @_shared
 def _gluing(ps, space, piecewise: PiecewiseSet, f, p: float, which: int, k_max=None):
     """``gluing``'s report thunk.  Per scale, the gluings of a pass share
-    the cross pairs and gl3 the pieces' masses; gl3's numerators are
-    ``diff_table`` rows over the first piece's balls summed over the
+    the cross pairs and gl3 the pieces' masses and balls; gl3's numerators
+    are ``diff_table`` rows over the first piece's balls summed over the
     second piece's balls."""
     if which not in (1, 2, 3):
         raise InvalidParameter("which must be 1, 2, or 3")
@@ -350,48 +348,42 @@ def _masses(ps, nb, pc, r: float) -> np.ndarray:
     return mass
 
 
+@_shared
+def _balls(ps, nb, r: float):
+    """A thunk of the subset's own r-balls as one CSR (row a around its
+    position a): kept as ps hands them over, joined at r's hooks, and
+    dropped after them."""
+    kept = []
+    ps.read(nb, r, nb.ids, None, lambda at, rows: kept.append((at, rows)))
+    return lambda: ps.once(("balls", id(nb), r), lambda: joined(kept, nb.ids.size), local=True)
+
+
 def _numerators(ps, nbrs, pieces, shifted, i, j, r: float, cross):
     """A thunk, per cross pair t of pieces i < j, of the sum over x in
     B_r(ia[t]) of piece i and y in B_r(ib[t]) of piece j of w_x w_y
     |g_x - g_y|.  Piece i's balls at the ia give ``diff_table`` rows over
-    the distinct values u of piece j; piece j's balls, read later, sum them."""
+    the distinct values u of piece j; once r is read, one ``table_sums``
+    over piece j's balls at the ib sums them."""
     wa, wb, ga, gb = pieces[i].weights, pieces[j].weights, shifted[i], shifted[j]
-    state = {}
-
-    def pairs():
-        # the radius's pairs by piece i's point, and grouped by piece j's;
-        # the readers' centres too, one array each for every function
-        ia, ib, _ = cross()
-        ua, ub, by_b = np.unique(ia), np.unique(ib), np.argsort(ib, kind="stable")
-        return (ua, np.searchsorted(ua, ia), ub, by_b, np.searchsorted(ib[by_b], np.arange(wb.size + 1)),
-                pieces[i].ids[ua], pieces[j].ids[ub])
-
-    shared = lambda: ps.once(("pairs", r, id(nbrs[i]), id(nbrs[j])), pairs, local=True)   # noqa: E731
+    balls, state = _balls(ps, nbrs[j], r), {}
 
     def heads():
-        ua = shared()[0]
+        ua, state["row"] = np.unique(cross()[0], return_inverse=True)
         state["u"], state["q"] = np.unique(gb, return_inverse=True)
         state["t"] = np.searchsorted(state["u"], ga)
-        state["table"], state["num"] = np.empty((ua.size, state["u"].size)), np.empty(cross()[0].size)
-        return shared()[5]
+        state["table"] = np.empty((ua.size, state["u"].size))
+        return pieces[i].ids[ua]
 
     def tabulate(at, rows):
         state["table"][at] = diff_table(rows, wa, ga, state["u"], state["t"])
 
-    def add(at, rows):
-        (_, row, ub, by_b, first, *_), ib = shared(), cross()[1]
-        lo, hi = first[ub[at]], first[ub[at] + 1]
-        ends = np.cumsum(hi - lo)
-        # the block's pairs in (ia, ib) order, so that runs of pairs read one table row
-        t = np.sort(by_b[np.repeat(lo - ends + (hi - lo), hi - lo) + np.arange(ends[-1] if ends.size else 0)])
-        own = np.zeros(wb.size, dtype=np.int64)
-        own[ub[at]] = np.arange(at.size) if rows[0].size - 1 == at.size else 0
-        state["num"][t] = table_sums(rows, own[ib[t]], wb, state["q"], state["table"].ravel(), row[t] * state["u"].size)
+    def add():
+        # the table goes before the radius's terms are summed
+        at = state.pop("row") * state["u"].size
+        state["num"] = table_sums(balls(), cross()[1], wb, state["q"], state.pop("table").ravel(), at)
 
-    ps.read(nbrs[i], r, heads, None, tabulate, stage=i)
-    ps.read(nbrs[j], r, lambda: shared()[6], None, add, stage=j)
-    # the tables go before the radius's terms are summed
-    ps.then(r, lambda: state.pop("table"))
+    ps.read(nbrs[i], r, heads, None, tabulate)
+    ps.then(r, add)
     return lambda: state["num"]
 
 
@@ -672,24 +664,20 @@ def bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls) -> np.n
     radius.  mu(B) comes from one ``space.ball_masses`` call per radius,
     in the rounding of ``space.ball_mass`` that the greedy family search
     has always ordered its ties by."""
-    centres, radii = _ball_arrays(space, balls)
-    mu = np.empty(radii.size)
-    for r, at in _by_radius(radii):
-        mu[at] = space.ball_masses(centres[at], r)
-    return _bsn_terms(space, seq, f, p, c, balls, mu)
+    return _bsn_terms(space, seq, f, p, c, balls, None)
 
 
-def _bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls, mu: np.ndarray) -> np.ndarray:
-    """``bsn_terms`` with the balls' masses given."""
+def _bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls, mu) -> np.ndarray:
+    """``bsn_terms`` with the balls' masses given, or (None) summed here."""
     centres, radii = _ball_arrays(space, balls)
     if np.any(radii < space.scale_floor - _EPS):
         raise ResolutionError(f"family radius {radii.min()} below scale_floor")
     f_on_s = _values(f)[seq.support_ids]
-    e = np.zeros(radii.size)
-    for r in np.unique(radii):
-        at = np.flatnonzero(radii == r)
+    e, mass = np.zeros(radii.size), np.empty(radii.size)
+    for r, at in _by_radius(radii):
+        mass[at] = space.ball_masses(centres[at], r) if mu is None else mu[at]
         e[at] = _tilde_es(seq, f_on_s, min(k_of_r(r), seq.k_max), centres[at], c * r)
-    return mu / radii**p * e**p
+    return mass / radii**p * e**p
 
 
 def bsn_functional(

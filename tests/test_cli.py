@@ -1,7 +1,11 @@
+import gc
 import json
+import warnings
+from unittest import mock
 
 import pytest
 
+from mmtrace import experiments
 from mmtrace.cli import main
 
 GEN_SPEC = """
@@ -71,12 +75,14 @@ class TestCliRoundTrip:
         space = load_space(str(instance_dir / "space.mmspace"))
         f = tmp_path / "f.txt"
         save_function(np.linspace(0, 1, space.n), range(space.n), str(f))
-        rc = main([
-            "norms", "--space", str(instance_dir / "space.mmspace"),
-            "--pieces", str(instance_dir / "pieces.json"),
-            "--f", str(f), "--which", "gl3,trace_difficult",
-        ])
-        assert rc == 0
+        # all names in one call, so one pass over the ball rows
+        with mock.patch.object(experiments, "evaluate_functional", wraps=experiments.evaluate_functional) as spy:
+            rc = main([
+                "norms", "--space", str(instance_dir / "space.mmspace"),
+                "--pieces", str(instance_dir / "pieces.json"),
+                "--f", str(f), "--which", "gl3,trace_difficult",
+            ])
+        assert rc == 0 and spy.call_count == 1
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"gl3", "trace_difficult"}
         assert payload["trace_difficult"]["parts"]["gl3"] == pytest.approx(
@@ -110,7 +116,11 @@ class TestCliRoundTrip:
         out = tmp_path / "expout"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["report", "--in", str(out), "--format", "csv"]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--in", str(out), "--format", "csv"]) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]   # report.csv is closed
         csv_text = capsys.readouterr().out
         assert csv_text.splitlines()[0].startswith("instance,resolution,functional")
         assert main(["report", "--in", str(out), "--format", "json"]) == 0
@@ -133,6 +143,11 @@ class TestExitCodes:
 
     def test_io_error_is_4(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "missing"), "--format", "csv"]) == 4
+
+    def test_missing_report_csv_is_4(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text("{}")
+        assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 4
+        assert "report.csv" in capsys.readouterr().err
 
     def test_resolution_error_is_3(self, instance_dir, tmp_path):
         import numpy as np

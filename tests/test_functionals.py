@@ -302,13 +302,22 @@ def _extended_numerators(csr_a, wa, ga, csr_b, wb, gb, ia, ib):
     return out
 
 
+def _same_ids_instance():
+    """Two pieces on the same segment of the 2-d h = 1/16 grid, so on one
+    shared ball layer, with theta 0.5 and 0.75."""
+    space, pw = mt.generate(mt.difficult_case_spec(1 / 16), verify=False)
+    seg = pw.pieces[1]
+    return space, mt.compose_piecewise([mt.SubsetPiece(ids=seg.ids, theta=t, weights=seg.weights) for t in (0.5, 0.75)])
+
+
 class TestGl3Numerators:
-    @pytest.mark.parametrize("spec", [mt.simple_case_spec, mt.difficult_case_spec])
+    @pytest.mark.parametrize("spec", [mt.simple_case_spec, mt.difficult_case_spec, "same_ids"])
     def test_numerators_match_extended_precision(self, spec):
         """Every numerator gluing computes, on smooth and random functions
         and on a near-constant one with a 1e6 offset, against the double
-        loop over the pieces' balls (test-local sweeps from ``rows_of``)."""
-        space, pw = mt.generate(spec(1 / 16), verify=False)
+        loop over the pieces' balls (test-local sweeps from ``rows_of``);
+        also for two pieces with the same ids."""
+        space, pw = _same_ids_instance() if spec == "same_ids" else mt.generate(spec(1 / 16), verify=False)
         near_constant = 1e6 + 1e-6 * np.random.default_rng(3).uniform(-1, 1, space.n)
         calls = []
         kernel = functionals._numerators
@@ -327,6 +336,19 @@ class TestGl3Numerators:
             want = _extended_numerators(csr_a, pieces[i].weights, shifted[i], csr_b, pieces[j].weights, shifted[j],
                                         *cross()[:2])
             assert np.all(np.abs(num() - want) <= 1e-13 * want)
+
+    def test_pieces_with_the_same_ids_do_not_depend_on_the_block_size(self):
+        """gl3 of two pieces that share one ball layer gives the same bits
+        in blocks of 2^6, 2^10, 2^13, 2^16 and 2^20 pairs."""
+        from mmtrace import _neighbors
+
+        space, pw = _same_ids_instance()
+        f = mt.make_sample_function(space, pw, "random", seed=0)
+        values = []
+        for budget in (1 << 6, 1 << 10, 1 << 13, 1 << 16, 1 << 20):
+            with mock.patch.object(_neighbors, "PAIR_BLOCK", budget):
+                values.append(mt.gluing(space, pw, f, 2.5, 3).value)
+        assert values == [values[0]] * len(values)
 
 
 def _joined_rows(nbrs, r):
@@ -852,13 +874,21 @@ class TestTraceNorms:
         assert warm_run() == fresh
 
 class TestOnePass:
-    @pytest.mark.parametrize("case", ["simple", "difficult"])
-    def test_a_resolution_evaluated_together_equals_each_cell_alone(self, case):
+    @pytest.mark.parametrize("case, reverse", [("simple", False), ("difficult", False), ("simple", True), ("difficult", True)],
+                             ids=["simple", "difficult", "simple_reversed", "difficult_reversed"])
+    def test_a_resolution_evaluated_together_equals_each_cell_alone(self, case, reverse):
         """One ``evaluate_functional`` call with every function and
         functional of a resolution gives, bit for bit, the report of each
         (name, function) asked alone, and of the public function; also
-        where a part reads gl3's second piece before gl3 is registered."""
+        where a part reads gl3's second piece before gl3 is registered, and
+        where the pass reads each radius's subsets in reverse order."""
         from mmtrace import experiments
+
+        run = functionals._Pass.run
+
+        def reversed_run(ps):
+            ps.reads = {r: dict(reversed(subsets.items())) for r, subsets in ps.reads.items()}
+            run(ps)
 
         spec = mt.simple_case_spec(1 / 12) if case == "simple" else mt.difficult_case_spec(1 / 12)
         names = (["trace_simple:1", "trace_simple:3", "bn", "gl2", "besov_alt:2"] if case == "simple"
@@ -867,7 +897,8 @@ class TestOnePass:
         seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
         cfg = experiments.ExperimentConfig(generator=spec, resolutions=[1 / 12], functionals=names, functions=[])
         fs = [mt.make_sample_function(space, pw, fam, seed=1) for fam in ("linear", "hoelder:0.6", "step", "random")]
-        together = experiments.evaluate_functional(names, space, pw, seq, fs, cfg)
+        with mock.patch.object(functionals._Pass, "run", reversed_run if reverse else run):
+            together = experiments.evaluate_functional(names, space, pw, seq, fs, cfg)
         alone = [experiments.evaluate_functional(name, space, pw, seq, f, cfg) for f in fs for name in names]
         assert [r.to_json() for r in together] == [r.to_json() for r in alone]
         f = fs[-1]

@@ -59,6 +59,13 @@ def _sweep(nbrs, radius):
     return _joined(list(nbrs.rows_of(nbrs.ids, radius)))
 
 
+def _ranked_rows(nbrs, centres, radius, rank, counts=None):
+    """``rows_of``'s blocks with rows listing rank[j] for j, sorted, from
+    the layer's ``_row_blocks``."""
+    return [(int(at[0]), int(at[-1]) + 1, rows)
+            for at, rows in nbrs._row_blocks(np.asarray(centres, dtype=int), radius, counts, rank, False)]
+
+
 def _row_deviations(csr, w, g):
     """Per row of csr: the deviation reader's value, the rows ranked and
     handed over in blocks of at most PAIR_BLOCK pairs."""
@@ -193,7 +200,7 @@ def test_rows_of_around_any_centres(inst, data, matrix):
     # value-ranked rows list rank[j] in increasing order
     rank = np.random.default_rng(data.draw(st.integers(0, 2**16))).permutation(subset.size)
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
-        ranked = list(nbrs.rows_of(centres, radius, nbrs.counts_of(centres, radius), rank))
+        ranked = _ranked_rows(nbrs, centres, radius, rank, nbrs.counts_of(centres, radius))
         dev_of = nbrs.deviations_of(centres, radius, w, g)
     got = [list(ind[ptr[a]:ptr[a + 1]]) for _, _, (ptr, ind) in ranked for a in range(ptr.size - 1)]
     assert got == [sorted(rank[row].tolist()) for row in want]
@@ -430,6 +437,25 @@ def _assert_same(got, want):
         np.testing.assert_array_equal(a, b)
 
 
+def test_joined_takes_blocks_in_any_order():
+    """``joined`` lays the rows of ``_per_ball`` blocks at their positions,
+    whichever order the blocks come in, and empties the list it is given;
+    a shared full row stands for each of its positions."""
+    def block(at, rows):
+        indptr = np.concatenate(([0], np.cumsum([len(row) for row in rows]))).astype(np.int64)
+        return np.array(at), (indptr, np.array([j for row in rows for j in row], dtype=np.int32))
+
+    full = list(range(6))
+    blocks = [block([2, 7, 4], [full]), block([0, 1], [[0, 2], []]), block([3, 5, 6], [[1, 3, 5], [4], [0, 1]]),
+              block([9], [full]), block([8], [[2, 3]])]
+    want = [[0, 2], [], full, [1, 3, 5], full, [4], [0, 1], full, [2, 3], full]
+    for seed in range(6):
+        kept = [blocks[a] for a in np.random.default_rng(seed).permutation(len(blocks))]
+        indptr, indices = nb.joined(kept, len(want))
+        assert not kept and indptr.dtype == np.int64 and indices.dtype == np.int32
+        assert [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == want
+
+
 @PROPS
 @given(instances(), st.data())
 def test_pair_lists_equal_the_query_pairs_oracle(inst, data):
@@ -458,7 +484,7 @@ def test_pair_lists_equal_the_query_pairs_oracle(inst, data):
             nbrs = nb.subset_neighbors(space, subset)
             pos = np.searchsorted(subset, centres)
             _assert_same(_joined(list(nbrs.rows_of(centres, radius))), _gather(want, pos))
-            _assert_same(_joined(list(nbrs.rows_of(centres, radius, rank=rank))), _gather(want, pos, rank))
+            _assert_same(_joined(_ranked_rows(nbrs, centres, radius, rank)), _gather(want, pos, rank))
             _assert_same(nbrs._sweep(nbrs.ids, radius), want)
             _assert_same(nbrs.cross_pairs(nb.subset_neighbors(space, other), radius),
                          (np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)))
@@ -487,7 +513,7 @@ def _assert_same_as_kd_twin(got, want, other, centres, radius, rank):
     (also against the query_pairs oracle) and cross pairs of ``got`` equal
     those of its KD twin ``want``, dtypes too."""
     for r in (None, rank):
-        a, b = (list(x.rows_of(centres, radius, rank=r)) for x in (got, want))
+        a, b = (list(x.rows_of(centres, radius)) if r is None else _ranked_rows(x, centres, radius, r) for x in (got, want))
         assert [blk[:2] for blk in a] == [blk[:2] for blk in b]
         for (_, _, csr_a), (_, _, csr_b) in zip(a, b):
             _assert_same(csr_a, csr_b)
