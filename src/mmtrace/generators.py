@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._lattice import _LATTICE_ROWS
 from .content import piece_measure_weights
 from .errors import InvalidParameter, ParameterError
 from .functionals import SampleFunction
@@ -51,19 +52,19 @@ def build_grid_space(kind: str, h: float, c_res: float = 1.0, mu_weights: str = 
     m = int(round(1.0 / h))
     if abs(m * h - 1.0) > 1e-9 or m < 2:
         raise ParameterError(f"mesh h = {h} must divide the unit interval")
-    axis = np.arange(m + 1) / m
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    if mu_weights == "uniform":
-        weights = np.full(coords.shape[0], h**dim)
-    elif mu_weights == "cell":
-        weights = np.ones(coords.shape[0])
-        for a in range(dim):
-            edge = (np.abs(coords[:, a]) <= 1e-12) | (np.abs(coords[:, a] - 1.0) <= 1e-12)
-            weights *= np.where(edge, h / 2.0, h)
-    else:
+    if mu_weights not in ("cell", "uniform"):
         raise ParameterError(f"unknown mu_weights mode {mu_weights!r}")
-    return FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=h, c_res=c_res)
+    axis = np.arange(m + 1) / m
+    cell = np.where((np.abs(axis) <= 1e-12) | (np.abs(axis - 1.0) <= 1e-12), h / 2.0, h)
+    # the 'ij' grid written axis by axis into its final arrays: no whole-cloud copies
+    coords = np.empty((m + 1,) * dim + (dim,))
+    weights = np.full((m + 1,) * dim, 1.0 if mu_weights == "cell" else h**dim)
+    for a in range(dim):
+        along = (-1,) + (1,) * (dim - 1 - a)
+        coords[..., a] = axis.reshape(along)
+        if mu_weights == "cell":
+            weights *= cell.reshape(along)
+    return FiniteMetricMeasureSpace(weights=weights.reshape(-1), coords=coords.reshape(-1, dim), resolution=h, c_res=c_res)
 
 
 def _cell_lengths(positions: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -231,7 +232,9 @@ def make_sample_function(
         if not (0 < alpha <= 1):
             raise InvalidParameter(f"hoelder exponent must lie in (0, 1], got {alpha}")
         anchor = np.full(dim, 0.5)
-        vals = np.linalg.norm(coords - anchor, axis=1) ** alpha
+        vals = np.empty(space.n)
+        for lo in range(0, space.n, _LATTICE_ROWS):
+            vals[lo : lo + _LATTICE_ROWS] = np.linalg.norm(coords[lo : lo + _LATTICE_ROWS] - anchor, axis=1) ** alpha
     elif name == "step":
         axis = int(arg) if arg else dim - 1
         vals = (coords[:, axis] > 0.5).astype(float)

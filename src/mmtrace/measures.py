@@ -121,13 +121,11 @@ def build_measure_sequence(
     if 2.0 ** (-k_max) < space.scale_floor - _EPS:
         raise ResolutionError(f"2^-k_max below scale_floor {space.scale_floor}")
     support = piecewise.union_ids
-    dense_pieces = [pc.dense_weights(space.n)[support] for pc in piecewise.pieces]
     weights = np.zeros((k_max + 1, support.size))
-    for k in range(k_max + 1):
-        acc = np.zeros(support.size)
-        for pc, hw in zip(piecewise.pieces, dense_pieces):
-            acc += 2.0 ** (k * (theta - pc.theta)) * hw
-        weights[k] = acc
+    for pc in piecewise.pieces:
+        at = np.searchsorted(support, pc.ids)   # each piece scattered into the support's positions
+        for k in range(k_max + 1):
+            weights[k, at] += 2.0 ** (k * (theta - pc.theta)) * pc.weights
     density = weights / weights[0]
     return MeasureSequence(
         space=space,

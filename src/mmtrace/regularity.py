@@ -51,11 +51,6 @@ class SubsetPiece:
         if repeated.size:
             raise InvalidParameter(f"point id {repeated[0]} given more than once")
 
-    def dense_weights(self, n: int) -> np.ndarray:
-        out = np.zeros(n)
-        out[self.ids] = self.weights
-        return out
-
 
 @dataclass
 class PiecewiseSet:

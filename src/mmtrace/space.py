@@ -148,7 +148,7 @@ class FiniteMetricMeasureSpace:
         # cell corrections on a grid): masses count points per value
         distinct = np.unique(self.weights if self._lattice is None else self._lattice[1])
         self._weight_classes = distinct if distinct.size <= 8 else None
-        self._mass_cache: dict[float, np.ndarray] = {}
+        self._mass_cache: dict[float, tuple] = {}
         # shared ball layer per subset (``_neighbors.subset_neighbors``), keyed
         # by the bytes of the sorted subset ids; the whole cloud's is ``_layer``
         self._neighbors: dict[bytes, object] = {}
@@ -306,18 +306,21 @@ class FiniteMetricMeasureSpace:
             yield slice(lo, hi), indptr, ids, _pairwise_sums(self.weights, indptr, ids)
 
     def masses_at_radius(self, radius: float, ids=None) -> np.ndarray:
-        """mu(B_radius(x)) for every point x, or for the point ids given; the
-        one cache entry per radius (NaN where not yet asked for) is filled
-        only at the centres a call misses."""
+        """mu(B_radius(x)) for every point x, or for the point ids given, in
+        a new array.  The one cache entry per radius, ``(known, masses)``,
+        holds the sorted ids counted so far and their masses, or
+        ``(None, masses)`` by id once every id is counted; a call counts
+        only the ids it misses."""
         key = float(radius)
-        if key not in self._mass_cache:
-            self._mass_cache[key] = np.full(self.n, np.nan)
-        masses = self._mass_cache[key]
+        known, masses = self._mass_cache.get(key, (np.zeros(0, dtype=np.int64), np.zeros(0)))
         centres = self.ids if ids is None else self.check_ids(ids)
-        todo = np.unique(centres[np.isnan(masses[centres])])
+        todo = np.zeros(0, dtype=np.int64) if known is None else np.setdiff1d(centres, known)
         if todo.size:
-            masses[todo] = self._count_masses(todo, radius)
-        return masses if ids is None else masses[centres]
+            at = np.searchsorted(known, todo)
+            known, masses = np.insert(known, at, todo), np.insert(masses, at, self._count_masses(todo, radius))
+            known = None if known.size == self.n else known
+        self._mass_cache[key] = known, masses
+        return masses[centres if known is None else np.searchsorted(known, centres)]
 
     def _count_masses(self, centres: np.ndarray, radius: float) -> np.ndarray:
         """The masses of ``masses_at_radius``: per ball the sum over its

@@ -61,6 +61,22 @@ class TestRunEquivalence:
         fine = [r for r in report.rows if r.function == "linear" and r.functional_a == "gl1" and r.functional_b == "gl2"]
         assert fine and all(not r.degenerate and r.ratio > 0 for r in fine)
 
+    def test_skips_the_adr_check(self, monkeypatch, tmp_path):
+        """No ADR constant reaches a report: run_equivalence runs no check_adr
+        and emits what a run with the check emits."""
+        from mmtrace import experiments, generators
+
+        cfg = parse_config(SMALL_CONFIG)
+        monkeypatch.setattr(experiments, "generate", lambda spec, verify=True: generators.generate(spec, True))
+        mt.report_emit(run_equivalence(cfg), "json", str(tmp_path / "checked.json"), cfg)
+        monkeypatch.undo()
+        calls = []
+        check_adr = generators.check_adr
+        monkeypatch.setattr(generators, "check_adr", lambda *a, **k: calls.append(a) or check_adr(*a, **k))
+        mt.report_emit(run_equivalence(cfg), "json", str(tmp_path / "run.json"), cfg)
+        assert calls == []
+        assert (tmp_path / "run.json").read_bytes() == (tmp_path / "checked.json").read_bytes()
+
     def test_gluing_chain_bounded(self):
         # GL2 <= GL3 exactly; GL3 and GL1 control each other through the
         # lp/besov terms with bounded factors

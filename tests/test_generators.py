@@ -1,8 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import mmtrace as mt
+from mmtrace._lattice import _LATTICE_ROWS
 from mmtrace.errors import InvalidParameter, ParameterError
+
+
+def _peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _meshgrid_space(kind, h, mu_weights):
+    """build_grid_space as it was written with meshgrid, stack and where."""
+    dim = {"grid1d": 1, "grid2d": 2, "grid3d": 3}[kind]
+    m = int(round(1.0 / h))
+    axis = np.arange(m + 1) / m
+    coords = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")], axis=1)
+    if mu_weights == "uniform":
+        return coords, np.full(coords.shape[0], h**dim)
+    weights = np.ones(coords.shape[0])
+    for a in range(dim):
+        edge = (np.abs(coords[:, a]) <= 1e-12) | (np.abs(coords[:, a] - 1.0) <= 1e-12)
+        weights *= np.where(edge, h / 2.0, h)
+    return coords, weights
 
 
 class TestGridSpaces:
@@ -22,6 +50,28 @@ class TestGridSpaces:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             mt.build_grid_space("grid9d", 0.5)
+
+    @pytest.mark.parametrize("kind", ["grid1d", "grid2d", "grid3d"])
+    @pytest.mark.parametrize("mu_weights", ["cell", "uniform"])
+    @pytest.mark.parametrize("h", [1 / 7, 1 / 8])
+    def test_equal_to_meshgrid_reference(self, kind, mu_weights, h):
+        space = mt.build_grid_space(kind, h, mu_weights=mu_weights)
+        coords, weights = _meshgrid_space(kind, h, mu_weights)
+        assert space.coords.tobytes() == coords.tobytes() and space.coords.shape == coords.shape
+        assert space.weights.tobytes() == weights.tobytes()
+
+    def test_unknown_weights(self):
+        with pytest.raises(ParameterError):
+            mt.build_grid_space("grid2d", 1 / 8, mu_weights="lumped")
+
+    def test_memory_is_the_arrays_it_keeps(self):
+        """No whole-cloud copy: the peak is the coords and weights plus 10 %,
+        beside the constructor's own bounded lattice-detection blocks."""
+        mt.build_grid_space("grid3d", 1 / 4)   # first-call allocations out of the way
+        space, peak = _peak(lambda: mt.build_grid_space("grid3d", 1 / 40))
+        weights, coords = space.weights.copy(), space.coords.copy()
+        _, detection = _peak(lambda: mt.FiniteMetricMeasureSpace(weights=weights, coords=coords, resolution=1 / 40))
+        assert peak <= 1.1 * (coords.nbytes + weights.nbytes) + detection
 
 
 class TestGenerate:
@@ -99,6 +149,23 @@ class TestSampleFunctions:
         f1 = mt.make_sample_function(space, pw, "random", seed=5)
         f2 = mt.make_sample_function(space, pw, "random", seed=5)
         np.testing.assert_array_equal(f1.values, f2.values)
+
+    def test_blocked_hoelder_equals_whole_array_norm(self):
+        rng = np.random.default_rng(3)
+        coords = rng.uniform(0.0, 1.0, (2 * _LATTICE_ROWS + 5, 3))
+        space = mt.FiniteMetricMeasureSpace(weights=np.ones(coords.shape[0]), coords=coords, resolution=0.5)
+        for alpha in (0.3, 1.0):
+            f = mt.make_sample_function(space, None, f"hoelder:{alpha}")
+            want = np.linalg.norm(coords - np.full(3, 0.5), axis=1) ** alpha
+            assert f.values.tobytes() == want.tobytes()
+
+    def test_hoelder_memory_is_values_and_one_block(self):
+        space = mt.build_grid_space("grid3d", 1 / 40)
+        mt.make_sample_function(space, None, "hoelder:0.6")
+        _, block = _peak(lambda: np.linalg.norm(space.coords[:_LATTICE_ROWS] - np.full(3, 0.5), axis=1) ** 0.6)
+        f, peak = _peak(lambda: mt.make_sample_function(space, None, "hoelder:0.6"))
+        assert space.n > 4 * _LATTICE_ROWS
+        assert peak <= f.values.nbytes + block + 65536
 
     def test_bad_family(self):
         space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)

@@ -8,6 +8,25 @@ from oracles import oball, oE, oOSC
 
 
 class TestBuild:
+    def test_no_cloud_sized_temporary(self):
+        """The pieces are scattered into the support's positions, bit for bit
+        as the dense per-point sum gives them, with no n-sized array."""
+        import tracemalloc
+
+        space, pw = mt.generate(mt.simple_case_spec(1 / 40), verify=False)
+        tracemalloc.start()
+        try:
+            seq = mt.build_measure_sequence(space, pw, 2.0, p=2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * space.n
+        for k in range(seq.k_max + 1):
+            dense = np.zeros(space.n)
+            for pc in pw.pieces:
+                dense += 2.0 ** (k * (2.0 - pc.theta)) * np.bincount(pc.ids, pc.weights, space.n)
+            np.testing.assert_array_equal(seq.weights_per_k[k], dense[pw.union_ids])
+
     def test_k0_is_plain_sum(self, simple_instance_16):
         space, pw, seq = simple_instance_16
         dense = np.zeros(space.n)

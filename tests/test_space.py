@@ -255,7 +255,7 @@ class TestMassesAtCentres:
                     ids = np.concatenate([chunk, chunk[:3], chunk[::-2]])
                     np.testing.assert_array_equal(space.masses_at_radius(r, ids), ref[r][ids])
                     asked[r] |= set(ids.tolist())
-                    assert set(np.flatnonzero(~np.isnan(space._mass_cache[r])).tolist()) == asked[r]
+                    assert set(_counted(space, r).tolist()) == asked[r]
 
         _, trees = trees_built(ask)
         # uniform weights count on the cloud's tree, a few values on one tree
@@ -323,8 +323,40 @@ class TestMassesAtCentres:
     def test_generate_counts_only_on_the_support(self):
         space, pw = mt.generate(mt.simple_case_spec(1 / 8))
         assert space._mass_cache
-        for masses in space._mass_cache.values():
-            assert set(np.flatnonzero(~np.isnan(masses)).tolist()) <= set(pw.union_ids.tolist())
+        for r in space._mass_cache:
+            assert set(_counted(space, r).tolist()) <= set(pw.union_ids.tolist())
+
+    @pytest.mark.parametrize("branch", ["uniform", "general"])
+    def test_returns_a_new_array(self, branch):
+        space = self._space(branch)
+        for ids in (None, [3, 5, 3], None):
+            first = space.masses_at_radius(0.5, ids)
+            want = first.copy()
+            first[:] = -1.0
+            np.testing.assert_array_equal(space.masses_at_radius(0.5, ids), want)
+            np.testing.assert_array_equal(space.masses_at_radius(0.5, [5]), want[-2:-1] if ids else want[5:6])
+
+    def test_cache_holds_16_bytes_per_counted_id(self):
+        """After generate and a trace_simple:1 evaluation, each radius keeps
+        an int64 id and a float64 mass per counted centre, or n masses by id."""
+        from mmtrace.experiments import evaluate_functional
+        from mmtrace.io import parse_config
+
+        cfg = parse_config("kind = grid3d\npieces = square_face theta=1 ; segment theta=2 axis=2\n"
+                           "resolutions = 1/16\nfunctions = hoelder:0.6\nfunctionals = trace_simple:1\np = 2.5")
+        space, pw = mt.generate(mt.simple_case_spec(1 / 16))
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=cfg.p)
+        evaluate_functional("trace_simple:1", space, pw, seq, mt.make_sample_function(space, pw, "hoelder:0.6"), cfg)
+        assert space._mass_cache
+        for r, (known, masses) in space._mass_cache.items():
+            assert known is None or known.nbytes == 8 * known.size
+            assert (0 if known is None else known.nbytes) + masses.nbytes <= 16 * _counted(space, r).size
+
+
+def _counted(space, r):
+    """The ids the mass cache entry of radius r has counted, sorted."""
+    known, _ = space._mass_cache[r]
+    return np.arange(space.n) if known is None else known
 
 
 def _id_space(kind):
