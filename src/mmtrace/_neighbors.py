@@ -22,7 +22,7 @@ import weakref
 import numpy as np
 
 from ._lattice import _box_counts, _box_table, _boxes_of, _budget, _indices, _run_rows
-from .space import FiniteMetricMeasureSpace, _kd_tree, _pad
+from .space import FiniteMetricMeasureSpace, _distinct, _kd_tree, _pad
 
 # a block's float64 temporaries (64 KiB) stay below glibc's default 128 KiB
 # mmap threshold, so successive blocks reuse heap pages, not fresh mappings
@@ -36,7 +36,7 @@ class SubsetNeighbors:
 
     def __init__(self, space: FiniteMetricMeasureSpace, ids):
         self.space = space
-        self.ids = np.unique(space.check_ids(ids))
+        self.ids = _distinct(space.check_ids(ids))
         self._tree = None   # built on the first KD query (``_kd``)
         # on a full grid, the few disjoint boxes of lattice indices the ids fill, if any
         self._boxes = None if space._lattice is None else _boxes_of(self.ids, space._lattice[0], space.dim)
@@ -237,7 +237,7 @@ def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:
     so it is usable while the space lives."""
     ids = np.asarray(ids, dtype=int)
     if np.any(ids[1:] <= ids[:-1]):   # ids of a piece or a weight value come sorted
-        ids = np.unique(ids)
+        ids = _distinct(ids)
     if ids.size == space.n and ids[0] == 0 and ids[-1] == space.n - 1:
         return space._cloud()
     key = ids.tobytes()
@@ -374,7 +374,7 @@ def _best_devs(v, ww, starts, lengths, out) -> None:
     mass = _row_reduce(ww, starts, lengths)
     below = np.zeros(lengths.size, dtype=np.int64)
     size = np.frexp(lengths)[1]
-    for at in (np.flatnonzero(size == e) for e in np.unique(size)):
+    for at in (np.flatnonzero(size == e) for e in _distinct(size)):
         own = ww.take(starts[at, None] + np.arange(lengths[at].max()), mode="clip")
         below[at] = (np.cumsum(own, axis=1) < mass[at, None] / 2.0).sum(axis=1)
     # an empty row (a centre off the subset) reads the appended 0

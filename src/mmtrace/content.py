@@ -19,7 +19,7 @@ import numpy as np
 
 from ._neighbors import SubsetNeighbors, csr_rows
 from .errors import InvalidParameter, MissingMetadata, MMTraceError, ResolutionError
-from .space import Ball, FiniteMetricMeasureSpace, dyadic_radii
+from .space import Ball, FiniteMetricMeasureSpace, _distinct, dyadic_radii
 
 EXACT_CANDIDATE_LIMIT = 24
 
@@ -32,7 +32,7 @@ class ContentQuery:
     method: str = "greedy"        # greedy | exact | both
 
     def __post_init__(self):
-        self.target = np.unique(np.asarray(self.target, dtype=int))
+        self.target = _distinct(np.asarray(self.target, dtype=int))
         if self.theta < 0:
             raise InvalidParameter("theta must be >= 0")
         if self.method not in ("greedy", "exact", "both"):
@@ -202,7 +202,7 @@ def hausdorff_measure(
     Returns the last value with the whole trace; flags non-stabilization
     when the final two values differ by more than 5% relative.
     """
-    target = np.unique(np.asarray(target, dtype=int))
+    target = _distinct(np.asarray(target, dtype=int))
     if target.size == 0:
         return MeasureTrace(0.0, [], [], True)
     deltas = dyadic_radii(1.0, 2.0 * space.scale_floor)

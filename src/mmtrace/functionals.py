@@ -31,7 +31,7 @@ from .errors import (
 # weighted_stats is unused here but stays bound: perfbench/smoke.py checks it
 from .measures import EPSILON, MeasureSequence, default_k_max, weighted_stats
 from .regularity import PiecewiseSet, SubsetPiece, porosity_scan
-from .space import _EPS, Ball, _pad, dyadic_radii, k_of_r, separated_net
+from .space import _EPS, Ball, _distinct, _in_sorted, _pad, dyadic_radii, k_of_r, separated_net
 
 
 @dataclass
@@ -122,7 +122,7 @@ class _Pass:
         for r in sorted(self.reads.keys() | self.hooks.keys()):
             for nbrs, readers in self.reads.pop(r, {}).values():
                 sets = [np.asarray(c() if callable(c) else c, dtype=int) for c, _, _ in readers]
-                centres, owns = np.unique(np.concatenate(sets)), {}
+                centres, owns = _distinct(np.concatenate(sets)), {}
                 for s in sets:
                     if id(s) not in owns and s.size < centres.size:
                         owns[id(s)] = np.full(centres.size, -1)
@@ -406,7 +406,7 @@ def _tilde_es(seq: MeasureSequence, f_on_s: np.ndarray, k: int, centres, radius:
 
 def _meets_s(seq: MeasureSequence, centres: np.ndarray, radius: float) -> np.ndarray:
     """Per point id in centres: whether its radius-ball meets S."""
-    meets = np.isin(centres, seq.support_ids)
+    meets = _in_sorted(centres, seq.support_ids)
     probe = np.flatnonzero(~meets)
     meets[probe] = seq.neighbors.counts_of(centres[probe], radius) > 0
     return meets
@@ -512,7 +512,7 @@ def _ball_arrays(space, balls) -> tuple:
 
 def _by_radius(radii: np.ndarray):
     """Per distinct radius, increasing: ``(r, positions of the balls of it)``."""
-    for r in np.unique(radii):
+    for r in _distinct(radii):
         yield float(r), np.flatnonzero(radii == r)
 
 
@@ -613,7 +613,7 @@ def enumerate_or_search_nice_family(
         raise InvalidParameter(f"unknown method {method!r}")
     if kind not in ("nice", "whitney"):
         raise InvalidParameter(f"unknown kind {kind!r}")
-    subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
+    subset_ids = _distinct(np.asarray(subset_ids, dtype=int))
     if budget <= 0:
         return NiceFamily(balls=[], c=float(c), kind=kind)
     if candidates is None:
@@ -773,22 +773,18 @@ def combinatorial_expand(space, piecewise: PiecewiseSet, ball: Ball, c: float):
         raise InvalidParameter("c must be >= 1")
     r = ball.radius
     base_members = space.members(ball.center, c * r)
-    if not np.any(np.isin(base_members, piecewise.union_ids)):
+    if not np.any(_in_sorted(base_members, piecewise.union_ids)):
         raise InvalidParameter("c-dilated ball must meet S")
     piece_sets = [pc.ids for pc in piecewise.pieces]
     for l in range(piecewise.N + 1):
         inner = space.members(ball.center, (c + l) * r)
-        current = frozenset(
-            i for i, ids in enumerate(piece_sets) if np.any(np.isin(inner, ids, assume_unique=False))
-        )
+        current = frozenset(i for i, ids in enumerate(piece_sets) if np.any(_in_sorted(inner, ids)))
         outer = space.members(ball.center, (c + l + 1) * r)
-        new = frozenset(
-            i for i, ids in enumerate(piece_sets) if np.any(np.isin(outer, ids, assume_unique=False))
-        )
+        new = frozenset(i for i, ids in enumerate(piece_sets) if np.any(_in_sorted(outer, ids)))
         if new == current:
             witnesses = {}
             for i in sorted(current):
-                hits = inner[np.isin(inner, piece_sets[i], assume_unique=False)]
+                hits = inner[_in_sorted(inner, piece_sets[i])]
                 witnesses[i] = int(hits[0])
             return sorted(current), l + 1, witnesses
     raise AssertionError("expansion failed to stop within N+1 steps")  # unreachable

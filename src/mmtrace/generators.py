@@ -13,7 +13,7 @@ from .content import piece_measure_weights
 from .errors import InvalidParameter, ParameterError
 from .functionals import SampleFunction
 from .regularity import PiecewiseSet, SubsetPiece, check_adr, compose_piecewise, default_r_grid
-from .space import FiniteMetricMeasureSpace
+from .space import FiniteMetricMeasureSpace, _distinct
 
 _KIND_DIM = {"grid1d": 1, "grid2d": 2, "grid3d": 3}
 
@@ -133,7 +133,7 @@ def _build_piece(space, spec: PieceSpec, label: str) -> SubsetPiece:
         for q in np.atleast_2d(pts):
             d = np.linalg.norm(coords - q, axis=1)
             ids.append(int(np.argmin(d)))
-        ids = np.unique(ids)
+        ids = _distinct(ids)
         w = piece_measure_weights(space, ids, spec.theta, mode="content")
         return SubsetPiece(ids=ids, theta=spec.theta, weights=w, label=label)
     raise ParameterError(f"unknown piece shape {shape!r}")

@@ -20,7 +20,7 @@ import numpy as np
 from ._neighbors import SubsetNeighbors, csr_rows, subset_neighbors
 from .errors import ParameterError, ResolutionError
 from .regularity import PiecewiseSet
-from .space import _EPS, FiniteMetricMeasureSpace
+from .space import _EPS, FiniteMetricMeasureSpace, _distinct, _in_sorted
 
 EPSILON = 0.5   # dyadic scale convention: the k-th scale is EPSILON^k = 2^-k
 
@@ -206,7 +206,7 @@ def verify_regular_sequence(
     m5 = {}
     if test_sets:
         mk = seq.weights_per_k[k_max]
-        masks = {name: np.isin(S, np.asarray(ids, dtype=int)) for name, ids in test_sets.items()}
+        masks = {name: _in_sorted(S, _distinct(np.asarray(ids, dtype=int))) for name, ids in test_sets.items()}
         held = nbrs.ball_sums(S, radii[k_max], np.array([np.where(in_e, mk, 0.0) for in_e in masks.values()]))
         for (name, in_e), part in zip(masks.items(), held):
             part = part[in_e]
@@ -264,7 +264,7 @@ def measure_comparison_check(
         for pc in piecewise.pieces:
             centers = pc.ids
             if centers.size > max_centers_per_piece:
-                sel = np.unique(np.linspace(0, centers.size - 1, max_centers_per_piece).astype(int))
+                sel = _distinct(np.linspace(0, centers.size - 1, max_centers_per_piece).astype(int))
                 centers = centers[sel]
             denom = 2.0 ** (k * (seq.theta - pc.theta)) * subset_neighbors(space, pc.ids).ball_sums(
                 centers, r, pc.weights[None])[0]

@@ -18,7 +18,7 @@ import numpy as np
 from ._neighbors import PAIR_BLOCK, csr_rows, subset_neighbors
 from .content import _by_centre, _greedy_cover, _pool_radii
 from .errors import EmptySet, InvalidGrid, InvalidParameter, ResolutionError
-from .space import _EPS, FiniteMetricMeasureSpace, _kd_tree, _pad, dyadic_radii
+from .space import _EPS, FiniteMetricMeasureSpace, _distinct, _kd_tree, _pad, dyadic_radii
 
 
 @dataclass
@@ -68,7 +68,7 @@ class PiecewiseSet:
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise InvalidParameter(f"piece codimensions must be strictly increasing, got {thetas}")
         self.theta_S = float(thetas[-1])
-        self.union_ids = np.unique(np.concatenate([p.ids for p in self.pieces]))
+        self.union_ids = _distinct(np.concatenate([p.ids for p in self.pieces]))
         self.N = len(self.pieces)
 
 
@@ -140,7 +140,7 @@ def check_lcr(
         raise InvalidGrid("r_grid must be nonempty")
     if theta < 0:
         raise InvalidParameter("theta must be >= 0")
-    subset_ids = np.unique(np.asarray(subset_ids, dtype=int))
+    subset_ids = _distinct(np.asarray(subset_ids, dtype=int))
     nbrs = subset_neighbors(space, subset_ids)
     weights = {}   # per pool radius, the cover weight of each subset point's ball
     sweeps = {}    # per radius, the subset's sweep

@@ -38,13 +38,26 @@ def _pad(radius: float) -> float:
     return radius * (1 + _EPS) + _EPS
 
 
+def _distinct(a) -> np.ndarray:
+    """``np.unique(a)`` of integer or finite float input, bit for bit, from
+    one sort; the plain ``np.unique`` imports ``numpy.ma`` (1.3 MB)."""
+    a = np.sort(np.asarray(a), axis=None)
+    return a[np.append(True, a[1:] != a[:-1])[: a.size]]
+
+
+def _in_sorted(a, s: np.ndarray) -> np.ndarray:
+    """``np.isin(a, s)`` for sorted distinct s (all False if s is empty),
+    by binary search."""
+    return s[np.minimum(np.searchsorted(s, a), s.size - 1)] == a if s.size else np.zeros(np.shape(a), dtype=bool)
+
+
 def _pairwise_sums(w: np.ndarray, indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Per CSR row, ``np.sum(w[row])`` bit for bit: the rows of one length
     form a 2-d array, whose ``.sum(axis=1)`` reduces each contiguous row
     with the pairwise loop ``np.sum`` runs on that row alone."""
     lengths = np.diff(indptr)
     out = np.zeros(lengths.size)
-    for n in np.unique(lengths).tolist():
+    for n in _distinct(lengths).tolist():
         rows = np.flatnonzero(lengths == n)
         out[rows] = w[ids[indptr[rows, None] + np.arange(n)]].sum(axis=1)
     return out
@@ -146,8 +159,9 @@ class FiniteMetricMeasureSpace:
         self._lattice = None if self.coords is None else _lattice_of(self.coords, self.weights, self.resolution)
         # at most 8 distinct weight values (one for uniform weights, boundary
         # cell corrections on a grid): masses count points per value
-        distinct = np.unique(self.weights if self._lattice is None else self._lattice[1])
+        distinct = _distinct(self.weights if self._lattice is None else self._lattice[1])
         self._weight_classes = distinct if distinct.size <= 8 else None
+        self._class_layers = None   # per weight value, the shared layer of its points
         self._mass_cache: dict[float, tuple] = {}
         # shared ball layer per subset (``_neighbors.subset_neighbors``), keyed
         # by the bytes of the sorted subset ids; the whole cloud's is ``_layer``
@@ -314,7 +328,8 @@ class FiniteMetricMeasureSpace:
         key = float(radius)
         known, masses = self._mass_cache.get(key, (np.zeros(0, dtype=np.int64), np.zeros(0)))
         centres = self.ids if ids is None else self.check_ids(ids)
-        todo = np.zeros(0, dtype=np.int64) if known is None else np.setdiff1d(centres, known)
+        todo = np.zeros(0, dtype=np.int64) if known is None else _distinct(centres)
+        todo = todo[~_in_sorted(todo, known)] if todo.size else todo
         if todo.size:
             at = np.searchsorted(known, todo)
             known, masses = np.insert(known, at, todo), np.insert(masses, at, self._count_masses(todo, radius))
@@ -328,7 +343,8 @@ class FiniteMetricMeasureSpace:
         several on at most 512 points; else, per weight value v ascending,
         v times the count of points of weight v, from the lattice class
         counts at an unambiguous budget or from the class's own
-        ``SubsetNeighbors`` (for uniform weights the whole cloud's)."""
+        ``SubsetNeighbors`` (for uniform weights the whole cloud's), looked
+        up once per space."""
         from ._neighbors import subset_neighbors   # that module imports this one
 
         classes = self._weight_classes
@@ -338,8 +354,9 @@ class FiniteMetricMeasureSpace:
         if q is not None:
             counts = self._grid_counts(centres, q)
             return sum(v * counts[:, self._lattice[1] == v].sum(axis=1) for v in classes.tolist())
-        return sum(v * subset_neighbors(self, np.flatnonzero(self.weights == v)).counts_of(centres, radius)
-                   for v in classes.tolist())
+        if self._class_layers is None:
+            self._class_layers = [subset_neighbors(self, np.flatnonzero(self.weights == v)) for v in classes.tolist()]
+        return sum(v * layer.counts_of(centres, radius) for v, layer in zip(classes.tolist(), self._class_layers))
 
 
 # -- operations ----------------------------------------------------------
@@ -367,7 +384,7 @@ def separated_net(
     >= 2^-k from every point already kept; scanning the whole subset makes
     the result maximal (covering radius <= 2^-k) automatically.
     """
-    ids = np.unique(space.check_ids(list(subset_ids)))
+    ids = _distinct(space.check_ids(list(subset_ids)))
     if ids.size == 0:
         raise EmptySet("cannot build a net of an empty subset")
     sep = 2.0 ** (-int(k))
@@ -509,7 +526,7 @@ def decay_exponents(
     if len(usable) < 2:
         raise InsufficientData("need at least two radii for decay fitting")
     # every id when n <= max_centers, since the samples are then less than 1 apart
-    centers = np.unique(np.linspace(0, space.n - 1, max_centers).astype(int))
+    centers = _distinct(np.linspace(0, space.n - 1, max_centers).astype(int))
     masses = {r: space.masses_at_radius(r, centers) for r in usable}
 
     slopes = []

@@ -8,8 +8,15 @@ full grid every ball query of the canonical instances reads integer
 stencils (the pieces and their union are a few boxes of the grid), so a
 difficult-case experiment, a simple-case ``bn`` and the checks and
 searches on the simple instance run without it; the same ``bn`` on a
-cloud that is no lattice loads it."""
+cloud that is no lattice loads it.
 
+``numpy.ma`` (about 1.3 MB) stays unloaded on those paths too: numpy's
+plain ``np.unique``, and the set routines built on it, import it to ask
+whether an array is masked, so ``src/`` takes distinct values and sorted
+membership from ``space._distinct`` and ``space._in_sorted``, and a
+static check keeps those numpy calls out of it."""
+
+import ast
 import os
 import subprocess
 import sys
@@ -58,7 +65,7 @@ f = mt.make_sample_function(space, pw, "hoelder:0.6")
 assert mt.trace_norm_difficult(space, pw, f, 2.5).value > 0
 mt.report_emit(report, "csv", "report.csv", cfg)
 mt.report_emit(report, "json", "report.json", cfg)
-for name in ("scipy.spatial", "scipy.sparse"):
+for name in ("scipy.spatial", "scipy.sparse", "numpy.ma"):
     assert not loaded(name), loaded(name)
 
 space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
@@ -70,7 +77,7 @@ mt.check_lcr(space, segment.ids, segment.theta, mt.default_r_grid(space))
 mt.hausdorff_content(space, mt.ContentQuery(face.ids, face.theta, 0.25, "greedy"))
 mt.verify_regular_sequence(space, seq)
 mt.bsn_functional(space, seq, f.values, 2.5, 6.0)
-for name in ("scipy.spatial", "scipy.sparse"):
+for name in ("scipy.spatial", "scipy.sparse", "numpy.ma"):
     assert not loaded(name), loaded(name)
 
 # the same grid with weights off the boundary classes is no lattice
@@ -96,6 +103,27 @@ def test_greedy_paths_do_not_import_scipy_optimize(tmp_path):
 def test_difficult_case_loads_no_kd_tree_module(tmp_path):
     out = run_python(["-c", SCIPY_GUARD], tmp_path)
     assert out.returncode == 0, out.stderr
+
+
+def test_no_set_routine_that_imports_numpy_ma():
+    """No module of the package calls ``np.unique`` without a ``return_*``
+    keyword, ``np.isin`` without ``assume_unique=True``, or ``setdiff1d``,
+    ``union1d``, ``intersect1d`` or ``setxor1d``: each reaches the plain
+    ``np.unique``, which imports ``numpy.ma``."""
+    bad = []
+    for path in sorted(Path(mt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("setdiff1d", "union1d", "intersect1d", "setxor1d"):
+                bad.append(f"{path.name}:{node.lineno} {node.attr}")
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            keys = {k.arg: k.value for k in node.keywords}
+            if node.func.attr == "unique" and not any(k and k.startswith("return_") for k in keys):
+                bad.append(f"{path.name}:{node.lineno} unique")
+            sure = isinstance(keys.get("assume_unique"), ast.Constant) and keys["assume_unique"].value is True
+            if node.func.attr == "isin" and not sure:
+                bad.append(f"{path.name}:{node.lineno} isin")
+    assert not bad, bad
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import mmtrace as mt
 from mmtrace.errors import EmptySet, InsufficientData, InvalidPoint, InvalidScale, ResolutionError
+from mmtrace.space import _distinct, _in_sorted
 from conftest import trees_built
 from oracles import ogreedy_net, omass
 
@@ -336,6 +337,30 @@ class TestMassesAtCentres:
             np.testing.assert_array_equal(space.masses_at_radius(0.5, ids), want)
             np.testing.assert_array_equal(space.masses_at_radius(0.5, [5]), want[-2:-1] if ids else want[5:6])
 
+    @pytest.mark.parametrize("branch", ["uniform", "classes", "general", "matrix"])
+    def test_partial_fills_keep_the_cache_entry(self, branch):
+        """Out-of-order ids with repeats, asked at one radius, give the
+        masses and the cache entry of a fill by ``np.setdiff1d`` bit for bit."""
+        space, twin = self._space(branch), self._space(branch)
+        rng = np.random.default_rng(3)
+        r, n = 0.5, space.n
+        known, masses = np.zeros(0, dtype=np.int64), np.zeros(0)
+        for ids in ([7, 3, 7, 3], rng.integers(0, n, 40), [], [3, 7], rng.permutation(n)[: n // 2],
+                    rng.permutation(n), [n - 1, 0, n - 1]):
+            got = space.masses_at_radius(r, ids)
+            centres = np.asarray(ids, dtype=np.int64)
+            todo = np.zeros(0, dtype=np.int64) if known is None else np.setdiff1d(centres, known)
+            if todo.size:
+                at = np.searchsorted(known, todo)
+                known, masses = np.insert(known, at, todo), np.insert(masses, at, twin._count_masses(todo, r))
+                known = None if known.size == n else known
+            assert got.tobytes() == masses[centres if known is None else np.searchsorted(known, centres)].tobytes()
+            cached, held = space._mass_cache[r]
+            assert (cached is None) == (known is None)
+            assert known is None or (cached.dtype == known.dtype and cached.tobytes() == known.tobytes())
+            assert held.tobytes() == masses.tobytes()
+        assert known is None
+
     def test_cache_holds_16_bytes_per_counted_id(self):
         """After generate and a trace_simple:1 evaluation, each radius keeps
         an int64 id and a float64 mass per counted centre, or n masses by id."""
@@ -351,6 +376,54 @@ class TestMassesAtCentres:
         for r, (known, masses) in space._mass_cache.items():
             assert known is None or known.nbytes == 8 * known.size
             assert (0 if known is None else known.nbytes) + masses.nbytes <= 16 * _counted(space, r).size
+
+
+class TestSortedSets:
+    """``space._distinct`` and ``space._in_sorted`` give ``np.unique`` and
+    ``np.isin`` (on a sorted, distinct haystack) bit for bit."""
+
+    VALUES = {
+        "int32": st.integers(-(2**31), 2**31 - 1) | st.integers(-3, 3),
+        "int64": st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3),
+        "float64": st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    }
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(VALUES)), st.sampled_from(["1-d", "list", "2-d"]), st.data())
+    def test_distinct_is_unique(self, dtype, form, data):
+        a = np.array(data.draw(st.lists(self.VALUES[dtype], max_size=30), label="values"), dtype=dtype)
+        if form == "2-d":
+            a = a[: a.size // 3 * 3].reshape(-1, 3)
+        arg = a.tolist() if form == "list" else a
+        got, want = _distinct(arg), np.unique(arg)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("arg", [[], np.zeros(0, dtype=np.int32), np.zeros((0, 3)), 7, [2.5, 2.5, -1.0]])
+    def test_distinct_edge_cases(self, arg):
+        got, want = _distinct(arg), np.unique(arg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(["int32", "int64", "float64"]), st.lists(st.integers(-40, 40), max_size=20),
+           st.lists(st.integers(-50, 50), max_size=30), st.booleans())
+    def test_in_sorted_is_isin(self, dtype, haystack, queries, as_list):
+        s = np.unique(np.array(haystack, dtype=dtype))
+        a = np.array(queries, dtype=np.int64)
+        arg = a.tolist() if as_list else a
+        got, want = _in_sorted(arg, s), np.isin(arg, s)
+        assert got.dtype == want.dtype == bool and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("queries", [[-5, 2, 3, 5, 5, 9, 12, 2, 7], [], [[1, 2], [9, 10]], [2, 2, 2]])
+    @pytest.mark.parametrize("haystack", [[2, 5, 9], [], [4]])
+    def test_in_sorted_edge_cases(self, queries, haystack):
+        """Queries below, between and above the haystack, repeated, none,
+        2-d, and an empty haystack (all False)."""
+        s = np.array(haystack, dtype=np.int64)
+        got, want = _in_sorted(np.array(queries, dtype=np.int64), s), np.isin(queries, s)
+        assert got.dtype == bool and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def _counted(space, r):
@@ -571,6 +644,39 @@ class TestLatticeCounts:
         got, trees = trees_built(lambda: space.masses_at_radius(r))
         np.testing.assert_array_equal(got, twin.masses_at_radius(r))
         assert trees == []
+
+    @pytest.mark.parametrize("kind", ["jittered", "ambiguous"])
+    def test_weight_value_layers_are_found_once(self, kind):
+        """Counting by weight value off the lattice counts (a jittered grid,
+        or the grid at ambiguous radii) finds each value's shared layer once
+        per space: a miss at a new radius calls no ``subset_neighbors``, and
+        the masses are v times the points of weight v counted on that
+        value's layer, summed over v ascending, bit for bit."""
+        from unittest import mock
+
+        from mmtrace import _neighbors
+
+        grid = self._cell_grid()
+        if kind == "jittered":
+            coords = grid.coords + np.random.default_rng(4).uniform(-0.3, 0.3, grid.coords.shape) / 24
+            space = mt.FiniteMetricMeasureSpace(weights=grid.weights, coords=coords, resolution=1 / 24)
+            radii = (0.1, 0.25, 1 / 3)
+        else:
+            space = grid
+            radii = [(math.sqrt(j) / 24 - 1e-12) / (1 + 1e-12) for j in (5, 8, 13)]
+            assert all(space._grid_budget(r * (1 + 1e-12) + 1e-12) is None for r in radii)
+        twin = mt.FiniteMetricMeasureSpace(weights=space.weights, coords=space.coords, resolution=1 / 24)
+        values = np.unique(space.weights)
+        assert space.n > 512 and 1 < values.size <= 8
+        ids = np.array([5, 0, space.n - 1, 5, 300])
+        found = mock.patch.object(_neighbors, "subset_neighbors", autospec=True, side_effect=_neighbors.subset_neighbors)
+        for a, r in enumerate(radii):
+            with found as calls:
+                got = space.masses_at_radius(r, ids)
+            assert calls.call_count == (values.size if a == 0 else 0)
+            want = sum(v * _neighbors.subset_neighbors(twin, np.flatnonzero(twin.weights == v)).counts_of(ids, r)
+                       for v in values.tolist())
+            assert got.tobytes() == want.tobytes()
 
     def test_loaded_grid_keeps_the_lattice(self, tmp_path):
         from mmtrace import io as mio
