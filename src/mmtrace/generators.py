@@ -69,13 +69,14 @@ def build_grid_space(kind: str, h: float, c_res: float = 1.0, mu_weights: str = 
 
 def _cell_lengths(positions: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Trapezoidal cell lengths of sorted 1-d sample positions on [lo, hi]."""
-    edges_lo = np.concatenate(([lo], (positions[1:] + positions[:-1]) / 2.0))
-    edges_hi = np.concatenate((((positions[1:] + positions[:-1]) / 2.0), [hi]))
-    return edges_hi - edges_lo
+    return np.diff(np.concatenate(([lo], (positions[1:] + positions[:-1]) / 2.0, [hi])))
 
 
 def _match(coords_col: np.ndarray, value: float) -> np.ndarray:
-    return np.abs(coords_col - value) <= 1e-9
+    out = np.empty(coords_col.size, dtype=bool)
+    for lo in range(0, coords_col.size, _LATTICE_ROWS):  # no cloud-sized float temporary
+        out[lo : lo + _LATTICE_ROWS] = np.abs(coords_col[lo : lo + _LATTICE_ROWS] - value) <= 1e-9
+    return out
 
 
 def _build_piece(space, spec: PieceSpec, label: str) -> SubsetPiece:
@@ -95,8 +96,7 @@ def _build_piece(space, spec: PieceSpec, label: str) -> SubsetPiece:
             mask &= _match(coords[:, a], float(v))
         mask &= (coords[:, axis] >= lo - 1e-9) & (coords[:, axis] <= hi + 1e-9)
         ids = np.flatnonzero(mask)
-        order = np.argsort(coords[ids, axis])
-        ids = ids[order]
+        ids = ids[np.argsort(coords[ids, axis])]
         w = _cell_lengths(coords[ids, axis], lo, hi)
         return SubsetPiece(ids=ids, theta=spec.theta, weights=w, label=label)
     if shape == "square_face":
@@ -129,11 +129,7 @@ def _build_piece(space, spec: PieceSpec, label: str) -> SubsetPiece:
         return SubsetPiece(ids=ids, theta=spec.theta, weights=space.weights[ids], label=label)
     if shape == "point_cluster":
         pts = np.asarray(pl["points"], dtype=float)
-        ids = []
-        for q in np.atleast_2d(pts):
-            d = np.linalg.norm(coords - q, axis=1)
-            ids.append(int(np.argmin(d)))
-        ids = _distinct(ids)
+        ids = _distinct([int(np.argmin(np.linalg.norm(coords - q, axis=1))) for q in np.atleast_2d(pts)])
         w = piece_measure_weights(space, ids, spec.theta, mode="content")
         return SubsetPiece(ids=ids, theta=spec.theta, weights=w, label=label)
     raise ParameterError(f"unknown piece shape {shape!r}")
@@ -208,6 +204,55 @@ def nested_case_spec(h: float) -> GeneratorSpec:
 
 # -- sample functions ----------------------------------------------------
 
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_BLOCK = 1 << 14  # states per block of a `random` draw: limb arrays of 128 KB stay in cache (2^12, 2^16 are slower)
+
+
+def _muladd(x: list, a: int, c: int) -> list:
+    """``a·x + c mod 2^128`` for states ``x`` held as four 32-bit limbs, low first, in uint64 arrays."""
+    cols = [np.uint64(c >> 32 * k & _M32) for k in range(4)]
+    for i, j in ((i, j) for i in range(4) for j in range(4 - i)):
+        p = x[i] * np.uint64(a >> 32 * j & _M32)
+        cols[i + j] += p if i + j == 3 else p & _M32  # the top limb keeps 32 bits: wrapping at 2^64 is exact
+        if i + j < 3:
+            cols[i + j + 1] += p >> 32
+    for k in range(3):
+        cols[k + 1] += cols[k] >> 32
+    return [col & _M32 for col in cols]
+
+
+def _uniform(seed: int, n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).uniform(-1.0, 1.0, n)`` bit for bit, without ``numpy.random``:
+    numpy's SeedSequence hash of the seed seeds a PCG64 (XSL-RR output of a 128-bit LCG), whose
+    states are made a block at a time by jumps of the LCG, (A, C) -> (A², A·C + C)."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]  # zeros hash as absent
+    h = 0x43B0D7E5
+
+    def hashmix(v: int, mult: int = 0x931E8875) -> int:
+        nonlocal h
+        h, v = h * mult & _M32, v ^ h
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src, dst in ((s, d) for s in range(len(words)) for d in range(4) if s != d):
+        v = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src] if src < 4 else words[src])) & _M32
+        pool[dst] = v ^ v >> 16
+    h = 0x8B51F9DD
+    w = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]  # generate_state(4, np.uint64), low halves first
+    state, seq = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2], w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+    a, c = 0x2360ED051FC65DA44385DF649FCCF645, (seq << 1 | 1) & _M128
+    s = ((c + state) * a + c) * a + c & _M128  # PCG64's seeding steps, then the first draw's
+    x, size, out = [np.array([s >> 32 * k & _M32], dtype=np.uint64) for k in range(4)], 1, np.empty(n)
+    while size < min(n, _PCG_BLOCK):
+        x = [np.concatenate(p) for p in zip(x, _muladd(x, a, c))]
+        a, c, size = a * a & _M128, (a * c + c) & _M128, 2 * size
+    for lo in range(0, n, size):
+        x = _muladd(x, a, c) if lo else x
+        v, r = (x[3] << 32 | x[2]) ^ (x[1] << 32 | x[0]), x[3] >> 26
+        out[lo : lo + size] = ((v >> r | v << (64 - r & 63)) >> 11)[: n - lo] * 2.0**-52 - 1.0
+    return out
+
 
 def make_sample_function(
     space,
@@ -239,8 +284,9 @@ def make_sample_function(
         axis = int(arg) if arg else dim - 1
         vals = (coords[:, axis] > 0.5).astype(float)
     elif name == "random":
-        rng = np.random.default_rng(seed)
-        vals = rng.uniform(-1.0, 1.0, space.n)
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidParameter(f"random seed must be a non-negative integer, got {seed!r}")
+        vals = _uniform(int(seed), space.n)
     else:
         raise InvalidParameter(f"unknown sample family {family!r}")
     return SampleFunction(values=vals, domain=piecewise)

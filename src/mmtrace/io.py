@@ -310,6 +310,9 @@ def parse_config(text: str) -> ExperimentConfig:
     """
     kv = _parse_keys(text, ["kind", "pieces", "resolutions", "functionals", "functions"])
     resolutions = [_parse_real(t) for t in kv["resolutions"].split()]
+    seeds = [_parse_int(t) for t in kv.get("seeds", "0").split()]
+    if any(seed < 0 for seed in seeds):
+        raise InvalidParameter(f"seeds must be non-negative integers, got {seeds}")
     return ExperimentConfig(
         generator=_generator(kv, resolutions[0]),
         resolutions=resolutions,
@@ -319,7 +322,7 @@ def parse_config(text: str) -> ExperimentConfig:
         theta=_parse_real(kv["theta"]) if "theta" in kv else None,
         c=_parse_real(kv.get("c", "6")),
         sigma=_parse_real(kv.get("sigma", "0.01")),
-        seeds=[_parse_int(t) for t in kv.get("seeds", "0").split()],
+        seeds=seeds,
     )
 
 

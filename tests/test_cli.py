@@ -171,6 +171,12 @@ class TestExitCodes:
         cfg.write_text(EXP_CONFIG + line + "\n")
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_negative_seed_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(EXP_CONFIG.replace("functions = linear", "functions = random") + "seeds = -3\n")
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("ids", [[0, 100000], [0, -3]])
     def test_piece_ids_outside_the_space_are_4(self, instance_dir, tmp_path, ids):
         pieces = tmp_path / "pieces.json"

@@ -2,8 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mmtrace as mt
+from mmtrace import generators
 from mmtrace._lattice import _LATTICE_ROWS
 from mmtrace.errors import InvalidParameter, ParameterError
 
@@ -120,6 +123,47 @@ class TestGenerate:
         rep = mt.porosity_scan(space, pw.union_ids, product, grid)
         assert rep.is_porous
 
+    @pytest.mark.parametrize("spec", [mt.simple_case_spec(1 / 24), mt.difficult_case_spec(1 / 32), mt.nested_case_spec(1 / 24),
+                                      mt.simple_case_spec(1 / 40)], ids=["simple", "difficult", "nested", "simple_40"])
+    def test_blocked_masks_equal_whole_array_masks(self, spec):
+        """Segment and face ids (and the face's edge weights) equal those of
+        the whole-array ``|x - v| <= 1e-9`` masks bit for bit."""
+        space, pw = mt.generate(spec, verify=False)
+        coords, h = space.coords, space.resolution
+
+        def near(x, v):
+            return np.abs(x - v) <= 1e-9
+
+        for ps, pc in zip(spec.pieces, pw.pieces):
+            pl = ps.placement
+            if ps.shape == "segment":
+                axis = pl["axis"]
+                mask = (coords[:, axis] >= -1e-9) & (coords[:, axis] <= 1 + 1e-9)
+                for a, v in zip([a for a in range(space.dim) if a != axis], pl["anchor"]):
+                    mask &= near(coords[:, a], v)
+                ids = np.flatnonzero(mask)
+                want = ids[np.argsort(coords[ids, axis])]
+            elif ps.shape == "square_face":
+                want = np.flatnonzero(near(coords[:, pl["axis"]], pl["offset"]))
+                w = np.ones(want.size)
+                for a in (0, 1):
+                    pos = coords[want, a]
+                    w = w * np.where(near(pos, 0.0) | near(pos, 1.0), h / 2.0, h)
+                assert pc.weights.tobytes() == w.tobytes()
+            else:
+                continue
+            assert pc.ids.tobytes() == want.tobytes() and pc.ids.dtype == want.dtype
+
+    def test_segment_masks_hold_no_cloud_sized_float(self):
+        """The segment's anchor masks are made in blocks: the piece build peaks
+        below one float per point of the cloud."""
+        space = mt.build_grid_space("grid3d", 1 / 40)
+        spec = mt.PieceSpec("segment", 2.0, {"axis": 2, "anchor": (0.5, 0.5)})
+        generators._build_piece(space, spec, "warm-up")
+        piece, peak = _peak(lambda: generators._build_piece(space, spec, "segment"))
+        assert piece.ids.size == 41 and space.n > 4 * _LATTICE_ROWS
+        assert peak < 8 * space.n
+
     def test_point_cluster(self):
         spec = mt.GeneratorSpec(
             kind="grid2d", h=1 / 8,
@@ -149,6 +193,37 @@ class TestSampleFunctions:
         f1 = mt.make_sample_function(space, pw, "random", seed=5)
         f2 = mt.make_sample_function(space, pw, "random", seed=5)
         np.testing.assert_array_equal(f1.values, f2.values)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, "3", None, [1, 2]])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        with pytest.raises(InvalidParameter):
+            mt.make_sample_function(space, pw, "random", seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.uint64(7)])
+    def test_numpy_integer_seeds(self, seed):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+        want = mt.make_sample_function(space, pw, "random", seed=7).values
+        assert mt.make_sample_function(space, pw, "random", seed=seed).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, generators._PCG_BLOCK - 1, generators._PCG_BLOCK, generators._PCG_BLOCK + 1,
+                                   3 * generators._PCG_BLOCK + 17])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.one_of(st.just(0), st.integers(0, 2**64), st.integers(2**128, 2**200)))
+    def test_random_equals_numpy_default_rng(self, n, seed):
+        """The ``random`` family is ``np.random.default_rng(seed).uniform(-1, 1, n)``
+        bit for bit: seeds of one to three 32-bit words, and of five or more,
+        which take SeedSequence's extra-entropy loop; sizes around the block."""
+        want = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        got = generators._uniform(seed, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_family_equals_numpy_on_the_cloud(self):
+        space, pw = mt.generate(mt.simple_case_spec(1 / 24), verify=False)
+        for seed in (0, 7, 2**32, 3**100):
+            f = mt.make_sample_function(space, pw, "random", seed=seed)
+            assert f.values.tobytes() == np.random.default_rng(seed).uniform(-1.0, 1.0, space.n).tobytes()
 
     def test_blocked_hoelder_equals_whole_array_norm(self):
         rng = np.random.default_rng(3)

@@ -14,7 +14,13 @@ cloud that is no lattice loads it.
 plain ``np.unique``, and the set routines built on it, import it to ask
 whether an array is masked, so ``src/`` takes distinct values and sorted
 membership from ``space._distinct`` and ``space._in_sorted``, and a
-static check keeps those numpy calls out of it."""
+static check keeps those numpy calls out of it.
+
+``numpy.random`` (11 modules with ``secrets``, ``hmac`` and
+``base64``, about 2 MB) stays unloaded on those paths as well: the
+``random`` sample family is drawn by ``generators._uniform``, numpy's
+seeded PCG64 in plain numpy, and a static check keeps ``np.random`` out
+of ``src/``.  Scipy may still load it on the paths that need scipy."""
 
 import ast
 import os
@@ -65,7 +71,7 @@ f = mt.make_sample_function(space, pw, "hoelder:0.6")
 assert mt.trace_norm_difficult(space, pw, f, 2.5).value > 0
 mt.report_emit(report, "csv", "report.csv", cfg)
 mt.report_emit(report, "json", "report.json", cfg)
-for name in ("scipy.spatial", "scipy.sparse", "numpy.ma"):
+for name in ("scipy.spatial", "scipy.sparse", "numpy.ma", "numpy.random"):
     assert not loaded(name), loaded(name)
 
 space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
@@ -77,7 +83,7 @@ mt.check_lcr(space, segment.ids, segment.theta, mt.default_r_grid(space))
 mt.hausdorff_content(space, mt.ContentQuery(face.ids, face.theta, 0.25, "greedy"))
 mt.verify_regular_sequence(space, seq)
 mt.bsn_functional(space, seq, f.values, 2.5, 6.0)
-for name in ("scipy.spatial", "scipy.sparse", "numpy.ma"):
+for name in ("scipy.spatial", "scipy.sparse", "numpy.ma", "numpy.random"):
     assert not loaded(name), loaded(name)
 
 # the same grid with weights off the boundary classes is no lattice
@@ -123,6 +129,23 @@ def test_no_set_routine_that_imports_numpy_ma():
             sure = isinstance(keys.get("assume_unique"), ast.Constant) and keys["assume_unique"].value is True
             if node.func.attr == "isin" and not sure:
                 bad.append(f"{path.name}:{node.lineno} isin")
+    assert not bad, bad
+
+
+def test_no_numpy_random_in_the_package():
+    """No module of the package names ``np.random`` or ``numpy.random``, as an
+    attribute or an import: importing it costs every job about 2 MB."""
+    bad = []
+    for path in sorted(Path(mt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "random" and \
+                    isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                bad.append(f"{path.name}:{node.lineno} {node.value.id}.random")
+            names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{name}" for name in names] + [node.module]
+            if any(name == "numpy.random" or name.startswith("numpy.random.") for name in names):
+                bad.append(f"{path.name}:{node.lineno} import")
     assert not bad, bad
 
 

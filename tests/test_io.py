@@ -347,7 +347,7 @@ class TestConfigText:
         with pytest.raises(InvalidParameter):
             mio.parse_config("kind grid2d")
 
-    @pytest.mark.parametrize("extra", ["resolutions =", "seeds = x", "seeds = 1.5"])
+    @pytest.mark.parametrize("extra", ["resolutions =", "seeds = x", "seeds = 1.5", "seeds = -3", "seeds = 0 -1"])
     def test_bad_list_value(self, extra):
         text = "kind = grid1d\npieces = segment theta=0.5 axis=0\nresolutions = 1/8\nfunctions = constant\nfunctionals = bn\n"
         with pytest.raises(InvalidParameter):
