@@ -226,9 +226,9 @@ class SubsetNeighbors:
 
     def cross_pairs(self, other: "SubsetNeighbors", radius: float):
         """Position pairs (into self.ids, other.ids) at distance <= radius,
-        sorted by (self position, other position)."""
+        sorted by (self position, other position), as two int32 arrays."""
         indptr, indices = other._sweep(self.ids, radius)
-        return np.repeat(np.arange(self.ids.size), np.diff(indptr)), indices.astype(np.int64)
+        return np.repeat(np.arange(self.ids.size, dtype=np.int32), np.diff(indptr)), indices
 
 
 def subset_neighbors(space: FiniteMetricMeasureSpace, ids) -> SubsetNeighbors:
@@ -426,12 +426,13 @@ def diff_table(csr, wa: np.ndarray, ga: np.ndarray, u: np.ndarray, t: np.ndarray
     return table
 
 
-def table_sums(csr, rows: np.ndarray, wb: np.ndarray, q: np.ndarray, table: np.ndarray, at: np.ndarray) -> np.ndarray:
+def table_sums(csr, rows: np.ndarray, wb: np.ndarray, at: np.ndarray, q: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Per listed row rows[t] of csr: the sum over y in it of wb[y]
-    table[at[t] + q[y]], table a ``diff_table`` raveled, at[t] the start of
-    a table row and q[y] y's value bucket; never below zero (a sum of
-    |differences| that cancels to zero may round below it)."""
+    table[at[t], q[y]], table a ``diff_table`` and q[y] y's value bucket,
+    the flat table indices formed block by block; never below zero (a sum
+    of |differences| that cancels to zero may round below it)."""
     out = np.empty(rows.size)
     for lo, hi, y, starts, lengths in _rows(csr, rows):
-        out[lo:hi] = _row_reduce(wb[y] * table[np.repeat(at[lo:hi], lengths) + q[y]], starts, lengths)
+        flat = np.repeat(at[lo:hi] * np.int64(table.shape[1]), lengths) + q[y]
+        out[lo:hi] = _row_reduce(wb[y] * table.take(flat), starts, lengths)
     return np.maximum(out, 0.0)

@@ -122,7 +122,7 @@ class _Pass:
         for r in sorted(self.reads.keys() | self.hooks.keys()):
             for nbrs, readers in self.reads.pop(r, {}).values():
                 sets = [np.asarray(c() if callable(c) else c, dtype=int) for c, _, _ in readers]
-                centres, owns = _distinct(np.concatenate(sets)), {}
+                centres, owns = _distinct(np.concatenate(list({id(s): s for s in sets}.values()))), {}
                 for s in sets:
                     if id(s) not in owns and s.size < centres.size:
                         owns[id(s)] = np.full(centres.size, -1)
@@ -130,8 +130,8 @@ class _Pass:
                 live = [(owns.get(id(s)), rank, read) for s, (_, rank, read) in zip(sets, readers) if s.size]
                 if live:
                     nbrs._per_ball(centres, r, live)
-            for hook in self.hooks.pop(r, []):
-                hook()
+            while self.hooks.get(r):   # a hook is dropped once run, with what it holds
+                self.hooks[r].pop(0)()
             self.local.clear()
 
 
@@ -292,7 +292,7 @@ def _gluing(ps, space, piecewise: PiecewiseSet, f, p: float, which: int, k_max=N
     # shift by a reference value: |g - g'| is shift-invariant and
     # constants then cancel exactly in the prefix sums
     shifted = [pv - float(vals[pieces[0].ids[0]]) for pv in piece_vals]
-    k_terms, ends, masses, nums = [0.0] * k_max, piece_vals, None, None
+    k_terms, ends, masses, nums = [0.0] * k_max, piece_vals if which == 1 else None, None, None
     for k in range(1, k_max + 1):
         r = 2.0 ** (-k)
         cross = {(i, j): _cross(ps, space, pieces, nbrs, i, j, r) for i, j in pairs}
@@ -361,30 +361,38 @@ def _balls(ps, nb, r: float):
 def _numerators(ps, nbrs, pieces, shifted, i, j, r: float, cross):
     """A thunk, per cross pair t of pieces i < j, of the sum over x in
     B_r(ia[t]) of piece i and y in B_r(ib[t]) of piece j of w_x w_y
-    |g_x - g_y|.  Piece i's balls at the ia give ``diff_table`` rows over
-    the distinct values u of piece j; once r is read, one ``table_sums``
-    over piece j's balls at the ib sums them."""
-    wa, wb, ga, gb = pieces[i].weights, pieces[j].weights, shifted[i], shifted[j]
-    balls, state = _balls(ps, nbrs[j], r), {}
+    |g_x - g_y|: ``diff_table`` rows over piece i's balls at the heads (the
+    distinct ia, found once per radius and layer pair) and the buckets of
+    the values (made once per pass), summed by ``table_sums`` over piece
+    j's balls at the ib once r is read."""
+
+    def buckets():
+        u, q = np.unique(shifted[j], return_inverse=True)
+        return shifted, u, q, np.searchsorted(u, shifted[i])   # shifted kept, so its id stays its own
 
     def heads():
-        ua, state["row"] = np.unique(cross()[0], return_inverse=True)
-        state["u"], state["q"] = np.unique(gb, return_inverse=True)
-        state["t"] = np.searchsorted(state["u"], ga)
-        state["table"] = np.empty((ua.size, state["u"].size))
-        return pieces[i].ids[ua]
+        return ps.once(("heads", r, id(nbrs[i]), id(nbrs[j])), lambda: _heads(nbrs[i].ids, cross()[0]), local=True)
 
-    def tabulate(at, rows):
-        state["table"][at] = diff_table(rows, wa, ga, state["u"], state["t"])
+    (_, u, q, t), balls, job = ps.once(("buckets", id(shifted), i, j), buckets), _balls(ps, nbrs[j], r), {}
+
+    def centres():
+        job["table"] = np.empty((heads()[0].size, u.size))
+        return heads()[0]
 
     def add():
         # the table goes before the radius's terms are summed
-        at = state.pop("row") * state["u"].size
-        state["num"] = table_sums(balls(), cross()[1], wb, state["q"], state.pop("table").ravel(), at)
+        job["num"] = table_sums(balls(), cross()[1], pieces[j].weights, heads()[1], q, job.pop("table"))
 
-    ps.read(nbrs[i], r, heads, None, tabulate)
+    ps.read(nbrs[i], r, centres, None, lambda at, rows: job["table"].__setitem__(
+        at, diff_table(rows, pieces[i].weights, shifted[i], u, t)))
     ps.then(r, add)
-    return lambda: state["num"]
+    return lambda: job["num"]
+
+
+def _heads(ids: np.ndarray, ia: np.ndarray) -> tuple:
+    """The ids at the distinct positions of the sorted ia, and each pair's int32 row among them."""
+    new = np.diff(ia, prepend=-1) > 0   # the first pair at each position
+    return ids[ia[new]], np.cumsum(new, dtype=np.int32) - 1
 
 
 # ----------------------------------------------------------------------

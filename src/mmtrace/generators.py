@@ -79,6 +79,17 @@ def _match(coords_col: np.ndarray, value: float) -> np.ndarray:
     return out
 
 
+def _nearest(coords: np.ndarray, q: np.ndarray) -> int:
+    """The first id of least ``np.linalg.norm(coords - q, axis=1)``, in its bits, by blocks of _LATTICE_ROWS."""
+    best = (np.inf, 0)
+    for lo in range(0, coords.shape[0], _LATTICE_ROWS):
+        d = np.zeros(coords[lo : lo + _LATTICE_ROWS].shape[0])
+        for a in range(coords.shape[1]):   # norm's sum of squares, in its order
+            d += (coords[lo : lo + _LATTICE_ROWS, a] - q[a]) ** 2
+        best = min(best, (np.sqrt(d, out=d).min(), lo + int(d.argmin())))   # a tie keeps the first point
+    return best[1]
+
+
 def _build_piece(space, spec: PieceSpec, label: str) -> SubsetPiece:
     dim = space.dim
     coords = space.coords
@@ -129,7 +140,7 @@ def _build_piece(space, spec: PieceSpec, label: str) -> SubsetPiece:
         return SubsetPiece(ids=ids, theta=spec.theta, weights=space.weights[ids], label=label)
     if shape == "point_cluster":
         pts = np.asarray(pl["points"], dtype=float)
-        ids = _distinct([int(np.argmin(np.linalg.norm(coords - q, axis=1))) for q in np.atleast_2d(pts)])
+        ids = _distinct([_nearest(coords, q) for q in np.atleast_2d(pts)])
         w = piece_measure_weights(space, ids, spec.theta, mode="content")
         return SubsetPiece(ids=ids, theta=spec.theta, weights=w, label=label)
     raise ParameterError(f"unknown piece shape {shape!r}")

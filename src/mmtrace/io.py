@@ -43,19 +43,18 @@ from .space import FiniteMetricMeasureSpace
 
 
 def save_space(space: FiniteMetricMeasureSpace, path: str):
+    """Write the space's file, its id lines in blocks of 256 from one ``tolist`` each (not the cloud's at once)."""
     try:
         with open(path, "w") as fh:
-            if space.coords is not None:
-                fh.write(f"mmspace v1; n={space.n}; dim={space.dim}; h={space.resolution!r}\n")
-                for i in range(space.n):
-                    xs = " ".join(repr(float(v)) for v in space.coords[i])
-                    fh.write(f"{i} {xs} {float(space.weights[i])!r}\n")
-            else:
-                fh.write(f"mmspace-matrix v1; n={space.n}; h={space.resolution!r}\n")
-                for i in range(space.n):
-                    fh.write(f"{i} {float(space.weights[i])!r}\n")
-                for i in range(1, space.n):
-                    fh.write(" ".join(repr(float(v)) for v in space.dist_matrix[i, :i]) + "\n")
+            matrix = space.coords is None
+            fh.write(f"mmspace-matrix v1; n={space.n}; h={space.resolution!r}\n" if matrix
+                     else f"mmspace v1; n={space.n}; dim={space.dim}; h={space.resolution!r}\n")
+            coords = np.empty((space.n, 0)) if matrix else space.coords   # a matrix file's id lines: the weight
+            for lo in range(0, space.n, 256):
+                rows = zip(coords[lo : lo + 256].tolist(), space.weights[lo : lo + 256].tolist())
+                fh.write("".join(f"{i} {''.join(f'{x!r} ' for x in xs)}{w!r}\n" for i, (xs, w) in enumerate(rows, lo)))
+            for i in range(1, space.n) if matrix else ():
+                fh.write(" ".join(map(repr, space.dist_matrix[i, :i].tolist())) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write space to {path}: {exc}") from exc
 

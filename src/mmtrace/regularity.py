@@ -154,12 +154,13 @@ def check_lcr(
                 weights[rp] = space.ball_masses(subset_ids, rp) / rp**theta
         for rad in {r, *radii} - sweeps.keys():
             sweeps[rad] = nbrs._sweep(subset_ids, rad)
-        indptr, indices = sweeps[r]
+        (indptr, indices), values = sweeps[r], {}   # per local set (its positions' bytes), its cover's value
         for a, mass in enumerate(space.masses_at_radius(r, subset_ids)):
             local = indices[indptr[a] : indptr[a + 1]]
-            covers = _by_centre([_restricted(sweeps[rp], local) for rp in radii])
-            _, value = _greedy_cover(local.size, covers, _by_centre([weights[rp][local].tolist() for rp in radii]))
-            lam = min(lam, value * r**theta / mass)
+            if (key := local.tobytes()) not in values:
+                covers = _by_centre([_restricted(sweeps[rp], local) for rp in radii])
+                values[key] = _greedy_cover(local.size, covers, _by_centre([weights[rp][local].tolist() for rp in radii]))[1]
+            lam = min(lam, values[key] * r**theta / mass)
     return float(lam)
 
 

@@ -874,14 +874,18 @@ class TestTraceNorms:
         assert warm_run() == fresh
 
 class TestOnePass:
-    @pytest.mark.parametrize("case, reverse", [("simple", False), ("difficult", False), ("simple", True), ("difficult", True)],
-                             ids=["simple", "difficult", "simple_reversed", "difficult_reversed"])
+    @pytest.mark.parametrize("case, reverse", [("simple", False), ("difficult", False), ("same_ids", False),
+                                               ("simple", True), ("difficult", True), ("same_ids", True)],
+                             ids=["simple", "difficult", "same_ids", "simple_reversed", "difficult_reversed",
+                                  "same_ids_reversed"])
     def test_a_resolution_evaluated_together_equals_each_cell_alone(self, case, reverse):
         """One ``evaluate_functional`` call with every function and
         functional of a resolution gives, bit for bit, the report of each
         (name, function) asked alone, and of the public function; also
-        where a part reads gl3's second piece before gl3 is registered, and
-        where the pass reads each radius's subsets in reverse order."""
+        where a part reads gl3's second piece before gl3 is registered,
+        where the pass reads each radius's subsets in reverse order, and
+        where gl3's two pieces share their ids, so one ball layer and one
+        set of heads serve both sides of every function's gl3."""
         from mmtrace import experiments
 
         run = functionals._Pass.run
@@ -891,9 +895,10 @@ class TestOnePass:
             run(ps)
 
         spec = mt.simple_case_spec(1 / 12) if case == "simple" else mt.difficult_case_spec(1 / 12)
-        names = (["trace_simple:1", "trace_simple:3", "bn", "gl2", "besov_alt:2"] if case == "simple"
-                 else ["besov:2", "trace_difficult", "sharp", "gl1"])
-        space, pw = mt.generate(spec, verify=False)
+        names = {"simple": ["trace_simple:1", "trace_simple:3", "bn", "gl2", "besov_alt:2"],
+                 "difficult": ["besov:2", "trace_difficult", "sharp", "gl1"],
+                 "same_ids": ["besov:2", "trace_simple:3", "gl3", "gl2"]}[case]
+        space, pw = _same_ids_instance() if case == "same_ids" else mt.generate(spec, verify=False)
         seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
         cfg = experiments.ExperimentConfig(generator=spec, resolutions=[1 / 12], functionals=names, functions=[])
         fs = [mt.make_sample_function(space, pw, fam, seed=1) for fam in ("linear", "hoelder:0.6", "step", "random")]
@@ -902,9 +907,57 @@ class TestOnePass:
         alone = [experiments.evaluate_functional(name, space, pw, seq, f, cfg) for f in fs for name in names]
         assert [r.to_json() for r in together] == [r.to_json() for r in alone]
         f = fs[-1]
-        public = (mt.trace_norm_simple(space, pw, f, 2.5, l=3) if case == "simple"
-                  else mt.trace_norm_difficult(space, pw, f, 2.5))
+        public = (mt.trace_norm_difficult(space, pw, f, 2.5) if case == "difficult"
+                  else mt.trace_norm_simple(space, pw, f, 2.5, l=3))
         assert public.to_json() == together[-len(names) + 1].to_json()
+
+    def test_gl3_heads_are_made_once_per_radius_and_layer_pair(self):
+        """Four functions' gl3 in one pass find the heads of the cross
+        pairs (their distinct first positions and each pair's table row)
+        once per radius and layer pair, for both layer pairs' spellings:
+        two pieces apart, and one piece's ids taken twice."""
+        from mmtrace import experiments
+
+        for space, pw in (mt.generate(mt.difficult_case_spec(1 / 16), verify=False), _same_ids_instance()):
+            seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+            cfg = experiments.ExperimentConfig(generator=mt.difficult_case_spec(1 / 16), resolutions=[1 / 16],
+                                               functionals=["gl3"], functions=[])
+            fs = [mt.make_sample_function(space, pw, fam, seed=1) for fam in ("linear", "hoelder:0.6", "step", "random")]
+            with mock.patch.object(functionals, "_heads", side_effect=functionals._heads) as heads:
+                together = experiments.evaluate_functional(["gl3"], space, pw, seq, fs, cfg)
+            layers = [subset_neighbors(space, pc.ids).ids for pc in pw.pieces]
+            assert heads.call_count == mt.default_k_max(space)
+            assert all(call.args[0] is layers[0] for call in heads.call_args_list)
+            assert [r.to_json() for r in together] == [mt.gluing(space, pw, f, 2.5, 3).to_json() for f in fs]
+
+    def test_four_functions_gl3_hold_little_more_than_their_tables(self):
+        """A four-function gl3 pass at difficult h = 1/32 allocates at its
+        peak at most the three extra functions' largest ``diff_table`` and
+        one block of PAIR_BLOCK float64 values more than a one-function
+        pass: the cross pairs' heads are shared, and no function holds a
+        pair-sized index array of its own."""
+        import tracemalloc
+
+        from mmtrace import _neighbors, experiments
+
+        spec = mt.difficult_case_spec(1 / 32)
+        space, pw = mt.generate(spec, verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        cfg = experiments.ExperimentConfig(generator=spec, resolutions=[1 / 32], functionals=["gl3"], functions=[])
+        fs = [mt.make_sample_function(space, pw, fam, seed=1) for fam in ("linear", "hoelder:0.6", "step", "random")]
+        experiments.evaluate_functional(["gl3"], space, pw, seq, fs[:1], cfg)   # the masses cached for both
+        peaks = []
+        for some in (fs[:1], fs):
+            tracemalloc.start()
+            try:
+                experiments.evaluate_functional(["gl3"], space, pw, seq, some, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        a, b = (subset_neighbors(space, pc.ids) for pc in pw.pieces)
+        heads = max(np.unique(a.cross_pairs(b, 2.0 ** -k)[0]).size for k in range(1, mt.default_k_max(space) + 1))
+        tables = sum(heads * np.unique(f.values[b.ids]).size * 8 for f in fs[1:])
+        assert peaks[1] - peaks[0] <= tables + _neighbors.PAIR_BLOCK * 8, (peaks, tables)
 
     def test_calderon_alone_equals_all_at_once(self):
         """A point's value does not depend on which points share its call,

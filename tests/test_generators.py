@@ -174,6 +174,33 @@ class TestGenerate:
         assert np.all(pw.pieces[0].weights > 0)
 
 
+    def test_point_cluster_takes_the_first_nearest_point(self):
+        """``_nearest``, by blocks of _LATTICE_ROWS rows, gives the id
+        ``np.argmin`` takes over the whole cloud's norms: for grid points,
+        points off the grid, and a point repeated in a later block (a tie
+        that the first block wins)."""
+        space = mt.build_grid_space("grid3d", 1 / 40)
+        rng = np.random.default_rng(0)
+        cloud = rng.uniform(size=(3 * _LATTICE_ROWS, 2))
+        cloud[2 * _LATTICE_ROWS + 5] = cloud[7]
+        for coords, pts in ((space.coords, np.vstack([space.coords[[0, 17, space.n - 1]], rng.uniform(-0.2, 1.2, (20, 3))])),
+                            (cloud, np.vstack([cloud[[7, 2 * _LATTICE_ROWS + 5, 3 * _LATTICE_ROWS - 1]],
+                                               rng.uniform(size=(20, 2))]))):
+            for q in pts:
+                assert generators._nearest(coords, q) == int(np.argmin(np.linalg.norm(coords - q, axis=1)))
+        assert generators._nearest(cloud, cloud[7]) == 7
+
+    def test_point_cluster_memory_at_h_40(self):
+        """A 2-point cluster on the 68,921-point h = 1/40 grid peaks below
+        8 bytes per cloud point: no whole-cloud distance temporary."""
+        space = mt.build_grid_space("grid3d", 1 / 40)
+        spec = mt.PieceSpec("point_cluster", 2.0, {"points": [(0.3, 0.31, 0.7), (0.5, 0.5, 0.5)]})
+        generators._build_piece(space, spec, "warm-up")
+        piece, peak = _peak(lambda: generators._build_piece(space, spec, "cluster"))
+        assert piece.ids.size == 2 and space.n > 4 * _LATTICE_ROWS
+        assert peak < 8 * space.n
+
+
 class TestSampleFunctions:
     def test_families(self):
         space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,26 @@ def test_save_space_bytes_are_pinned(tmp_path, grid1d_11, which, digest):
     path = tmp_path / "s.mmspace"
     mio.save_space(space, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_save_space_holds_one_block_of_rows(tmp_path):
+    """``save_space`` formats its id lines 256 at a time: at h = 1/20
+    (n = 9,261) its peak stays below one block's Python rows (the lists
+    and floats of 256 coordinate rows and weights) plus 64 KB, where a
+    whole-cloud ``tolist`` would take about 1.8 MB."""
+    space, _ = mt.generate(mt.simple_case_spec(1 / 20), verify=False)
+    rows, weights = space.coords[:256].tolist(), space.weights[:256].tolist()
+    block = (sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+             + sys.getsizeof(weights) + sum(map(sys.getsizeof, weights)))
+    path = str(tmp_path / "s.mmspace")
+    mio.save_space(space, path)
+    tracemalloc.start()
+    try:
+        mio.save_space(space, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block + 64 * 1024, (peak, block)
 
 
 class TestPiecesFiles:

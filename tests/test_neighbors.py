@@ -89,7 +89,7 @@ def _pair_abs_diffs(csr_a, wa, ga, csr_b, wb, gb, ia, ib):
     u, q = np.unique(gb, return_inverse=True)
     rows = np.unique(ia)
     table = nb.diff_table(_gather(csr_a, rows), wa, ga, u, np.searchsorted(u, ga))
-    return nb.table_sums(csr_b, ib, wb, q, table.ravel(), np.searchsorted(rows, ia) * u.size)
+    return nb.table_sums(csr_b, ib, wb, np.searchsorted(rows, ia), q, table)
 
 
 @PROPS
@@ -487,7 +487,7 @@ def test_pair_lists_equal_the_query_pairs_oracle(inst, data):
             _assert_same(_joined(_ranked_rows(nbrs, centres, radius, rank)), _gather(want, pos, rank))
             _assert_same(nbrs._sweep(nbrs.ids, radius), want)
             _assert_same(nbrs.cross_pairs(nb.subset_neighbors(space, other), radius),
-                         (np.array(ia, dtype=np.int64), np.array(ib, dtype=np.int64)))
+                         (np.array(ia, dtype=np.int32), np.array(ib, dtype=np.int32)))
 
 
 GRID_SIDES = {1: (2, 30), 2: (2, 10), 3: (2, 5)}

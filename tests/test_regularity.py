@@ -146,6 +146,29 @@ class TestLcr:
         for subset, theta in cases:
             assert mt.check_lcr(space, subset, theta, grid) == lcr_by_local_pools(space, subset, theta, grid)
 
+    def test_each_local_set_is_covered_once(self):
+        """At simple h = 1/20, 20 of the segment's 63 (x, r) problems over
+        ``default_r_grid`` repeat an earlier local set B_r(x) cap S of their
+        radius: ``check_lcr`` solves one greedy cover per (r, local set),
+        and its value equals the local-pools oracle bit for bit."""
+        from unittest import mock
+
+        from mmtrace import regularity
+        from mmtrace._neighbors import subset_neighbors
+
+        space, pw = mt.generate(mt.simple_case_spec(1 / 20), verify=False)
+        seg, grid = pw.pieces[1], mt.default_r_grid(space)
+        nbrs, problems, distinct = subset_neighbors(space, seg.ids), 0, 0
+        for r in grid:
+            indptr, indices = nbrs._sweep(nbrs.ids, r)
+            problems += indptr.size - 1
+            distinct += len({indices[a:b].tobytes() for a, b in zip(indptr[:-1], indptr[1:])})
+        assert (problems, problems - distinct) == (63, 20)
+        with mock.patch.object(regularity, "_greedy_cover", side_effect=regularity._greedy_cover) as cover:
+            lam = mt.check_lcr(space, seg.ids, seg.theta, grid)
+        assert cover.call_count == distinct
+        assert lam == lcr_by_local_pools(space, seg.ids, seg.theta, grid)
+
     def test_radius_at_the_floor(self, grid1d_11):
         with pytest.raises(ResolutionError):
             mt.check_lcr(grid1d_11, [4, 5], 1.0, [0.4, grid1d_11.scale_floor])
