@@ -396,13 +396,16 @@ def deviation_reader(w: np.ndarray, g: np.ndarray, order: tuple, put):
     w_b at the weighted median ``weighted_stats`` takes (zero for a
     zero-mass ball).  order is ``value_order(g)``: rows list value ranks."""
     rank, by_rank = order
-    w, g = w[by_rank], g[by_rank]
+    held = []
 
     def read(at, rows):
+        if not held:   # laid out by rank at the first read: a waiting reader holds no copy
+            held.extend((w[by_rank], g[by_rank]))
+        ws, gs = held
         # a block of rows holds at most PAIR_BLOCK pairs, or is one row
         indptr, cols = rows
         devs = np.zeros(indptr.size - 1)
-        _best_devs(g[cols], w[cols], indptr[:-1], np.diff(indptr), devs)
+        _best_devs(gs[cols], ws[cols], indptr[:-1], np.diff(indptr), devs)
         put(at, devs)
 
     return rank, read

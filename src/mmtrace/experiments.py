@@ -23,12 +23,12 @@ from .functionals import (
     SampleFunction,
     _besov,
     _bn,
+    _bsn,
     _gluing,
     _Pass,
     _sharp_norm_s1,
     _trace_norm_difficult,
     _trace_norm_simple,
-    bsn_functional,
 )
 from .generators import GeneratorSpec, generate, make_sample_function
 from .measures import EPSILON, MeasureSequence, build_measure_sequence
@@ -170,7 +170,7 @@ def _register(ps, name: str, space, piecewise, seq, f, cfg):
     if base == "bn":
         return _bn(ps, space, seq, piecewise, f, p, cfg.sigma, cfg.c, None)
     if base == "bsn":
-        return lambda: bsn_functional(space, seq, f, p, cfg.c)
+        return _bsn(ps, space, seq, f, p, cfg.c)
     if base == "sharp":
         value = _sharp_norm_s1(ps, space, piecewise, f, p)
         return lambda: FunctionalReport("sharp", value(), {"sharp": value()}, {"p": p})

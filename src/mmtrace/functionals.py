@@ -97,9 +97,9 @@ class _Pass:
         self.reads, self.hooks, self.memo, self.local = {}, {}, {}, {}
 
     def read(self, nbrs, radius: float, centres, rank, read):
-        """Hand ``read(at, rows)``, at indexing centres, the rows of nbrs
-        around centres (point ids, or a callable giving them when the pass
-        reaches the radius) listing rank (see ``SubsetNeighbors._per_ball``)."""
+        """Hand ``read(at, rows)``, at indexing centres, the rows of nbrs around
+        centres (distinct point ids in any order, or a callable giving them at
+        the radius) listing rank (see ``SubsetNeighbors._per_ball``)."""
         self.reads.setdefault(float(radius), {}).setdefault(id(nbrs), (nbrs, []))[1].append((centres, rank, read))
 
     def then(self, radius: float, hook):
@@ -124,7 +124,7 @@ class _Pass:
                 sets = [np.asarray(c() if callable(c) else c, dtype=int) for c, _, _ in readers]
                 centres, owns = _distinct(np.concatenate(list({id(s): s for s in sets}.values()))), {}
                 for s in sets:
-                    if id(s) not in owns and s.size < centres.size:
+                    if id(s) not in owns and not np.array_equal(s, centres):
                         owns[id(s)] = np.full(centres.size, -1)
                         owns[id(s)][np.searchsorted(centres, s)] = np.arange(s.size)
                 live = [(owns.get(id(s)), rank, read) for s, (_, rank, read) in zip(sets, readers) if s.size]
@@ -133,6 +133,7 @@ class _Pass:
             while self.hooks.get(r):   # a hook is dropped once run, with what it holds
                 self.hooks[r].pop(0)()
             self.local.clear()
+        self.memo.clear()   # its thunks may hold the pass: no cycle outlives the run
 
 
 def _alone(register, *args):
@@ -400,24 +401,23 @@ def _heads(ids: np.ndarray, ia: np.ndarray) -> tuple:
 # ----------------------------------------------------------------------
 
 
-def _tilde_es(seq: MeasureSequence, f_on_s: np.ndarray, k: int, centres, radius: float) -> np.ndarray:
-    """E~ per space point id in centres: the m_k deviation of f|S on the
-    doubled ball, or zero where the radius-ball misses S.  A point of S lies
-    in its own ball, so only the other centres are probed."""
-    centres = np.asarray(centres, dtype=int)
-    live = np.flatnonzero(_meets_s(seq, centres, radius))
-    out = np.zeros(centres.size)
-    if live.size:
-        out[live] = seq.neighbors.deviations_of(centres[live], 2.0 * radius, seq.weights_per_k[k], f_on_s)
-    return out
+def _tilde(ps, seq: MeasureSequence, f, k: int, ids: np.ndarray, radius: float, put, among=None):
+    """E~ at point ids when ps reaches 2 radius: ``put(at, e)``, e the m_k
+    deviation of f|S on the doubled ball, at the positions at (of among(),
+    if given) whose radius-ball meets S; E~ is zero at the others."""
+    f_on_s, order = ps.order(seq.neighbors, f)
+    got = []
 
+    def centres():
+        at = np.arange(ids.size) if among is None else among()
+        at = at[_meets(seq.neighbors, ids[at], radius)]
+        u, back = np.unique(ids[at], return_inverse=True)   # the pass reads distinct ids
+        got.extend((at, back, np.empty(u.size)))
+        return u
 
-def _meets_s(seq: MeasureSequence, centres: np.ndarray, radius: float) -> np.ndarray:
-    """Per point id in centres: whether its radius-ball meets S."""
-    meets = _in_sorted(centres, seq.support_ids)
-    probe = np.flatnonzero(~meets)
-    meets[probe] = seq.neighbors.counts_of(centres[probe], radius) > 0
-    return meets
+    ps.read(seq.neighbors, 2.0 * radius, centres,
+            *deviation_reader(seq.weights_per_k[k], f_on_s, order, lambda a, e: got[2].__setitem__(a, e)))
+    ps.then(2.0 * radius, lambda: put(got[0], got[2][got[1]]))
 
 
 def tilde_e(seq: MeasureSequence, f, k: int, center, radius: float) -> float:
@@ -425,8 +425,9 @@ def tilde_e(seq: MeasureSequence, f, k: int, center, radius: float) -> float:
     center is a point id."""
     if not isinstance(center, (int, np.integer)):
         raise InvalidPoint(f"tilde_e needs a point id center, got {center!r}")
-    centres = [seq.space.check_id(center)]
-    return float(_tilde_es(seq, _values(f)[seq.support_ids], int(k), centres, radius)[0])
+    e = np.zeros(1)
+    _alone(_tilde, seq, f, int(k), np.array([seq.space.check_id(center)]), radius, e.__setitem__)
+    return float(e[0])
 
 
 def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarray:
@@ -443,21 +444,15 @@ def calderon_maximal(space, seq: MeasureSequence, f, eval_ids=None) -> np.ndarra
 def _calderon(ps, seq: MeasureSequence, f, ids: np.ndarray) -> np.ndarray:
     """``calderon_maximal`` at sorted unique ids, filled as ps passes its
     radii: each scale reads the centres still below its bound then."""
-    f_on_s, order = ps.order(seq.neighbors, f)
+    f_on_s = ps.order(seq.neighbors, f)[0]
     bound = np.ptp(f_on_s) / 2.0 * (1.0 + 1e-9) if np.all(np.isfinite(f_on_s)) else math.inf
     out = np.zeros(ids.size)
     for j in range(seq.k_max, -1, -1):
-        live = []
 
-        def centres(j=j, live=live):
-            at = np.flatnonzero(out < 2.0**j * bound)
-            live.append(at[_meets_s(seq, ids[at], 2.0 ** (-j))])
-            return ids[live[0]]
+        def put(at, e, j=j):
+            out[at] = np.maximum(out[at], 2.0**j * e)
 
-        def put(at, dev, j=j, live=live):
-            out[live[0][at]] = np.maximum(out[live[0][at]], 2.0**j * dev)
-
-        ps.read(seq.neighbors, 2.0 ** (1 - j), centres, *deviation_reader(seq.weights_per_k[j], f_on_s, order, put))
+        _tilde(ps, seq, f, j, ids, 2.0 ** (-j), put, lambda j=j: np.flatnonzero(out < 2.0**j * bound))
     return out
 
 
@@ -536,13 +531,15 @@ def _member_sets(space, centres: np.ndarray, radii: np.ndarray) -> tuple:
     return sets, masses
 
 
-def _meets(nbrs, centres: np.ndarray, radii: np.ndarray, scale: float) -> np.ndarray:
-    """Per ball: whether its scale-dilation meets the subset of nbrs, from
-    one count query per radius."""
-    out = np.zeros(centres.size, dtype=bool)
-    for r, at in _by_radius(radii):
-        out[at] = nbrs.counts_of(centres[at], scale * r) > 0
-    return out
+def _meets(nbrs, centres: np.ndarray, radii) -> np.ndarray:
+    """Per centre (a point id): whether its ball meets the subset of nbrs,
+    of the radius given per centre or for all; a centre in the subset needs
+    no count, the others one count query per radius."""
+    meets, radii = _in_sorted(centres, nbrs.ids), np.broadcast_to(radii, centres.shape)
+    probe = np.flatnonzero(~meets)
+    for r, at in _by_radius(radii[probe]):
+        meets[probe[at]] = nbrs.counts_of(centres[probe[at]], r) > 0
+    return meets
 
 
 def validate_nice_family(space, subset_ids, family: NiceFamily):
@@ -553,9 +550,9 @@ def validate_nice_family(space, subset_ids, family: NiceFamily):
     centres, radii = _ball_arrays(space, family.balls)
     if np.any(radii > 1.0 + _EPS):
         raise InvalidFamily(f"ball radius {radii[radii > 1.0 + _EPS][0]} exceeds 1")
-    if not _meets(nbrs, centres, radii, family.c).all():
+    if not _meets(nbrs, centres, family.c * radii).all():
         raise InvalidFamily("a dilated ball misses the subset")
-    if family.kind == "whitney" and _meets(nbrs, centres, radii, 1.0).any():
+    if family.kind == "whitney" and _meets(nbrs, centres, radii).any():
         raise InvalidFamily("a whitney ball meets the subset")
     # per point, the two lowest indices of the balls holding it, one block
     # of member rows at a time; the first overlapping pair (b, a) in family
@@ -625,18 +622,12 @@ def enumerate_or_search_nice_family(
     if budget <= 0:
         return NiceFamily(balls=[], c=float(c), kind=kind)
     if candidates is None:
-        if radii is None:
-            radii = [2.0 ** (-j) for j in range(default_k_max(space) + 1)]
-        candidates = []
-        for r in radii:
-            net = separated_net(space, subset_ids, k_of_r(r), maximal=False)
-            for x in net.points:
-                candidates.append(Ball(int(x), float(r)))
+        candidates = [Ball(x, r) for x, r in zip(*(a.tolist() for a in _net_balls(space, subset_ids, radii)))]
     nbrs = subset_neighbors(space, subset_ids)
     centres, sizes = _ball_arrays(space, candidates)
-    keep = (sizes <= 1.0 + _EPS) & _meets(nbrs, centres, sizes, c)
+    keep = (sizes <= 1.0 + _EPS) & _meets(nbrs, centres, c * sizes)
     if kind == "whitney":
-        keep &= ~_meets(nbrs, centres, sizes, 1.0)
+        keep &= ~_meets(nbrs, centres, sizes)
     pool = [b for b, k in zip(candidates, keep) if k]
     member_sets, masses = _member_sets(space, centres[keep], sizes[keep])
     terms = masses if term_fn is None else np.asarray(term_fn(pool, masses), dtype=float)
@@ -666,68 +657,89 @@ def enumerate_or_search_nice_family(
     return NiceFamily(balls=[pool[i] for i in chosen], c=float(c), kind=kind)
 
 
-def bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls) -> np.ndarray:
-    """Per ball: mu(B)/r^p times the p-th power of the dilated-ball
-    deviation E~ at the scale matched to the radius, from one E~ call per
-    radius.  mu(B) comes from one ``space.ball_masses`` call per radius,
-    in the rounding of ``space.ball_mass`` that the greedy family search
-    has always ordered its ties by."""
-    return _bsn_terms(space, seq, f, p, c, balls, None)
+def _net_balls(space, subset_ids, radii=None) -> tuple:
+    """Centres and radii of the balls on separated nets of the subset, one
+    net per radius at most 1 (default the dyadic radii 1, ..., 2^-k_max)."""
+    radii = [2.0 ** (-j) for j in range(default_k_max(space) + 1)] if radii is None else \
+        [r for r in radii if r <= 1.0 + _EPS]
+    nets = [separated_net(space, subset_ids, k_of_r(r), maximal=False).points for r in radii]
+    return (np.concatenate([np.zeros(0, dtype=int), *nets]),
+            np.repeat(np.asarray(radii, dtype=float), [net.size for net in nets]))
 
 
-def _bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls, mu) -> np.ndarray:
-    """``bsn_terms`` with the balls' masses given, or (None) summed here."""
-    centres, radii = _ball_arrays(space, balls)
+@_shared
+def _bsn_pool(ps, space, seq: MeasureSequence, radii) -> tuple:
+    """``_net_balls`` of S, made once per pass: a searched family's pool (a
+    ball centred in S meets S at every dilation, so the search keeps all)."""
+    return _net_balls(space, seq.support_ids, radii)
+
+
+def _terms(ps, space, seq: MeasureSequence, f, p: float, c: float, centres: np.ndarray, radii: np.ndarray):
+    """A thunk of the balls' terms mu(B)/r^p E~^p, E~ read on ps at the scale
+    matched to each radius; mu(B) is given, or one ``space.ball_masses`` call
+    per radius sums it, in the search's (``space.ball_mass``'s) rounding."""
     if np.any(radii < space.scale_floor - _EPS):
         raise ResolutionError(f"family radius {radii.min()} below scale_floor")
-    f_on_s = _values(f)[seq.support_ids]
-    e, mass = np.zeros(radii.size), np.empty(radii.size)
+    e = np.zeros(radii.size)
     for r, at in _by_radius(radii):
-        mass[at] = space.ball_masses(centres[at], r) if mu is None else mu[at]
-        e[at] = _tilde_es(seq, f_on_s, min(k_of_r(r), seq.k_max), centres[at], c * r)
-    return mass / radii**p * e**p
+        _tilde(ps, seq, f, min(k_of_r(r), seq.k_max), centres[at], c * r,
+               lambda a, got, at=at: e.__setitem__(at[a], got))
+
+    def terms(mass=None):
+        if mass is None:
+            mass = np.empty(radii.size)
+            for r, at in _by_radius(radii):
+                mass[at] = space.ball_masses(centres[at], r)
+        return mass / radii**p * e**p
+
+    return terms
 
 
-def bsn_functional(
-    space,
-    seq: MeasureSequence,
-    f,
-    p: float,
-    c: float,
-    family: Optional[NiceFamily] = None,
-    search_budget: int = 256,
-    search_radii: Optional[Sequence[float]] = None,
-) -> FunctionalReport:
+def bsn_terms(space, seq: MeasureSequence, f, p: float, c: float, balls) -> np.ndarray:
+    """Per ball: mu(B)/r^p times the p-th power of the dilated-ball
+    deviation E~ at the scale matched to the radius."""
+    return _alone(_terms, space, seq, f, p, c, *_ball_arrays(space, balls))
+
+
+def bsn_functional(space, seq: MeasureSequence, f, p: float, c: float, family: Optional[NiceFamily] = None,
+                   search_budget: int = 256, search_radii: Optional[Sequence[float]] = None) -> FunctionalReport:
     """Packing-type trace functional over one nice family (supplied or
     found by search); the searched value is a lower bound of the true
     supremum.  ``search_radii`` pins the candidate scale range, which
     keeps the lower bound comparable across resolutions."""
+    return _alone(_bsn, space, seq, f, p, c, family, search_budget, search_radii)
+
+
+@_shared
+def _bsn(ps, space, seq: MeasureSequence, f, p: float, c: float, family=None, budget: int = 256, radii=None):
+    """``bsn_functional``'s report thunk.  E~ is read on ps for the family's
+    balls, or for the pool's, shared by the bsn of a pass; the family is
+    searched in the thunk, and sup sums the search's own terms at it."""
     if c < 1:
         raise InvalidParameter("c must be >= 1")
     if c < 3.0 / EPSILON - _EPS:
         warnings.warn(f"c={c} below the admissible threshold {3.0 / EPSILON}", stacklevel=2)
-    S = seq.support_ids
-    vals = _values(f)
-    lp = float(np.sum(seq.weights_per_k[0] * np.abs(vals[S]) ** p) ** (1.0 / p))
-    searched = family is None
+    lp = float(np.sum(seq.weights_per_k[0] * np.abs(ps.order(seq.neighbors, f)[0]) ** p) ** (1.0 / p))
     if family is None:
-        family = enumerate_or_search_nice_family(
-            space,
-            S,
-            c,
-            budget=search_budget,
-            term_fn=lambda balls, masses: _bsn_terms(space, seq, f, p, c, balls, masses),
-            radii=search_radii,
-        )
+        centres, radii = _bsn_pool(ps, space, seq, radii)
     else:
-        validate_nice_family(space, S, family)
-    sup_part = float(np.sum(bsn_terms(space, seq, f, p, c, family.balls))) ** (1.0 / p)
-    return FunctionalReport(
-        name="bsn",
-        value=lp + sup_part,
-        parts={"lp": lp, "sup": sup_part},
-        params={"p": p, "c": c, "family_size": len(family.balls), "searched": searched},
-    )
+        validate_nice_family(space, seq.support_ids, family)
+        centres, radii = _ball_arrays(space, family.balls)
+    terms = _terms(ps, space, seq, f, p, c, centres, radii)
+
+    def report():
+        chosen, got = family, None
+        if family is None:
+            pool, found = [Ball(x, r) for x, r in zip(centres.tolist(), radii.tolist())], {}
+            chosen = enumerate_or_search_nice_family(space, seq.support_ids, c, budget, candidates=pool,
+                                                     term_fn=lambda _, mass: found.setdefault("terms", terms(mass)))
+            at = {id(b): i for i, b in enumerate(pool)}
+            got = [found["terms"][at[id(b)]] for b in chosen.balls]
+        sup = float(np.sum(terms() if got is None else got)) ** (1.0 / p)
+        return FunctionalReport("bsn", lp + sup, {"lp": lp, "sup": sup},
+                                {"p": p, "c": c, "family_size": len(chosen.balls), "searched": family is None})
+
+    return report
 
 
 # ----------------------------------------------------------------------

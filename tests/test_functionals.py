@@ -667,9 +667,9 @@ class TestBsn:
             assert rep.parts["sup"] <= 20.0 * lp
 
     def test_bsn_terms_of_a_mixed_list(self):
-        """One call with centres on and off S, several radii and a ball
-        whose c-dilation misses S: each term against the oracle E~ times
-        the oracle mass."""
+        """One call with centres on and off S, several radii, a ball whose
+        c-dilation misses S and repeated balls: each term against the
+        oracle E~ times the oracle mass."""
         space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
         seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
         f = mt.make_sample_function(space, pw, "random", seed=0).values
@@ -678,8 +678,10 @@ class TestBsn:
         far = int(np.argmax(d_s))
         near = int(np.flatnonzero((d_s > 0) & (d_s <= c * 0.125))[0])
         assert d_s[far] > c * 0.125
+        # the 1/8 balls' centres repeat and are not sorted
         balls = [mt.Ball(int(pw.union_ids[0]), 0.125), mt.Ball(near, 0.125), mt.Ball(far, 0.125),
-                 mt.Ball(int(pw.union_ids[-1]), 0.5), mt.Ball(near, 1.0), mt.Ball(int(pw.union_ids[5]), 0.125)]
+                 mt.Ball(int(pw.union_ids[-1]), 0.5), mt.Ball(near, 1.0), mt.Ball(int(pw.union_ids[5]), 0.125),
+                 mt.Ball(int(pw.union_ids[0]), 0.125), mt.Ball(near, 0.125)]
         got = functionals.bsn_terms(space, seq, f, 2.5, c, balls)
         mk = mk_dense_per_k(seq, space)
         for term, b in zip(got, balls):
@@ -895,8 +897,8 @@ class TestOnePass:
             run(ps)
 
         spec = mt.simple_case_spec(1 / 12) if case == "simple" else mt.difficult_case_spec(1 / 12)
-        names = {"simple": ["trace_simple:1", "trace_simple:3", "bn", "gl2", "besov_alt:2"],
-                 "difficult": ["besov:2", "trace_difficult", "sharp", "gl1"],
+        names = {"simple": ["trace_simple:1", "trace_simple:3", "bn", "gl2", "besov_alt:2", "bsn"],
+                 "difficult": ["besov:2", "trace_difficult", "sharp", "bsn", "gl1"],
                  "same_ids": ["besov:2", "trace_simple:3", "gl3", "gl2"]}[case]
         space, pw = _same_ids_instance() if case == "same_ids" else mt.generate(spec, verify=False)
         seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
@@ -910,6 +912,53 @@ class TestOnePass:
         public = (mt.trace_norm_difficult(space, pw, f, 2.5) if case == "difficult"
                   else mt.trace_norm_simple(space, pw, f, 2.5, l=3))
         assert public.to_json() == together[-len(names) + 1].to_json()
+        if "bsn" in names:
+            bsn = together[names.index("bsn")::len(names)]
+            assert [r.to_json() for r in bsn] == [mt.bsn_functional(space, seq, f, 2.5, cfg.c).to_json() for f in fs]
+
+    def test_a_reader_of_unsorted_centres_reads_their_own_rows(self):
+        """A reader whose centres are the union of a radius's centres, in
+        descending order, gets each centre's own ball."""
+        from mmtrace._neighbors import deviation_reader, value_order
+
+        space, pw = mt.generate(mt.difficult_case_spec(1 / 16), verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        nbrs, ids, w = seq.neighbors, pw.pieces[1].ids[::-1], seq.weights_per_k[2]
+        g = mt.make_sample_function(space, pw, "random", seed=0).values[nbrs.ids]
+        out, ps = np.full(ids.size, np.nan), functionals._Pass()
+        ps.read(nbrs, 0.25, ids, *deviation_reader(w, g, value_order(g), out.__setitem__))
+        ps.run()
+        np.testing.assert_array_equal(out, nbrs.deviations_of(ids, 0.25, w, g))
+
+    def test_the_pass_is_freed_without_the_cycle_collector(self):
+        """No reference cycle holds a pass (and its memo: value orders,
+        buckets, pools) once ``evaluate_functional`` returns."""
+        import gc
+        import weakref
+
+        from mmtrace import experiments
+
+        spec = mt.difficult_case_spec(1 / 12)
+        space, pw = mt.generate(spec, verify=False)
+        seq = mt.build_measure_sequence(space, pw, pw.theta_S, p=2.5)
+        names = ["trace_difficult", "bsn", "bn", "gl2"]
+        cfg = experiments.ExperimentConfig(generator=spec, resolutions=[1 / 12], functionals=names, functions=[])
+        fs = [mt.make_sample_function(space, pw, fam, seed=1) for fam in ("linear", "random")]
+        made, init, enabled = [], functionals._Pass.__init__, gc.isenabled()
+
+        def tracked(ps):
+            init(ps)
+            made.append(weakref.ref(ps))
+
+        gc.disable()
+        try:
+            with mock.patch.object(functionals._Pass, "__init__", tracked):
+                reports = experiments.evaluate_functional(names, space, pw, seq, fs, cfg)
+            alive = [ref() is not None for ref in made]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(reports) == 8 and alive == [False]
 
     def test_gl3_heads_are_made_once_per_radius_and_layer_pair(self):
         """Four functions' gl3 in one pass find the heads of the cross

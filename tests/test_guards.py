@@ -263,3 +263,37 @@ def test_each_resolution_builds_each_ball_row_set_once(case):
     space = calls[-1][1]
     for nbrs in [space._cloud(), *space._neighbors.values()]:
         assert set(vars(nbrs)) == {"space", "ids", "_tree", "_boxes", "porosity_masks"}
+
+
+def test_a_bsn_batch_makes_each_pool_once_per_resolution():
+    """Four functions' searched ``bsn`` at difficult h = 1/32, 1/64, 1/128
+    share each resolution's candidate pool: one separated net per
+    (resolution, radius), 6 + 7 + 8 = 21 (not 84, one pool per function),
+    and one family search per (resolution, function)."""
+    from unittest import mock
+
+    from mmtrace import functionals
+    from mmtrace import io as mio
+
+    cfg = mio.parse_config("kind = grid2d\npieces = region theta=0 halfspace=0,0.5,le ; segment theta=1 axis=1 "
+                           "anchor=0.5\nresolutions = 1/32 1/64 1/128\nfunctions = linear hoelder:0.6 step random\n"
+                           "functionals = bsn\nseeds = 0\n")
+    with mock.patch.object(functionals, "separated_net", side_effect=functionals.separated_net) as nets, \
+            mock.patch.object(functionals, "enumerate_or_search_nice_family",
+                              side_effect=functionals.enumerate_or_search_nice_family) as searches:
+        report = mt.run_equivalence(cfg)
+    assert len(report.cells) == 12 and all(cell.report.params["searched"] for cell in report.cells)
+    assert nets.call_count == 21
+    assert searches.call_count == 12
+
+
+def test_functionals_read_tilde_e_on_the_pass_only():
+    """``mmtrace.functionals`` names neither ``deviations_of`` nor the
+    removed ``_tilde_es``: every E~ (the Calderon maximal function,
+    ``tilde_e``, ``bsn_terms`` and the family search) is a deviation reader
+    on a pass, registered by ``_tilde``."""
+    path = Path(mt.__file__).parent / "functionals.py"
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"deviations_of", "_tilde_es", "_meets_s"}

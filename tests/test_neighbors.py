@@ -386,6 +386,33 @@ def test_cache_does_not_keep_the_space_alive():
     assert ref() is None
 
 
+def test_waiting_deviation_readers_hold_no_copies():
+    """Deviation readers of many radii on one pass lay their weights and
+    values out by rank at their first read: after registration the 40
+    hold less than 4 readers' copies, and the pass peaks below 8 readers'
+    copies (with them made at registration, it held all 40 at once)."""
+    from mmtrace import functionals
+
+    space, pw = mt.generate(mt.difficult_case_spec(1 / 64), verify=False)
+    nbrs = nb.subset_neighbors(space, pw.union_ids)
+    n = nbrs.ids.size
+    w, g = np.linspace(1.0, 2.0, n), np.cos(np.arange(n, dtype=float))
+    order, copies = nb.value_order(g), 16 * n
+    ps, got = functionals._Pass(), []
+    tracemalloc.start()
+    try:
+        for i in range(40):
+            ps.read(nbrs, 0.01 + 0.001 * i, nbrs.ids[:3], *nb.deviation_reader(w, g, order, lambda at, e: got.append(e)))
+        registered = tracemalloc.get_traced_memory()[0]
+        ps.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 40
+    assert registered < 4 * copies, (registered, copies)
+    assert peak < 8 * copies, (peak, copies)
+
+
 @PROPS
 @given(instances(), st.data(), st.booleans())
 def test_kernels_do_not_depend_on_the_block(inst, data, matrix):
