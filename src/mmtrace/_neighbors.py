@@ -67,26 +67,19 @@ class SubsetNeighbors:
     def _stencil_blocks(self, centres: np.ndarray, q: int, rank, whole: bool):
         """The blocks of ``_row_blocks`` from the boxes' stencils.  Per chunk
         of centres one run table per box, of at most about PAIR_BLOCK runs,
-        gives their counts and then their rows; the rows of a block that may
-        go on past the chunk wait for the next one, so blocks end where the
-        KD path ends them.  A lone box lists each row sorted; on several
-        boxes, and for ranks, keys local row * n + union position (or its
-        rank) are sorted, as a KD block forms them."""
+        gives their counts and then their rows, cut into blocks within the
+        chunk (block bounds only bound memory).  A lone box lists each row
+        sorted; on several boxes, and for ranks, keys local row * n + union
+        position (or its rank) are sorted, as a KD block forms them."""
         m, d, n = self.space._lattice[0], self.space.dim, self.ids.size
         idx, reach = _indices(centres, m, d), 2 * math.isqrt(q) + 1
         step = max(1, PAIR_BLOCK // max(math.prod(min(reach, e) for *_, e in b.outer) for b in self._boxes))
-        pos, tables = np.zeros(0, dtype=np.int64), None
         for c0 in range(0, centres.size, step):
-            chunk = [_box_table(idx[c0 : c0 + step], q, box) for box in self._boxes]
-            pos = np.append(pos, np.arange(c0, min(c0 + step, centres.size)))
-            tables = chunk if tables is None else [[np.concatenate(t) for t in zip(*ab)] for ab in zip(tables, chunk)]
-            cuts = list(_cut(sum(lengths.sum(axis=1) for _, lengths in tables), n, whole))
-            for at, full in cuts:
+            tables = [_box_table(idx[c0 : c0 + step], q, box) for box in self._boxes]
+            for at, full in _cut(sum(lengths.sum(axis=1) for _, lengths in tables), n, whole):
                 if full:
-                    yield pos[at], _full(n)
+                    yield c0 + at, _full(n)
                     continue
-                if at[-1] == pos.size - 1 and c0 + step < centres.size:
-                    break   # the last block may go on
                 rows = [_run_rows(starts[at], lengths[at]) for starts, lengths in tables]
                 indptr, cols = rows[0]
                 if len(rows) > 1 or rank is not None:
@@ -99,10 +92,7 @@ class SubsetNeighbors:
                     keys.sort()
                     indptr = np.searchsorted(keys, np.arange(at.size + 1, dtype=np.int64) * n)
                     cols = np.remainder(keys, n, out=keys)
-                yield pos[at], (indptr, cols.astype(np.int32))
-            else:
-                at = np.zeros(0, dtype=np.int64)
-            pos, tables = pos[at], [[t[at] for t in table] for table in tables]
+                yield c0 + at, (indptr, cols.astype(np.int32))
 
     def counts_of(self, centres, radius: float) -> np.ndarray:
         """Per space point id in centres: the number of subset points within radius."""
@@ -285,13 +275,12 @@ def _cut(counts: np.ndarray, n: int, whole: bool):
         yield rows[lo:hi], False
 
 
-def _blocks(indptr: np.ndarray, budget=None):
-    """Row ranges [lo, hi) holding at most budget (default PAIR_BLOCK)
-    pairs each; a longer row forms a block of its own."""
+def _blocks(indptr: np.ndarray):
+    """Row ranges [lo, hi) holding at most PAIR_BLOCK pairs each; a longer
+    row forms a block of its own."""
     n_rows, lo = indptr.size - 1, 0
-    budget = PAIR_BLOCK if budget is None else budget
     while lo < n_rows:
-        hi = int(np.searchsorted(indptr, indptr[lo] + budget, side="right")) - 1
+        hi = int(np.searchsorted(indptr, indptr[lo] + PAIR_BLOCK, side="right")) - 1
         hi = min(max(hi, lo + 1), n_rows)
         yield lo, hi
         lo = hi

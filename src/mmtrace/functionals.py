@@ -24,6 +24,7 @@ from .errors import (
     InvalidPair,
     InvalidParameter,
     InvalidPoint,
+    InvalidScale,
     ParameterError,
     ResolutionError,
     ZeroMass,
@@ -184,6 +185,8 @@ def averaging_double(space, piece_i: SubsetPiece, piece_j: SubsetPiece, f, k: in
     r = 2.0 ** (-int(k))
     if space.distance(int(y), int(z)) > _pad(r):
         raise InvalidPair(f"d({y},{z}) exceeds 2^-{k}")
+    if int(y) not in piece_i.ids or int(z) not in piece_j.ids:
+        raise InvalidPair(f"{y} is not in piece i or {z} is not in piece j")
     vals = _values(f)
     (_, _, (_, mi)), = subset_neighbors(space, piece_i.ids).rows_of([int(y)], r)
     (_, _, (_, mj)), = subset_neighbors(space, piece_j.ids).rows_of([int(z)], r)
@@ -208,6 +211,8 @@ def weight_w(space, k: int, y, z) -> float:
 def weight_w_alt(space, k: int, y, z) -> float:
     """Arithmetic-mean variant of the pair weight."""
     r = 2.0 ** (-int(k))
+    if r < space.scale_floor - _EPS:
+        raise ResolutionError(f"2^-{k} below scale_floor")
     my, mz = space.masses_at_radius(r, [int(y), int(z)])
     if my <= 0 or mz <= 0:
         raise ZeroMass("weight undefined on a zero-mass ball")
@@ -425,6 +430,10 @@ def tilde_e(seq: MeasureSequence, f, k: int, center, radius: float) -> float:
     center is a point id."""
     if not isinstance(center, (int, np.integer)):
         raise InvalidPoint(f"tilde_e needs a point id center, got {center!r}")
+    if not 0 <= k <= seq.k_max:
+        raise ParameterError(f"k = {k} outside 0..{seq.k_max}")
+    if radius < 0:
+        raise InvalidScale(f"radius must be >= 0, got {radius}")
     e = np.zeros(1)
     _alone(_tilde, seq, f, int(k), np.array([seq.space.check_id(center)]), radius, e.__setitem__)
     return float(e[0])
@@ -474,6 +483,8 @@ def _bn(ps, space, seq: MeasureSequence, piecewise: PiecewiseSet, f, p, sigma, c
             stacklevel=2,
         )
     k_max = seq.k_max if k_max is None else k_max
+    if not 0 <= k_max <= seq.k_max:
+        raise ParameterError(f"k_max = {k_max} outside 0..{seq.k_max}")
     S = seq.support_ids
     f_on_s, order = ps.order(seq.neighbors, f)
     lp = float(np.sum(seq.weights_per_k[0] * np.abs(f_on_s) ** p) ** (1.0 / p))

@@ -15,6 +15,7 @@ from mmtrace.errors import (
     InvalidFamily,
     InvalidPair,
     InvalidParameter,
+    InvalidScale,
     ParameterError,
     ResolutionError,
 )
@@ -37,6 +38,14 @@ from oracles import (
 
 def opieces(pw):
     return [OPiece(pc.ids, pc.theta, pc.weights) for pc in pw.pieces]
+
+
+@pytest.fixture(scope="module")
+def simple_8():
+    """The simple case at h = 1/8 (k_max 3), its sequence and a function."""
+    space, pw = mt.generate(mt.simple_case_spec(1 / 8), verify=False)
+    seq = mt.build_measure_sequence(space, pw, 2.0, p=2.5)
+    return space, pw, seq, space.coords[:, 0] ** 2
 
 
 def mk_dense_per_k(seq, space):
@@ -167,6 +176,13 @@ class TestAveraging:
                 if space.distance(int(pw.pieces[0].ids[0]), int(pw.pieces[1].ids[-1])) > 0.125 \
                 else pytest.skip("pieces too close in this draw")
 
+    def test_point_off_its_piece(self):
+        """Id 4 lies in the region, not on the segment: z = 4 is no point of piece j."""
+        space, pw = mt.generate(mt.difficult_case_spec(1 / 8), verify=False)
+        region, segment = pw.pieces
+        with pytest.raises(InvalidPair):
+            mt.averaging_double(space, region, segment, np.arange(space.n, dtype=float), 3, 4, 4)
+
 
 class TestWeights:
     def test_diagonal(self, grid1d_11):
@@ -204,8 +220,9 @@ class TestWeights:
             checked += 1
 
     def test_below_floor(self, grid1d_11):
-        with pytest.raises(ResolutionError):
-            mt.weight_w(grid1d_11, 6, 0, 1)
+        for weight in (mt.weight_w, mt.weight_w_alt):
+            with pytest.raises(ResolutionError):
+                weight(grid1d_11, 6, 0, 1)
 
 
 class TestGluing:
@@ -389,6 +406,18 @@ class TestMaximal:
             if r > 0:
                 assert mt.tilde_e(seq, f, 1, x, r) == 0.0
 
+    @pytest.mark.parametrize("k", [-1, 4, 99])
+    def test_tilde_e_scale_index_outside_the_sequence(self, simple_8, k):
+        _, _, seq, f = simple_8
+        assert seq.k_max == 3
+        with pytest.raises(ParameterError):
+            mt.tilde_e(seq, f, k, 3, 0.25)
+
+    def test_tilde_e_negative_radius(self, simple_8):
+        _, _, seq, f = simple_8
+        with pytest.raises(InvalidScale):
+            mt.tilde_e(seq, f, 1, 3, -1.0)
+
     def test_calderon_constant(self, tiny_instance):
         space, pw, _ = tiny_instance
         seq = mt.build_measure_sequence(space, pw, 1.5, k_max=3)
@@ -421,6 +450,13 @@ class TestBn:
         assert rep.parts["sharp"] == 0.0 and rep.parts["scale_sum"] == 0.0
         assert rep.value == pytest.approx(rep.parts["lp"], rel=1e-14)
         assert rep.params["continuum_mu_s_zero"] is True
+
+    @pytest.mark.parametrize("k_max", [-1, 4])
+    def test_k_max_outside_the_sequence(self, simple_8, k_max):
+        space, pw, seq, f = simple_8
+        assert seq.k_max == 3
+        with pytest.raises(ParameterError):
+            mt.bn_functional(space, seq, pw, f, 2.5, 0.01, k_max=k_max)
 
     def test_sigma_warning(self, tiny_instance):
         space, pw, f = tiny_instance

@@ -536,14 +536,13 @@ def grid_boxes(draw, dim, m):
 
 
 def _assert_same_as_kd_twin(got, want, other, centres, radius, rank):
-    """Counts, plain and ranked rows with their block bounds, the sweep
-    (also against the query_pairs oracle) and cross pairs of ``got`` equal
-    those of its KD twin ``want``, dtypes too."""
+    """Counts, joined plain and ranked rows, the sweep (also against the
+    query_pairs oracle) and cross pairs of ``got`` equal those of its KD
+    twin ``want``, dtypes too; block bounds only bound memory."""
     for r in (None, rank):
-        a, b = (list(x.rows_of(centres, radius)) if r is None else _ranked_rows(x, centres, radius, r) for x in (got, want))
-        assert [blk[:2] for blk in a] == [blk[:2] for blk in b]
-        for (_, _, csr_a), (_, _, csr_b) in zip(a, b):
-            _assert_same(csr_a, csr_b)
+        a, b = (_joined(list(x.rows_of(centres, radius)) if r is None else _ranked_rows(x, centres, radius, r))
+                for x in (got, want))
+        _assert_same(a, b)
     _assert_same([got.counts_of(centres, radius)], [want.counts_of(centres, radius)])
     _assert_same(got._sweep(got.ids, radius), want._sweep(want.ids, radius))
     _assert_same(got._sweep(got.ids, radius), oquery_pairs_lists(got.space, got.ids, radius))
@@ -555,12 +554,12 @@ def _assert_same_as_kd_twin(got, want, other, centres, radius, rank):
 @given(st.data())
 def test_box_stencils_equal_the_kd_rows(data):
     """On a union of one to three (possibly overlapping) boxes of a full
-    grid, counts, plain and ranked rows with their block bounds, the sweep
-    and cross pairs come from integer stencils without a KD tree, equal,
-    dtypes too, to the KD builder's on a twin cloud that is no lattice (and
-    the sweep to the query_pairs oracle); at ambiguous radii, and on a
-    union that splits into more than ``_MAX_BOXES`` boxes, the KD tree
-    answers."""
+    grid, counts, joined plain and ranked rows, the sweep and cross pairs
+    come from integer stencils without a KD tree, equal, dtypes too, to the
+    KD builder's on a twin cloud that is no lattice (and the sweep to the
+    query_pairs oracle), in blocks within one chunk of centres; at
+    ambiguous radii, and on a union that splits into more than
+    ``_MAX_BOXES`` boxes, the KD tree answers."""
     from mmtrace._lattice import _budget
     from mmtrace.space import _pad
 
@@ -594,6 +593,11 @@ def test_box_stencils_equal_the_kd_rows(data):
     assert stencil == (kind != "ambiguous")
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
         _assert_same_as_kd_twin(got, want, other, centres, radius, rank)
+        if stencil and got._boxes is not None:
+            # a stencil block lies within one chunk of centres
+            reach = 2 * math.isqrt(_budget(_pad(radius), m, dim)) + 1
+            step = max(1, budget // max(math.prod(min(reach, e) for *_, e in b.outer) for b in got._boxes))
+            assert all(lo // step == (hi - 1) // step for lo, hi, _ in got.rows_of(centres, radius))
     assert (got._tree is None) == (stencil and got._boxes is not None)
 
 
