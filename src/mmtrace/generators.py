@@ -216,7 +216,7 @@ def nested_case_spec(h: float) -> GeneratorSpec:
 # -- sample functions ----------------------------------------------------
 
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-_PCG_BLOCK = 1 << 13  # states per `random` block: 64 KiB limb arrays reuse heap pages below the mmap threshold
+_PCG_BLOCK = 1 << 14  # states per block of a `random` draw: limb arrays of 128 KB stay in cache (2^12, 2^16 are slower)
 
 
 def _muladd(x: list, a: int, c: int) -> list:

@@ -538,11 +538,16 @@ def grid_boxes(draw, dim, m):
 def _assert_same_as_kd_twin(got, want, other, centres, radius, rank):
     """Counts, joined plain and ranked rows, the sweep (also against the
     query_pairs oracle) and cross pairs of ``got`` equal those of its KD
-    twin ``want``, dtypes too; block bounds only bound memory."""
+    twin ``want``, dtypes too; on each side the blocks cover the centres
+    in order, wherever they end (block bounds only bound memory)."""
     for r in (None, rank):
-        a, b = (_joined(list(x.rows_of(centres, radius)) if r is None else _ranked_rows(x, centres, radius, r))
+        a, b = (list(x.rows_of(centres, radius)) if r is None else _ranked_rows(x, centres, radius, r)
                 for x in (got, want))
-        _assert_same(a, b)
+        for blocks in (a, b):
+            ends = [0] + [hi for _, hi, _ in blocks]
+            assert [lo for lo, _, _ in blocks] == ends[:-1] and ends[-1] == centres.size
+            assert all(lo < hi for lo, hi, _ in blocks)
+        _assert_same(_joined(a), _joined(b))
     _assert_same([got.counts_of(centres, radius)], [want.counts_of(centres, radius)])
     _assert_same(got._sweep(got.ids, radius), want._sweep(want.ids, radius))
     _assert_same(got._sweep(got.ids, radius), oquery_pairs_lists(got.space, got.ids, radius))
@@ -594,10 +599,18 @@ def test_box_stencils_equal_the_kd_rows(data):
     with mock.patch.object(nb, "PAIR_BLOCK", budget):
         _assert_same_as_kd_twin(got, want, other, centres, radius, rank)
         if stencil and got._boxes is not None:
-            # a stencil block lies within one chunk of centres
-            reach = 2 * math.isqrt(_budget(_pad(radius), m, dim)) + 1
-            step = max(1, budget // max(math.prod(min(reach, e) for *_, e in b.outer) for b in got._boxes))
-            assert all(lo // step == (hi - 1) // step for lo, hi, _ in got.rows_of(centres, radius))
+            # a stencil block lies within one chunk of centres: the first box's
+            # run tables give the chunks' sizes
+            sizes, table = [], nb._box_table
+            def sized(idx, q, box):
+                if box is got._boxes[0]:
+                    sizes.append(len(idx))
+                return table(idx, q, box)
+            with mock.patch.object(nb, "_box_table", sized):
+                blocks = list(got.rows_of(centres, radius))
+            chunk_ends = np.cumsum(sizes)
+            assert chunk_ends.size == 0 or chunk_ends[-1] == centres.size
+            assert not any(np.any((lo < chunk_ends) & (chunk_ends < hi)) for lo, hi, _ in blocks)
     assert (got._tree is None) == (stencil and got._boxes is not None)
 
 
